@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import binom
 
+from .engine import estimation_povm
 from .errors import ConfigError, InfeasibleCalibration
 from .family import (
     DEFAULT_RESOLUTION,
@@ -36,7 +37,7 @@ from .family import (
     P_FLOOR,
     ParamGrid,
     build_grid,
-    outcome_coeffs,
+    estimation_log_rows,
     state_from_angle,
 )
 from .measurements import (
@@ -47,15 +48,7 @@ from .measurements import (
     helstrom_povm,
     variational_povm,
 )
-from .quantum import (
-    DensityMatrix,
-    Povm,
-    born_distribution,
-    computational_basis_povm,
-    sample_outcome,
-    sic_povm_qubit,
-    tensor_power,
-)
+from .quantum import DensityMatrix, born_distribution, sample_outcome, tensor_power
 
 SIZE_SLACK = 1e-12
 
@@ -122,14 +115,6 @@ def _majority(blocks: int) -> int:
     return blocks // 2 + 1
 
 
-def _estimation_povm(fcfg: FixedTestConfig) -> Povm:
-    if fcfg.estimation_povm == "computational":
-        return computational_basis_povm(1)
-    if fcfg.estimation_povm == "sic":
-        return sic_povm_qubit()
-    raise ConfigError(f"unknown estimation POVM {fcfg.estimation_povm!r}")
-
-
 def _fit_alternative(
     fcfg: FixedTestConfig,
     truth: DensityMatrix,
@@ -138,17 +123,12 @@ def _fit_alternative(
     rng: np.random.Generator,
 ) -> float:
     """Grid MLE angle from m single-copy estimation rounds."""
-    povm = _estimation_povm(fcfg)
+    povm = estimation_povm(fcfg.estimation_povm)
     dist = born_distribution(truth, povm)
     counts = np.zeros(len(povm.labels))
     for _ in range(fcfg.estimation_copies):
         counts[povm._index[sample_outcome(dist, rng)]] += 1.0
-    log_rows = np.stack(
-        [
-            np.log(np.maximum(grid.basis(1) @ outcome_coeffs(cfg, e, 1), P_FLOOR))
-            for e in povm.elements
-        ]
-    )
+    log_rows = estimation_log_rows(grid, cfg, povm)
     return float(grid.angles[int(np.argmax(counts @ log_rows))])
 
 
@@ -268,6 +248,29 @@ def _unitary_grid(grid_size: int, copies: int) -> tuple[np.ndarray, np.ndarray]:
     return hit
 
 
+def variational_tables(
+    cfg: FamilyConfig,
+    alt_angle: float,
+    null_angles: np.ndarray,
+    copies: int,
+    grid_size: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rotation grid and outcome tables that _calibrate_variational sizes.
+
+    Returns (thetas, q, pn): thetas holds grid_size rotation angles in
+    radians, q[t, x] the probability of outcome x of the rotated basis at
+    thetas[t] on `copies` copies of the state at alt_angle, and
+    pn[t, x, j] the same under the state at null_angles[j].
+    """
+    thetas, u = _unitary_grid(grid_size, copies)
+    q = _rotated_basis_probs(u, tensor_power(state_from_angle(cfg, alt_angle), copies).mat)
+    nstack = np.stack(
+        [tensor_power(state_from_angle(cfg, w), copies).mat for w in null_angles]
+    )
+    pn = np.einsum("txa,jab,txb->txj", u, nstack, u.conj()).real.clip(min=0.0)
+    return thetas, q, pn
+
+
 def _calibrate_variational(
     q: np.ndarray, pn: np.ndarray, eps0: float, blocks: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -301,6 +304,20 @@ def _calibrate_variational(
     return power, tau
 
 
+def variational_calibration(
+    q: np.ndarray, pn: np.ndarray, eps0: float, blocks: int
+) -> tuple[int, float, float]:
+    """Most powerful rotation of variational_tables' grid at exact size eps0.
+
+    Returns (index into thetas, per-block power, ratio threshold); ties
+    break toward the smaller angle. With no feasible rotation the power is
+    0 and the threshold infinite, so the test never rejects.
+    """
+    power, tau = _calibrate_variational(q, pn, eps0, blocks)
+    t = int(np.argmax(power))
+    return t, float(power[t]), float(tau[t])
+
+
 def _run_variational_family(
     fcfg: FixedTestConfig,
     truth: DensityMatrix,
@@ -312,20 +329,12 @@ def _run_variational_family(
     rounds = fcfg.estimation_copies + fcfg.blocks
     alt_grid = build_grid(alt_set, fcfg.resolution)
     w1 = _fit_alternative(fcfg, truth, cfg, alt_grid, rng)
-    thetas, u = _unitary_grid(fcfg.theta_grid_size, fcfg.joint_copies)
-    q = _rotated_basis_probs(u, tensor_power(state_from_angle(cfg, w1), fcfg.joint_copies).mat)
-    null_grid = build_grid(null_set, fcfg.resolution)
-    nstack = np.stack(
-        [
-            tensor_power(state_from_angle(cfg, w), fcfg.joint_copies).mat
-            for w in null_grid.angles
-        ]
+    null_angles = build_grid(null_set, fcfg.resolution).angles
+    thetas, q, pn = variational_tables(
+        cfg, w1, null_angles, fcfg.joint_copies, fcfg.theta_grid_size
     )
-    pn = np.einsum("txa,jab,txb->txj", u, nstack, u.conj()).real.clip(min=0.0)
-    power, tau = _calibrate_variational(q, pn, fcfg.eps0, fcfg.blocks)
-    t_best = int(np.argmax(power))
+    t_best, _, threshold = variational_calibration(q, pn, fcfg.eps0, fcfg.blocks)
     ratio_row = q[t_best] / np.maximum(pn[t_best].max(axis=1), P_FLOOR)
-    threshold = tau[t_best]
     povm = variational_povm(float(thetas[t_best]), fcfg.joint_copies)
     dist = born_distribution(tensor_power(truth, fcfg.joint_copies), povm)
     votes = 0

@@ -132,6 +132,11 @@ def _cmd_verify(args) -> int:
     return 0 if all(results) else 1
 
 
+def _calibration_blocks(config, method: str) -> list[int]:
+    """Distinct block counts a fixed-copy method runs with across the budgets."""
+    return sorted({harness._fixed_config(config, method, b).blocks for b in config.budgets})
+
+
 def _cmd_calibrate(args) -> int:
     config = harness.parse_config(args.config)
     fam = config.family()
@@ -159,13 +164,7 @@ def _cmd_calibrate(args) -> int:
             omega0 = config.point_null_angle()
             pow0 = tensor_power(state_from_angle(fam, omega0), config.n_joint).mat
             pow1 = tensor_power(state1, config.n_joint).mat
-            if method == "LHT":
-                blocks_list = [1]
-            else:
-                blocks_list = sorted(
-                    {b // (config.n_ic + config.n_joint) for b in config.budgets}
-                )
-            for blocks in blocks_list:
+            for blocks in _calibration_blocks(config, method):
                 lam, alpha, power = baselines.helstrom_calibration(
                     pow0, pow1, config.eps0, config.lambda_grid_size, blocks
                 )
@@ -176,26 +175,14 @@ def _cmd_calibrate(args) -> int:
         else:
             print(f"{method}: threshold depends on the estimated alternative; "
                   f"reference angle {w1:g} shown")
-            thetas, u = baselines._unitary_grid(config.theta_grid_size, config.n_joint)
-            q = baselines._rotated_basis_probs(u, tensor_power(state1, config.n_joint).mat)
-            nstack = np.stack(
-                [
-                    tensor_power(state_from_angle(fam, w), config.n_joint).mat
-                    for w in null_grid.angles
-                ]
+            thetas, q, pn = baselines.variational_tables(
+                fam, w1, null_grid.angles, config.n_joint, config.theta_grid_size
             )
-            pn = np.einsum("txa,jab,txb->txj", u, nstack, u.conj()).real.clip(min=0.0)
-            blocks_list = (
-                [1]
-                if method == "LVT"
-                else sorted({b // (config.n_ic + config.n_joint) for b in config.budgets})
-            )
-            for blocks in blocks_list:
-                power, tau = baselines._calibrate_variational(q, pn, config.eps0, blocks)
-                t = int(np.argmax(power))
+            for blocks in _calibration_blocks(config, method):
+                t, power, tau = baselines.variational_calibration(q, pn, config.eps0, blocks)
                 print(
                     f"{method}: blocks {blocks}, rotation {thetas[t]:g} rad, "
-                    f"threshold {tau[t]:g}, block power {power[t]:.4g}"
+                    f"threshold {tau:g}, block power {power:.4g}"
                 )
     return 0
 
@@ -205,26 +192,14 @@ def _cmd_single(args) -> int:
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
     method = args.method
-    if method not in harness.METHOD_IDS:
-        raise QhtError(f"unknown method {method!r}")
     budget = args.budget
     b_idx = config.budgets.index(budget) if budget in config.budgets else 0
-    rng = np.random.default_rng([config.master_seed, harness.METHOD_IDS[method], b_idx, 0])
-    fam = config.family()
-    truth = state_from_angle(fam, config.truth_omega)
+    # Validate the method and budget actually run, not the ones the file lists.
+    config = dataclasses.replace(config, methods=(method,), budgets=(budget,))
+    out = harness.make_trial(config, method)(
+        budget, harness.run_rng(config.master_seed, method, b_idx, 0), collect_trace=args.trace
+    )
     if method in harness.SEQUENTIAL_METHODS:
-        out = engine.run_sequential_test(
-            harness._policy(config, method),
-            truth,
-            fam,
-            config.null_set,
-            config.alt_set,
-            config.eps0,
-            budget,
-            rng,
-            resolution=config.grid_resolution,
-            collect_trace=args.trace,
-        )
         print(
             f"{method} budget {budget}: {out.decision} after {out.rounds_used} rounds, "
             f"{out.copies_used} copies, final log ratio {out.final_log_slr:.6g}"
@@ -236,17 +211,7 @@ def _cmd_single(args) -> int:
                     f"outcome {row.outcome}  log ratio {row.log_slr:.6g}"
                 )
     else:
-        fcfg = harness._fixed_config(config, method, budget)
-        omega0 = config.point_null_angle()
-        if method == "LHT":
-            out = baselines.run_lht(fcfg, truth, fam, omega0, config.alt_set, rng)
-        elif method == "bLHT":
-            out = baselines.run_blht(fcfg, truth, fam, omega0, config.alt_set, rng)
-        elif method == "LVT":
-            out = baselines.run_lvt(fcfg, truth, fam, config.null_set, config.alt_set, rng)
-        else:
-            out = baselines.run_blvt(fcfg, truth, fam, config.null_set, config.alt_set, rng)
-        verdict = "reject" if out.decision == 1 else "accept"
+        verdict = "reject" if out.rejected else "accept"
         print(
             f"{method} budget {budget}: {verdict}, {out.copies_used} copies, "
             f"{out.rounds_used} measurement rounds"

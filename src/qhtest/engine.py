@@ -49,16 +49,15 @@ import numpy as np
 from .errors import ConfigError, InvariantViolation
 from .family import (
     DEFAULT_RESOLUTION,
-    P_FLOOR,
     FamilyConfig,
     HypothesisSet,
     MleResult,
     ParamGrid,
     accumulate,
     build_grid,
+    estimation_log_rows,
     log_outcome_prob,
     mle,
-    outcome_coeffs,
     sets_disjoint,
     state_from_angle,
 )
@@ -81,6 +80,24 @@ from .quantum import (
 
 POLICY_KINDS = ("aLHT", "aLHT+", "aLVT")
 ESTIMATION_POVMS = ("computational", "sic")
+
+_est_povm_cache: dict = {}
+
+
+def estimation_povm(name: str) -> Povm:
+    """Single-copy estimation measurement named in ESTIMATION_POVMS, built once."""
+    hit = _est_povm_cache.get(name)
+    if hit is None:
+        if name == "computational":
+            hit = computational_basis_povm(1)
+        elif name == "sic":
+            hit = sic_povm_qubit()
+        else:
+            raise ConfigError(
+                f"unknown estimation POVM {name!r}, expected {ESTIMATION_POVMS}"
+            )
+        _est_povm_cache[name] = hit
+    return hit
 
 NUMERATOR_FLOOR = 1e-12
 _LOG_NUMERATOR_FLOOR = math.log(NUMERATOR_FLOOR)
@@ -192,6 +209,37 @@ def slr_update(state: SlrState, rec: RoundRecord, cfg: FamilyConfig) -> tuple[Sl
     return new_state, frozen - denom
 
 
+def record_round(
+    state: SlrState,
+    cfg: FamilyConfig,
+    povm: Povm,
+    descriptor: str,
+    copies: int,
+    outcome,
+    est_povm: Povm,
+    override_angle: float | None = None,
+) -> tuple[SlrState, float]:
+    """Record one observed round and fold it into the state.
+
+    The numerator term is frozen from the predictable estimate of the
+    rounds already in `state` (see predictable_estimate), before this
+    outcome counts toward any fit. Returns slr_update's new state and log
+    SLR.
+    """
+    w = predictable_estimate(
+        state.alt_grid, cfg, bool(state.rounds), override_angle, est_povm
+    ).omega
+    rec = RoundRecord(
+        index=len(state.rounds) + 1,
+        povm=povm,
+        descriptor=descriptor,
+        copies=copies,
+        outcome=outcome,
+        log_numerator_term=numerator_log_term(cfg, w, povm.element(outcome), copies),
+    )
+    return slr_update(state, rec, cfg)
+
+
 def _snap_to_grid(grid: ParamGrid, angle: float) -> float:
     j = int(np.argmin(np.abs(grid.angles - angle)))
     return float(grid.angles[j])
@@ -245,12 +293,7 @@ def _pseudo_loglik(grid: ParamGrid, cfg: FamilyConfig, povm: Povm) -> np.ndarray
     key = ("pseudo", povm.labels)
     hit = grid.basis_cache.get(key)
     if hit is None:
-        basis = grid.basis(1)
-        rows = [
-            np.log(np.maximum(basis @ outcome_coeffs(cfg, e, 1), P_FLOOR))
-            for e in povm.elements
-        ]
-        hit = PSEUDO_WEIGHT * np.mean(rows, axis=0)
+        hit = PSEUDO_WEIGHT * np.mean(estimation_log_rows(grid, cfg, povm), axis=0)
         hit.setflags(write=False)
         grid.basis_cache[key] = hit
     return hit
@@ -293,20 +336,7 @@ def predictable_estimate(
     )
 
 
-_est_povm_cache: dict = {}
 _design_cache: dict = {}
-
-
-def _estimation_povm(policy: PolicyConfig) -> Povm:
-    hit = _est_povm_cache.get(policy.estimation_povm)
-    if hit is None:
-        hit = (
-            computational_basis_povm(1)
-            if policy.estimation_povm == "computational"
-            else sic_povm_qubit()
-        )
-        _est_povm_cache[policy.estimation_povm] = hit
-    return hit
 
 
 def _joint_design(
@@ -372,7 +402,7 @@ def next_measurement(
 ) -> tuple[Povm, int, str]:
     """Measurement for the upcoming round given the transcript so far."""
     pos = len(state.rounds) % (policy.n_ic + 1)
-    est = _estimation_povm(policy)
+    est = estimation_povm(policy.estimation_povm)
     if pos < policy.n_ic:
         return est, 1, f"{policy.estimation_povm}(n=1)"
     has = bool(state.rounds)
@@ -438,6 +468,10 @@ class TestOutcome:
     final_log_slr_rev: float | None = None
     trace: tuple = ()
 
+    @property
+    def rejected(self) -> bool:
+        return self.decision == REJECT
+
 
 def run_sequential_test(
     policy: PolicyConfig,
@@ -476,7 +510,7 @@ def run_sequential_test(
     copies_used = 0
     decision = None
     truth_powers: dict[int, DensityMatrix] = {}
-    est_povm = _estimation_povm(policy)
+    est_povm = estimation_povm(policy.estimation_povm)
     est_dist = None
     trace: list[TraceRow] = []
 
@@ -500,34 +534,11 @@ def run_sequential_test(
         outcome = sample_outcome(dist, rng)
         copies_used += copies
 
-        w1 = predictable_estimate(
-            s0.alt_grid, cfg, bool(s0.rounds), policy.initial_alt_angle, est_povm
-        ).omega
-        term0 = numerator_log_term(cfg, w1, povm.element(outcome), copies)
-        rec0 = RoundRecord(
-            index=len(s0.rounds) + 1,
-            povm=povm,
-            descriptor=desc,
-            copies=copies,
-            outcome=outcome,
-            log_numerator_term=term0,
+        s0, log0 = record_round(
+            s0, cfg, povm, desc, copies, outcome, est_povm, policy.initial_alt_angle
         )
-        s0, log0 = slr_update(s0, rec0, cfg)
-
         if s1 is not None:
-            w0n = predictable_estimate(
-                s1.alt_grid, cfg, bool(s1.rounds), None, est_povm
-            ).omega
-            term1 = numerator_log_term(cfg, w0n, povm.element(outcome), copies)
-            rec1 = RoundRecord(
-                index=len(s1.rounds) + 1,
-                povm=povm,
-                descriptor=desc,
-                copies=copies,
-                outcome=outcome,
-                log_numerator_term=term1,
-            )
-            s1, log1 = slr_update(s1, rec1, cfg)
+            s1, log1 = record_round(s1, cfg, povm, desc, copies, outcome, est_povm)
 
         if collect_trace:
             trace.append(

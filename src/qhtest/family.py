@@ -34,7 +34,7 @@ from .errors import (
     InvariantViolation,
     ParseError,
 )
-from .quantum import DensityMatrix, Povm
+from .quantum import DensityMatrix, Povm, tensor_power
 
 P_FLOOR = 1e-300
 DEFAULT_RESOLUTION = 0.5
@@ -90,10 +90,6 @@ class Piece:
     def is_point(self) -> bool:
         return self.start == self.end
 
-    @property
-    def length(self) -> float:
-        return self.end - self.start
-
     def contains(self, omega: float) -> bool:
         if omega < self.start or omega > self.end:
             return False
@@ -142,10 +138,6 @@ class HypothesisSet:
 
     def contains(self, omega: float) -> bool:
         return any(p.contains(omega) for p in self.pieces)
-
-    def midpoint_of_largest_piece(self) -> float:
-        best = sorted(self.pieces, key=lambda p: (-p.length, p.start))[0]
-        return (best.start + best.end) / 2.0
 
     def __str__(self) -> str:
         return " ".join(str(p) for p in self.pieces)
@@ -206,14 +198,12 @@ def _node_powers(cfg: FamilyConfig, copies: int) -> np.ndarray:
     if hit is not None:
         return hit
     n_nodes = 2 * copies + 1
-    mats = []
-    for j in range(n_nodes):
-        rho = state_from_angle(cfg, 360.0 * j / n_nodes)
-        out = rho.mat
-        for _ in range(copies - 1):
-            out = np.kron(out, rho.mat)
-        mats.append(out)
-    stacked = np.stack(mats)
+    stacked = np.stack(
+        [
+            tensor_power(state_from_angle(cfg, 360.0 * j / n_nodes), copies).mat
+            for j in range(n_nodes)
+        ]
+    )
     stacked.setflags(write=False)
     _node_cache[key] = stacked
     return stacked
@@ -256,10 +246,7 @@ def outcome_coeffs(cfg: FamilyConfig, element: np.ndarray, copies: int) -> np.nd
 
 def log_outcome_prob(cfg: FamilyConfig, omega: float, element: np.ndarray, copies: int) -> float:
     """log max(Tr(rho(omega)^(x)copies element), floor), by direct trace."""
-    rho = state_from_angle(cfg, omega)
-    out = rho.mat
-    for _ in range(copies - 1):
-        out = np.kron(out, rho.mat)
+    out = tensor_power(state_from_angle(cfg, omega), copies).mat
     p = float(np.einsum("ab,ba->", out, element).real)
     return math.log(max(p, P_FLOOR))
 
@@ -289,6 +276,17 @@ class ParamGrid:
             b.setflags(write=False)
             self.basis_cache[copies] = b
         return b
+
+
+def estimation_log_rows(grid: ParamGrid, cfg: FamilyConfig, povm: Povm) -> np.ndarray:
+    """Floored log probability of each single-copy outcome at each grid angle.
+
+    Row i belongs to povm.elements[i]; columns follow grid.angles.
+    """
+    basis = grid.basis(1)
+    return np.stack(
+        [np.log(np.maximum(basis @ outcome_coeffs(cfg, e, 1), P_FLOOR)) for e in povm.elements]
+    )
 
 
 def build_grid(hset: HypothesisSet, resolution: float = DEFAULT_RESOLUTION) -> ParamGrid:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import FixedTestConfig, run_blht, run_blvt, run_lht, run_lvt
-from .engine import REJECT, PolicyConfig, conservative_start, run_sequential_test
+from .engine import ESTIMATION_POVMS, PolicyConfig, conservative_start, run_sequential_test
 from .errors import ConfigError, IoError, ParseError
 from .family import (
     DEFAULT_RESOLUTION,
@@ -35,6 +35,8 @@ METHOD_IDS = {"aLHT": 0, "aLHT+": 1, "aLVT": 2, "LHT": 3, "bLHT": 4, "LVT": 5, "
 SEQUENTIAL_METHODS = ("aLHT", "aLHT+", "aLVT")
 POINT_NULL_METHODS = ("LHT", "bLHT")
 BLOCK_SCALED_METHODS = ("bLHT", "bLVT")
+# Names, not functions: make_trial resolves them when each run starts.
+_FIXED_RUNNERS = {"LHT": "run_lht", "bLHT": "run_blht", "LVT": "run_lvt", "bLVT": "run_blvt"}
 
 RESULT_HEADER = "method,budget,power,avg_copies,std_copies,avg_rounds,runs,master_seed"
 
@@ -78,6 +80,18 @@ class ExperimentConfig:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
         if not 0.0 < self.eps0 < 1.0:
             raise ConfigError(f"eps0 must lie in (0,1), got {self.eps0}")
+        if not self.grid_resolution > 0.0:
+            raise ConfigError(f"grid_resolution must be positive, got {self.grid_resolution}")
+        if self.n_ic < 0:
+            raise ConfigError(f"n_ic must be >= 0, got {self.n_ic}")
+        if self.n_joint < 1:
+            raise ConfigError(f"n_joint must be >= 1, got {self.n_joint}")
+        if self.lambda_grid_size < 1 or self.theta_grid_size < 1:
+            raise ConfigError("lambda_grid_size and theta_grid_size must be >= 1")
+        if self.estimation_povm not in ESTIMATION_POVMS:
+            raise ConfigError(
+                f"unknown estimation POVM {self.estimation_povm!r}, expected {ESTIMATION_POVMS}"
+            )
         if not sets_disjoint(self.null_set, self.alt_set):
             raise ConfigError(
                 f"null set {self.null_set} overlaps alternative set {self.alt_set}"
@@ -154,45 +168,62 @@ def _fixed_config(config: ExperimentConfig, method: str, budget: int) -> FixedTe
     )
 
 
-def run_sweep(config: ExperimentConfig) -> list[ResultRow]:
-    """One ResultRow per (method, budget), deterministic in master_seed."""
+def run_rng(master_seed: int, method: str, budget_index: int, run: int) -> np.random.Generator:
+    """Generator of one trial, derived from its place in the sweep."""
+    return np.random.default_rng([master_seed, METHOD_IDS[method], budget_index, run])
+
+
+def make_trial(config: ExperimentConfig, method: str):
+    """One Monte Carlo trial of `method` as a function of (budget, rng).
+
+    The function returns a TestOutcome or a FixedOutcome; both have
+    `rejected`, `copies_used` and `rounds_used`. collect_trace only affects
+    sequential methods. Run functions are looked up as module globals on
+    every call, so rebinding harness.run_lht and the others (a timing hook,
+    say) intercepts every run.
+    """
     fam = config.family()
     truth = state_from_angle(fam, config.truth_omega)
-    omega0 = config.point_null_angle()
+    if method in SEQUENTIAL_METHODS:
+        policy = _policy(config, method)
+
+        def trial(budget: int, rng: np.random.Generator, collect_trace: bool = False):
+            return run_sequential_test(
+                policy,
+                truth,
+                fam,
+                config.null_set,
+                config.alt_set,
+                config.eps0,
+                budget,
+                rng,
+                resolution=config.grid_resolution,
+                collect_trace=collect_trace,
+            )
+
+        return trial
+    runner = _FIXED_RUNNERS[method]
+    null = config.point_null_angle() if method in POINT_NULL_METHODS else config.null_set
+
+    def trial(budget: int, rng: np.random.Generator, collect_trace: bool = False):
+        fcfg = _fixed_config(config, method, budget)
+        return globals()[runner](fcfg, truth, fam, null, config.alt_set, rng)
+
+    return trial
+
+
+def run_sweep(config: ExperimentConfig) -> list[ResultRow]:
+    """One ResultRow per (method, budget), deterministic in master_seed."""
     rows = []
     for method in config.methods:
-        mid = METHOD_IDS[method]
-        policy = _policy(config, method) if method in SEQUENTIAL_METHODS else None
+        trial = make_trial(config, method)
         for b_idx, budget in enumerate(config.budgets):
             rejected = 0
             copies = np.empty(config.runs)
             rounds = np.empty(config.runs)
             for run in range(config.runs):
-                rng = np.random.default_rng([config.master_seed, mid, b_idx, run])
-                if policy is not None:
-                    out = run_sequential_test(
-                        policy,
-                        truth,
-                        fam,
-                        config.null_set,
-                        config.alt_set,
-                        config.eps0,
-                        budget,
-                        rng,
-                        resolution=config.grid_resolution,
-                    )
-                    rejected += out.decision == REJECT
-                else:
-                    fcfg = _fixed_config(config, method, budget)
-                    if method == "LHT":
-                        out = run_lht(fcfg, truth, fam, omega0, config.alt_set, rng)
-                    elif method == "bLHT":
-                        out = run_blht(fcfg, truth, fam, omega0, config.alt_set, rng)
-                    elif method == "LVT":
-                        out = run_lvt(fcfg, truth, fam, config.null_set, config.alt_set, rng)
-                    else:
-                        out = run_blvt(fcfg, truth, fam, config.null_set, config.alt_set, rng)
-                    rejected += out.decision == 1
+                out = trial(budget, run_rng(config.master_seed, method, b_idx, run))
+                rejected += out.rejected
                 copies[run] = out.copies_used
                 rounds[run] = out.rounds_used
             rows.append(

@@ -15,14 +15,13 @@ import numpy as np
 
 from .engine import (
     PolicyConfig,
-    RoundRecord,
     SlrState,
-    _estimation_povm,
+    estimation_povm as select_estimation_povm,  # recompute_slr has a parameter of that name
     new_slr_state,
     next_measurement,
     numerator_log_term,
     predictable_estimate,
-    slr_update,
+    record_round,
 )
 from .errors import HorizonTooLarge
 from .family import (
@@ -80,6 +79,7 @@ def enumerate_transcripts(
     if not 1 <= horizon <= MAX_HORIZON:
         raise HorizonTooLarge(f"horizon must be in 1..{MAX_HORIZON}, got {horizon}")
     rng = _HalfDraw()
+    est_povm = select_estimation_povm(policy.estimation_povm)
     powers: dict[int, DensityMatrix] = {}
     out: list[Branch] = []
 
@@ -93,26 +93,12 @@ def enumerate_transcripts(
             power = tensor_power(truth, copies)
             powers[copies] = power
         dist = born_distribution(power, povm)
-        w1 = predictable_estimate(
-            state.alt_grid,
-            cfg,
-            bool(state.rounds),
-            policy.initial_alt_angle,
-            _estimation_povm(policy),
-        ).omega
         for label, p in zip(dist.labels, dist.probs):
             if p == 0.0:
                 continue
-            term = numerator_log_term(cfg, w1, povm.element(label), copies)
-            rec = RoundRecord(
-                index=len(state.rounds) + 1,
-                povm=povm,
-                descriptor=desc,
-                copies=copies,
-                outcome=label,
-                log_numerator_term=term,
+            child, log_next = record_round(
+                state, cfg, povm, desc, copies, label, est_povm, policy.initial_alt_angle
             )
-            child, log_next = slr_update(state, rec, cfg)
             walk(child, prob * float(p), log_next, depth + 1)
 
     walk(new_slr_state(null_set, alt_set, resolution), 1.0, 0.0, 0)
@@ -169,7 +155,7 @@ def recompute_slr(
     measurement whose outcomes regularize the numerator estimates and must
     match the policy that produced the transcript.
     """
-    est_povm = _estimation_povm(PolicyConfig(kind="aLHT+", estimation_povm=estimation_povm))
+    est_povm = select_estimation_povm(estimation_povm)
     logs = np.empty(len(records))
     for t in range(1, len(records) + 1):
         frozen = 0.0
@@ -242,6 +228,7 @@ def sample_transcript(
     right generator for engine-versus-recomputation comparisons.
     """
     state = new_slr_state(null_set, alt_set, resolution)
+    est_povm = select_estimation_povm(policy.estimation_povm)
     logs = np.empty(n_rounds)
     powers: dict[int, DensityMatrix] = {}
     for t in range(n_rounds):
@@ -251,22 +238,7 @@ def sample_transcript(
             power = tensor_power(truth, copies)
             powers[copies] = power
         outcome = sample_outcome(born_distribution(power, povm), rng)
-        est = predictable_estimate(
-            state.alt_grid,
-            cfg,
-            bool(state.rounds),
-            policy.initial_alt_angle,
-            _estimation_povm(policy),
+        state, logs[t] = record_round(
+            state, cfg, povm, desc, copies, outcome, est_povm, policy.initial_alt_angle
         )
-        rec = RoundRecord(
-            index=t + 1,
-            povm=povm,
-            descriptor=desc,
-            copies=copies,
-            outcome=outcome,
-            log_numerator_term=numerator_log_term(
-                cfg, est.omega, povm.element(outcome), copies
-            ),
-        )
-        state, logs[t] = slr_update(state, rec, cfg)
     return state.rounds, logs

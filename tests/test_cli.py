@@ -1,9 +1,11 @@
 """End-to-end tests of the command line interface."""
 
+import re
+
 import pytest
 
 from qhtest.cli import main
-from qhtest.harness import RESULT_HEADER
+from qhtest.harness import METHOD_IDS, RESULT_HEADER
 
 CONFIG_TEXT = """\
 null_set = {45}
@@ -85,3 +87,46 @@ def test_verify_self_checks_pass(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 4
     assert "FAIL" not in out
+
+
+def test_single_rejects_a_method_the_config_cannot_run(tmp_path, capsys):
+    # LHT needs a single-point null; the file lists only methods that fit it
+    path = tmp_path / "two_point.cfg"
+    path.write_text(
+        CONFIG_TEXT.replace("{45}", "{45,135}")
+        .replace("(45,180]", "(45,135) (135,180]")
+        .replace("aLHT+,LHT", "aLVT,LVT")
+    )
+    assert main(["single", str(path), "--method", "LHT", "--budget", "40"]) == 2
+    assert "single-point null" in capsys.readouterr().err
+
+
+ALL_METHODS_TEXT = CONFIG_TEXT.replace("aLHT+,LHT", ",".join(METHOD_IDS)).replace(
+    "budgets = 10,14", "budgets = 10,20"
+).replace("runs = 2", "runs = 1")
+
+SINGLE_SEQUENTIAL = re.compile(r"budget \d+: (\w+) after (\d+) rounds, (\d+) copies")
+SINGLE_FIXED = re.compile(r"budget \d+: (\w+), (\d+) copies, (\d+) measurement rounds")
+
+
+def test_single_replays_run_zero_of_the_sweep_cell(tmp_path, capsys):
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text(ALL_METHODS_TEXT)
+    csv = tmp_path / "all.csv"
+    assert main(["sweep", str(cfg), "-o", str(csv)]) == 0
+    cells = {}
+    for line in csv.read_text().splitlines()[1:]:
+        method, budget, power, copies, _, rounds, _, _ = line.split(",")
+        cells[method, int(budget)] = (power == "1", float(copies), float(rounds))
+    assert len(cells) == 2 * len(METHOD_IDS)
+    capsys.readouterr()
+    for method, budget in cells:
+        assert main(["single", str(cfg), "--method", method, "--budget", str(budget)]) == 0
+        out = capsys.readouterr().out
+        seq = SINGLE_SEQUENTIAL.search(out)
+        if seq:
+            decision, rounds, copies = seq.groups()
+        else:
+            decision, copies, rounds = SINGLE_FIXED.search(out).groups()
+        got = (decision == "reject", float(copies), float(rounds))
+        assert got == cells[method, budget], (method, budget, out)

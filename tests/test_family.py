@@ -131,13 +131,6 @@ def test_sets_disjoint_respects_open_endpoints():
     assert not sets_disjoint(point, parse_hypothesis_set("[45,180]"))
 
 
-def test_midpoint_of_largest_piece():
-    assert parse_hypothesis_set("(45,180]").midpoint_of_largest_piece() == 112.5
-    # two pieces, the longer one wins
-    hs = parse_hypothesis_set("[0,10] [20,50]")
-    assert hs.midpoint_of_largest_piece() == 35.0
-
-
 # --- grid construction ----------------------------------------------------
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qhtest import harness
 from qhtest.errors import ConfigError, IoError, ParseError
 from qhtest.family import parse_hypothesis_set
 from qhtest.harness import (
@@ -62,6 +63,18 @@ class TestExperimentConfig:
             small_config(eps0=0.0)
         with pytest.raises(ConfigError):
             small_config(eps0=1.0)
+        # shared settings are checked even when no method reads them
+        fixed_only = dict(methods=("LHT",), budgets=(10, 14))
+        for bad in (
+            dict(lambda_grid_size=0),
+            dict(theta_grid_size=0),
+            dict(grid_resolution=0.0),
+            dict(estimation_povm="pauli"),
+            dict(n_ic=-1, **fixed_only),
+            dict(n_joint=0, **fixed_only),
+        ):
+            with pytest.raises(ConfigError):
+                small_config(**bad)
 
     def test_rejects_overlapping_sets(self):
         with pytest.raises(ConfigError):
@@ -111,6 +124,27 @@ class TestRunSweep:
         both = run_sweep(small_config())
         alone = run_sweep(small_config(methods=("aLHT+",)))
         assert alone == both[:2]
+
+    def test_every_run_goes_through_the_module_level_entry_points(self, monkeypatch):
+        # Rebinding these harness names must intercept every Monte Carlo run.
+        calls = {}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                key = args[0].kind if name == "run_sequential_test" else name
+                calls[key] = calls.get(key, 0) + 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("run_sequential_test", "run_lht", "run_blht", "run_lvt", "run_blvt"):
+            monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+        cfg = small_config(methods=tuple(METHOD_IDS), budgets=(10, 14), runs=2)
+        run_sweep(cfg)
+        per_method = cfg.runs * len(cfg.budgets)
+        assert calls == dict.fromkeys(
+            ("aLHT", "aLHT+", "aLVT", "run_lht", "run_blht", "run_lvt", "run_blvt"), per_method
+        )
 
     def test_single_run_population_std_is_zero(self):
         cfg = small_config(methods=("aLHT+",), runs=1)

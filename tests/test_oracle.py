@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhtest.engine import PolicyConfig
 from qhtest.errors import HorizonTooLarge
@@ -105,6 +107,39 @@ def test_sampled_transcripts_match_recompute():
         )
         worst = max(worst, float(np.max(np.abs(again - engine_logs))))
     assert worst <= 1e-9
+
+
+# (null set, alternative set) pairs: point, interval and two-point nulls
+RECOMPUTE_SETS = (
+    ("{45}", "(45,180]"),
+    ("[0,45]", "(45,180]"),
+    ("{45,135}", "(45,135) (135,180]"),
+)
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    truth_angle=st.floats(0.0, 360.0, exclude_max=True),
+    kind=st.sampled_from(("aLHT", "aLHT+", "aLVT")),
+    est=st.sampled_from(("computational", "sic")),
+    sets=st.sampled_from(RECOMPUTE_SETS),
+    n_ic=st.integers(0, 2),
+    n_joint=st.integers(1, 2),
+    n_rounds=st.integers(1, 6),
+)
+def test_recorded_rounds_match_recompute_for_every_policy(
+    seed, truth_angle, kind, est, sets, n_ic, n_joint, n_rounds
+):
+    cfg = FamilyConfig()
+    null_set, alt_set = (parse_hypothesis_set(s) for s in sets)
+    policy = PolicyConfig(kind=kind, n_ic=n_ic, n_joint=n_joint, estimation_povm=est)
+    records, engine_logs = sample_transcript(
+        policy, state_from_angle(cfg, truth_angle), cfg, null_set, alt_set, n_rounds,
+        np.random.default_rng(seed),
+    )
+    again = recompute_slr(records, cfg, null_set, alt_set, estimation_povm=est)
+    assert float(np.max(np.abs(again - engine_logs))) <= 1e-9
 
 
 def test_helstrom_bound_is_achieved():
