@@ -168,12 +168,17 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class SlrState:
-    """Transcript plus the two accumulated grids and the frozen numerator."""
+    """Transcript plus the two accumulated grids and the frozen numerator.
+
+    null_mle is the refined null-grid MLE behind the current denominator
+    (None before any round).
+    """
 
     null_grid: ParamGrid
     alt_grid: ParamGrid
     frozen_log_numerator: float = 0.0
     rounds: tuple = ()
+    null_mle: MleResult | None = None
 
 
 def new_slr_state(
@@ -190,7 +195,9 @@ def slr_update(state: SlrState, rec: RoundRecord, cfg: FamilyConfig) -> tuple[Sl
     The record's numerator term must have been computed from the
     alternative MLE fitted on prior rounds only; this function just
     accumulates it. The denominator is the refined null-grid maximum over
-    all rounds including this one.
+    all rounds including this one; the new state keeps that MleResult as
+    null_mle, so next_measurement reads the null estimate of a joint round
+    from it instead of refining the same grid again.
     """
     if rec.log_numerator_term > 1e-12:
         raise InvariantViolation(
@@ -199,14 +206,15 @@ def slr_update(state: SlrState, rec: RoundRecord, cfg: FamilyConfig) -> tuple[Sl
     alt = accumulate(state.alt_grid, cfg, rec.povm, rec.copies, rec.outcome)
     null = accumulate(state.null_grid, cfg, rec.povm, rec.copies, rec.outcome)
     frozen = state.frozen_log_numerator + rec.log_numerator_term
-    denom = mle(null, cfg, refine=True).loglik
+    null_mle = mle(null, cfg, refine=True)
     new_state = SlrState(
         null_grid=null,
         alt_grid=alt,
         frozen_log_numerator=frozen,
         rounds=state.rounds + (rec,),
+        null_mle=null_mle,
     )
-    return new_state, frozen - denom
+    return new_state, frozen - null_mle.loglik
 
 
 def record_round(
@@ -406,11 +414,7 @@ def next_measurement(
     if pos < policy.n_ic:
         return est, 1, f"{policy.estimation_povm}(n=1)"
     has = bool(state.rounds)
-    w0 = (
-        mle(state.null_grid, cfg, refine=True).omega
-        if has
-        else _default_angle(state.null_grid)
-    )
+    w0 = state.null_mle.omega if has else _default_angle(state.null_grid)
     w1 = predictable_estimate(
         state.alt_grid, cfg, has, policy.initial_alt_angle, est
     ).omega

@@ -15,8 +15,10 @@ Likelihood bookkeeping exploits that Tr(rho(omega)^(x)n M) is a
 trigonometric polynomial of degree n in omega: each observed outcome is
 reduced to its 2n+1 Fourier coefficients by exact interpolation through
 equispaced node angles, after which evaluation on a grid is a single
-matrix-vector product and evaluation at an arbitrary angle (needed by the
-golden-section refinement of the null MLE) costs a dot product per round.
+matrix-vector product. Evaluation at an arbitrary angle (needed by the
+golden-section refinement of the null MLE) costs one term per distinct
+outcome row: rounds that saw the same outcome of the same measurement share
+a coefficient row, and only the per-round sum walks every round.
 """
 
 from __future__ import annotations
@@ -263,6 +265,7 @@ class ParamGrid:
     segments: np.ndarray
     rounds: tuple = ()
     basis_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _round_rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.angles.setflags(write=False)
@@ -276,6 +279,29 @@ class ParamGrid:
             b.setflags(write=False)
             self.basis_cache[copies] = b
         return b
+
+    def round_rows(self) -> tuple:
+        """Distinct (copies, coeffs) rows, each round's row index, and the most copies.
+
+        Built on first use and kept on this grid only: accumulate returns a
+        new grid, so grids that are never evaluated off the lattice pay
+        nothing. Rows are keyed by their exact bytes, so equal rows give
+        equal terms.
+        """
+        if self._round_rows is None:
+            index: dict = {}
+            rows: list = []
+            order: list = []
+            for copies, coeffs in self.rounds:
+                key = (copies, coeffs.tobytes())
+                i = index.get(key)
+                if i is None:
+                    i = index[key] = len(rows)
+                    rows.append((copies, coeffs.tolist()))
+                order.append(i)
+            top = max((copies for copies, _ in rows), default=0)
+            object.__setattr__(self, "_round_rows", (tuple(rows), tuple(order), top))
+        return self._round_rows
 
 
 def estimation_log_rows(grid: ParamGrid, cfg: FamilyConfig, povm: Povm) -> np.ndarray:
@@ -359,14 +385,25 @@ def accumulate(
 
 
 def loglik_at(grid: ParamGrid, omega: float) -> float:
-    """Continuous log-likelihood of the accumulated rounds at one angle."""
-    total = 0.0
+    """Continuous log-likelihood of the accumulated rounds at one angle.
+
+    Each distinct outcome row is evaluated once; the per-round terms are
+    then added in round order, so the sum is the same float as a walk over
+    every round.
+    """
+    rows, order, top = grid.round_rows()
     w = math.radians(omega)
-    for copies, coeffs in grid.rounds:
+    cos = [math.cos(k * w) for k in range(top + 1)]
+    sin = [math.sin(k * w) for k in range(top + 1)]
+    terms = []
+    for copies, coeffs in rows:
         val = coeffs[0]
         for k in range(1, copies + 1):
-            val += coeffs[k] * math.cos(k * w) + coeffs[copies + k] * math.sin(k * w)
-        total += math.log(max(val, P_FLOOR))
+            val += coeffs[k] * cos[k] + coeffs[copies + k] * sin[k]
+        terms.append(math.log(max(val, P_FLOOR)))
+    total = 0.0
+    for i in order:
+        total += terms[i]
     return total
 
 

@@ -38,6 +38,10 @@ BLOCK_SCALED_METHODS = ("bLHT", "bLVT")
 # Names, not functions: make_trial resolves them when each run starts.
 _FIXED_RUNNERS = {"LHT": "run_lht", "bLHT": "run_blht", "LVT": "run_lvt", "bLVT": "run_blvt"}
 
+# Bloch-vector distance below which a null and an alternative grid angle
+# count as the same state.
+_SAME_STATE_TOL = 1e-9
+
 RESULT_HEADER = "method,budget,power,avg_copies,std_copies,avg_rounds,runs,master_seed"
 
 
@@ -96,6 +100,12 @@ class ExperimentConfig:
             raise ConfigError(
                 f"null set {self.null_set} overlaps alternative set {self.alt_set}"
             )
+        shared = self._shared_state()
+        if shared is not None:
+            raise ConfigError(
+                f"null angle {shared[0]:g} and alternative angle {shared[1]:g} "
+                f"give the same state for (r_z, r_x) = ({self.r_z}, {self.r_x})"
+            )
         block = self.n_ic + self.n_joint
         for m in self.methods:
             if m in SEQUENTIAL_METHODS:
@@ -110,6 +120,25 @@ class ExperimentConfig:
                     raise ConfigError(
                         f"method {m} needs a single-point null set, got {self.null_set}"
                     )
+
+    def _shared_state(self) -> tuple[float, float] | None:
+        """First (null, alternative) grid-angle pair whose Bloch vectors coincide.
+
+        Distinct angles can name one state: 0 and 360 always do, and with
+        r_x = 0 so do w and 360 - w. No data can tell such sets apart.
+        """
+        a0 = build_grid(self.null_set, self.grid_resolution).angles
+        a1 = build_grid(self.alt_set, self.grid_resolution).angles
+        w0, w1 = np.radians(a0), np.radians(a1)
+        gap = np.hypot(
+            self.r_z * (np.cos(w0)[:, None] - np.cos(w1)[None, :]),
+            self.r_x * (np.sin(w0)[:, None] - np.sin(w1)[None, :]),
+        )
+        hits = np.argwhere(gap <= _SAME_STATE_TOL)
+        if hits.size == 0:
+            return None
+        i, j = hits[0]
+        return float(a0[i]), float(a1[j])
 
     def point_null_angle(self) -> float | None:
         pieces = self.null_set.pieces

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qhtest import engine, oracle
 from qhtest.engine import (
     ACCEPT,
     BUDGET_EXHAUSTED,
@@ -27,6 +28,7 @@ from qhtest.family import (
     HypothesisSet,
     Piece,
     build_grid,
+    mle,
     parse_hypothesis_set,
     state_from_angle,
 )
@@ -323,3 +325,44 @@ def test_run_sequential_test_validates_inputs():
         run_sequential_test(
             policy, tensor_power(truth, 2), CFG, NULL_POINT, ALT_UPPER, 0.05, 10, rng
         )
+
+
+@pytest.mark.parametrize("two_sided", [False, True])
+def test_joint_rounds_reuse_the_refined_null_mle(monkeypatch, two_sided):
+    """Every state carries the denominator's refined MLE; joint designs use it as w0."""
+    null_set = parse_hypothesis_set("[0,45]")
+    policy = PolicyConfig(kind="aLHT+", n_ic=2, n_joint=2, lambda_grid_size=9)
+    states, designs, current = [], [], []
+    real_next, real_design = engine.next_measurement, engine._joint_design
+    real_record = engine.record_round
+
+    def next_measurement(policy, state, cfg, rng):
+        current[:] = [state]
+        return real_next(policy, state, cfg, rng)
+
+    def joint_design(policy, cfg, w0, w1, rng):
+        designs.append((current[0], w0))
+        return real_design(policy, cfg, w0, w1, rng)
+
+    def record_round(*args, **kwargs):
+        out = real_record(*args, **kwargs)
+        states.append(out[0])
+        return out
+
+    monkeypatch.setattr(engine, "_joint_design", joint_design)
+    for module in (engine, oracle):
+        monkeypatch.setattr(module, "next_measurement", next_measurement)
+        monkeypatch.setattr(module, "record_round", record_round)
+    truth = state_from_angle(CFG, 22.3)
+    rng = np.random.default_rng(17)
+    if two_sided:
+        run_sequential_test(policy, truth, CFG, null_set, ALT_UPPER, 0.05, 24, rng, eps1=0.05)
+    else:
+        oracle.sample_transcript(policy, truth, CFG, null_set, ALT_UPPER, 9, rng)
+    assert len(states) >= 9 and len(designs) >= 3
+    for state in states:
+        again = mle(state.null_grid, CFG, refine=True)
+        assert state.null_mle.omega == again.omega
+        assert state.null_mle.loglik == again.loglik
+    for state, w0 in designs:
+        assert w0 == state.null_mle.omega

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhtest.errors import (
     EmptyGrid,
@@ -13,6 +15,7 @@ from qhtest.errors import (
 )
 from qhtest.family import (
     DEFAULT_RESOLUTION,
+    P_FLOOR,
     FamilyConfig,
     HypothesisSet,
     Piece,
@@ -26,7 +29,8 @@ from qhtest.family import (
     sets_disjoint,
     state_from_angle,
 )
-from qhtest.quantum import Povm, born_distribution, computational_basis_povm
+from qhtest.measurements import HelstromSpec, helstrom_povm, variational_povm
+from qhtest.quantum import Povm, born_distribution, computational_basis_povm, sic_povm_qubit
 
 
 def direct_tensor_prob(cfg, omega, element, copies):
@@ -241,6 +245,65 @@ def test_loglik_at_matches_grid_values():
         grid = accumulate(grid, cfg, povm, 1, str(rng.integers(2)))
     for j in rng.integers(0, grid.angles.shape[0], size=10):
         assert abs(loglik_at(grid, float(grid.angles[j])) - grid.per_angle_loglik[j]) < 1e-10
+
+
+def per_round_loglik_at(grid, omega):
+    """Reference: one term per stored round, recomputing cos/sin each time."""
+    total = 0.0
+    w = math.radians(omega)
+    for copies, coeffs in grid.rounds:
+        val = coeffs[0]
+        for k in range(1, copies + 1):
+            val += coeffs[k] * math.cos(k * w) + coeffs[copies + k] * math.sin(k * w)
+        total += math.log(max(val, P_FLOOR))
+    return total
+
+
+def _round_povms():
+    """Single-copy estimation POVMs plus 2- to 4-copy joint designs."""
+    cfg = FamilyConfig()
+    out = [(computational_basis_povm(1), 1), (sic_povm_qubit(), 1)]
+    for copies, (w0, w1, lam, theta) in zip(
+        (2, 3, 4), ((10.0, 60.0, 0.4, 0.3), (30.0, 90.0, 0.7, 1.2), (45.0, 50.0, 0.5, 2.9))
+    ):
+        spec = HelstromSpec(
+            null_state=state_from_angle(cfg, w0),
+            alt_state=state_from_angle(cfg, w1),
+            weight=lam,
+            copies=copies,
+        )
+        out.append((helstrom_povm(spec), copies))
+        out.append((variational_povm(theta, copies), copies))
+    return out
+
+
+ROUND_POVMS = _round_povms()
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    piece=st.sampled_from(("[0,45]", "[10,170]", "(45,180]")),
+    # (POVM index, outcome index); a small pool makes outcomes repeat
+    rounds=st.lists(
+        st.tuples(st.integers(0, len(ROUND_POVMS) - 1), st.integers(0, 15)), max_size=30
+    ),
+    probes=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+)
+def test_loglik_at_is_bit_exact_against_the_per_round_sum(piece, rounds, probes):
+    cfg = FamilyConfig()
+    grid = build_grid(parse_hypothesis_set(piece))
+    for i, o in rounds:
+        povm, copies = ROUND_POVMS[i]
+        grid = accumulate(grid, cfg, povm, copies, povm.labels[o % len(povm.labels)])
+    lo, hi = float(grid.angles[0]), float(grid.angles[-1])
+    for u in probes:
+        omega = lo + u * (hi - lo)
+        assert loglik_at(grid, omega) == per_round_loglik_at(grid, omega)
+
+
+def test_loglik_at_without_rounds_is_zero():
+    grid = build_grid(parse_hypothesis_set("[0,45]"))
+    assert loglik_at(grid, 22.3) == 0.0
 
 
 def test_mle_tie_breaks_to_smallest_angle():

@@ -80,6 +80,19 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             small_config(alt_set=parse_hypothesis_set("[45,180]"))
 
+    def test_rejects_sets_that_share_a_state(self):
+        # 0 and 360 degrees are one state for every radius pair
+        with pytest.raises(ConfigError):
+            small_config(
+                null_set=parse_hypothesis_set("{0}"),
+                alt_set=parse_hypothesis_set("{360}"),
+                methods=("aLHT+",),
+            )
+        # with r_x = 0 the family folds: w and 360 - w coincide
+        with pytest.raises(ConfigError):
+            small_config(alt_set=parse_hypothesis_set("{315}"), r_x=0.0)
+        small_config(alt_set=parse_hypothesis_set("{315}"))
+
     def test_fixed_methods_need_room_for_their_blocks(self):
         # bLHT scales blocks by n_ic + n_joint = 10 copies
         with pytest.raises(ConfigError):
