@@ -9,7 +9,6 @@ with a seeded Monte Carlo harness for power and copy-complexity sweeps.
 from .baselines import (
     FixedOutcome,
     FixedTestConfig,
-    calibrate_lht_lambda,
     helstrom_calibration,
     run_blht,
     run_blvt,

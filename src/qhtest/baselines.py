@@ -23,10 +23,10 @@ single-block tests, including the random stream they consume.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom
 
 from .engine import estimation_povm
 from .errors import ConfigError, InfeasibleCalibration
@@ -115,6 +115,15 @@ def _majority(blocks: int) -> int:
     return blocks // 2 + 1
 
 
+def _majority_tail(alpha: np.ndarray, blocks: int) -> np.ndarray:
+    """Exact size of a majority vote: P(Binomial(blocks, alpha) >= _majority(blocks))."""
+    a = alpha.clip(0.0, 1.0)
+    return sum(
+        math.comb(blocks, k) * a**k * (1.0 - a) ** (blocks - k)
+        for k in range(_majority(blocks), blocks + 1)
+    )
+
+
 def _fit_alternative(
     fcfg: FixedTestConfig,
     truth: DensityMatrix,
@@ -153,27 +162,13 @@ def helstrom_calibration(
     if blocks == 1:
         ok = alpha <= eps0 + SIZE_SLACK
     else:
-        tail = binom.sf(_majority(blocks) - 1, blocks, alpha.clip(0.0, 1.0))
-        ok = tail <= eps0 + SIZE_SLACK
+        ok = _majority_tail(alpha, blocks) <= eps0 + SIZE_SLACK
     if not bool(ok.any()):
         raise InfeasibleCalibration(
             f"no weight on the {grid_size}-point grid meets size {eps0} with {blocks} blocks"
         )
     k = int(np.argmax(np.where(ok, power, -np.inf)))
     return float(weights[k]), float(alpha[k]), float(power[k])
-
-
-def calibrate_lht_lambda(
-    null_state: DensityMatrix,
-    alt_state: DensityMatrix,
-    joint_copies: int,
-    eps0: float,
-    grid_size: int = 99,
-) -> float:
-    """Single-block Helstrom weight with maximal exact power at size eps0."""
-    pow0 = tensor_power(null_state, joint_copies).mat
-    pow1 = tensor_power(alt_state, joint_copies).mat
-    return helstrom_calibration(pow0, pow1, eps0, grid_size, blocks=1)[0]
 
 
 def _run_helstrom_family(
@@ -292,7 +287,7 @@ def _calibrate_variational(
     if blocks == 1:
         ok = alpha <= eps0 + SIZE_SLACK
     else:
-        ok = binom.sf(_majority(blocks) - 1, blocks, alpha.clip(0.0, 1.0)) <= eps0 + SIZE_SLACK
+        ok = _majority_tail(alpha, blocks) <= eps0 + SIZE_SLACK
     cuttable = np.ones_like(ok)
     cuttable[:, :-1] = r_sorted[:, :-1] > r_sorted[:, 1:]
     feas = ok & cuttable

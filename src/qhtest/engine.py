@@ -16,6 +16,11 @@ round's numerator term is frozen when the round is recorded and never
 revisited; only the denominator maximization reruns as new rounds arrive.
 The test rejects as soon as log SLR >= log(1/eps0).
 
+Both sides read one likelihood: record_round reduces the observed outcome
+M_i to its Fourier coefficient row once (family.outcome_coeffs), the
+numerator term is that row evaluated at the predictable angle, and
+slr_update folds the same row into the null and the alternative grids.
+
 Numerator probabilities are additionally clamped at NUMERATOR_FLOOR, so a
 predicted-impossible outcome that still happens costs log(NUMERATOR_FLOOR)
 rather than ending the run. The clamp can only raise the statistic by a
@@ -43,10 +48,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .errors import ConfigError, InvariantViolation
+from .errors import ConfigError, InconsistentTranscript, InvariantViolation
 from .family import (
     DEFAULT_RESOLUTION,
     FamilyConfig,
@@ -58,6 +64,7 @@ from .family import (
     estimation_log_rows,
     log_outcome_prob,
     mle,
+    outcome_coeffs,
     sets_disjoint,
     state_from_angle,
 )
@@ -81,23 +88,15 @@ from .quantum import (
 POLICY_KINDS = ("aLHT", "aLHT+", "aLVT")
 ESTIMATION_POVMS = ("computational", "sic")
 
-_est_povm_cache: dict = {}
 
-
+@cache
 def estimation_povm(name: str) -> Povm:
     """Single-copy estimation measurement named in ESTIMATION_POVMS, built once."""
-    hit = _est_povm_cache.get(name)
-    if hit is None:
-        if name == "computational":
-            hit = computational_basis_povm(1)
-        elif name == "sic":
-            hit = sic_povm_qubit()
-        else:
-            raise ConfigError(
-                f"unknown estimation POVM {name!r}, expected {ESTIMATION_POVMS}"
-            )
-        _est_povm_cache[name] = hit
-    return hit
+    if name == "computational":
+        return computational_basis_povm(1)
+    if name == "sic":
+        return sic_povm_qubit()
+    raise ConfigError(f"unknown estimation POVM {name!r}, expected {ESTIMATION_POVMS}")
 
 NUMERATOR_FLOOR = 1e-12
 _LOG_NUMERATOR_FLOOR = math.log(NUMERATOR_FLOOR)
@@ -109,11 +108,9 @@ _LOG_NUMERATOR_FLOOR = math.log(NUMERATOR_FLOOR)
 PSEUDO_WEIGHT = 0.3
 
 
-def numerator_log_term(
-    cfg: FamilyConfig, omega: float, element: np.ndarray, copies: int
-) -> float:
-    """Clamped log probability frozen into the numerator for one round."""
-    return max(log_outcome_prob(cfg, omega, element, copies), _LOG_NUMERATOR_FLOOR)
+def numerator_log_term(coeffs: np.ndarray, copies: int, omega: float) -> float:
+    """Clamped log probability of a round's outcome row, frozen into the numerator."""
+    return max(log_outcome_prob(coeffs, copies, omega), _LOG_NUMERATOR_FLOOR)
 
 REJECT = "reject"
 ACCEPT = "accept"
@@ -156,13 +153,19 @@ class PolicyConfig:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """One observed round, with its numerator term frozen at record time."""
+    """One observed round, with its numerator term frozen at record time.
+
+    coeffs is the outcome's Fourier coefficient row (family.outcome_coeffs),
+    the one likelihood of this round that both the numerator and the grids
+    read.
+    """
 
     index: int
     povm: Povm
     descriptor: str
     copies: int
     outcome: object
+    coeffs: np.ndarray
     log_numerator_term: float
 
 
@@ -194,7 +197,8 @@ def slr_update(state: SlrState, rec: RoundRecord, cfg: FamilyConfig) -> tuple[Sl
 
     The record's numerator term must have been computed from the
     alternative MLE fitted on prior rounds only; this function just
-    accumulates it. The denominator is the refined null-grid maximum over
+    accumulates it, and folds the record's coefficient row into both
+    grids. The denominator is the refined null-grid maximum over
     all rounds including this one; the new state keeps that MleResult as
     null_mle, so next_measurement reads the null estimate of a joint round
     from it instead of refining the same grid again.
@@ -203,8 +207,8 @@ def slr_update(state: SlrState, rec: RoundRecord, cfg: FamilyConfig) -> tuple[Sl
         raise InvariantViolation(
             f"log numerator term {rec.log_numerator_term:.3e} is positive"
         )
-    alt = accumulate(state.alt_grid, cfg, rec.povm, rec.copies, rec.outcome)
-    null = accumulate(state.null_grid, cfg, rec.povm, rec.copies, rec.outcome)
+    alt = accumulate(state.alt_grid, rec.coeffs, rec.copies)
+    null = accumulate(state.null_grid, rec.coeffs, rec.copies)
     frozen = state.frozen_log_numerator + rec.log_numerator_term
     null_mle = mle(null, cfg, refine=True)
     new_state = SlrState(
@@ -229,11 +233,22 @@ def record_round(
 ) -> tuple[SlrState, float]:
     """Record one observed round and fold it into the state.
 
-    The numerator term is frozen from the predictable estimate of the
-    rounds already in `state` (see predictable_estimate), before this
-    outcome counts toward any fit. Returns slr_update's new state and log
-    SLR.
+    The outcome is reduced to its coefficient row once, after checking
+    that it belongs to the POVM and that the POVM acts on `copies` qubits.
+    The numerator term is that row evaluated at the predictable estimate
+    of the rounds already in `state` (see predictable_estimate), before
+    this outcome counts toward any fit. Returns slr_update's new state and
+    log SLR.
     """
+    if povm.dim != 2**copies:
+        raise InconsistentTranscript(
+            f"POVM dim {povm.dim} does not match 2^{copies} for {copies} copies"
+        )
+    try:
+        element = povm.element(outcome)
+    except KeyError:
+        raise InconsistentTranscript(f"outcome {outcome!r} not among POVM labels") from None
+    coeffs = outcome_coeffs(cfg, element, copies)
     w = predictable_estimate(
         state.alt_grid, cfg, bool(state.rounds), override_angle, est_povm
     ).omega
@@ -243,7 +258,8 @@ def record_round(
         descriptor=descriptor,
         copies=copies,
         outcome=outcome,
-        log_numerator_term=numerator_log_term(cfg, w, povm.element(outcome), copies),
+        coeffs=coeffs,
+        log_numerator_term=numerator_log_term(coeffs, copies, w),
     )
     return slr_update(state, rec, cfg)
 
@@ -431,8 +447,8 @@ def one_sided_decision(log_slr: float, eps0: float) -> bool:
 
 def two_sided_decision(log_slr0: float, log_slr1: float, eps0: float, eps1: float) -> str:
     """Ternary decision; simultaneous crossings are impossible and raise."""
-    if min(eps0, eps1) >= 1.0 or min(eps0, eps1) <= 0.0:
-        raise ConfigError(f"need 0 < min(eps0, eps1) < 1, got ({eps0}, {eps1})")
+    if not (0.0 < eps0 < 1.0 and 0.0 < eps1 < 1.0):
+        raise ConfigError(f"eps0 and eps1 must each lie in (0,1), got ({eps0}, {eps1})")
     cross0 = log_slr0 >= math.log(1.0 / eps0)
     cross1 = log_slr1 >= math.log(1.0 / eps1)
     if cross0 and cross1:

@@ -13,12 +13,14 @@ exactly, and argmax ties break toward the smallest angle.
 
 Likelihood bookkeeping exploits that Tr(rho(omega)^(x)n M) is a
 trigonometric polynomial of degree n in omega: each observed outcome is
-reduced to its 2n+1 Fourier coefficients by exact interpolation through
-equispaced node angles, after which evaluation on a grid is a single
-matrix-vector product. Evaluation at an arbitrary angle (needed by the
-golden-section refinement of the null MLE) costs one term per distinct
-outcome row: rounds that saw the same outcome of the same measurement share
-a coefficient row, and only the per-round sum walks every round.
+reduced once to its 2n+1 Fourier coefficients (outcome_coeffs) by exact
+interpolation through equispaced node angles, and every likelihood reads
+that row. On a grid (accumulate) it is a single matrix-vector product; at
+one angle (log_outcome_prob, and loglik_at for the golden-section
+refinement of the null MLE) it is the scalar sum c0 + sum_k (c_k cos kw +
+s_k sin kw). loglik_at costs one such term per distinct outcome row:
+rounds that saw the same outcome of the same measurement share a
+coefficient row, and only the per-round sum walks every round.
 """
 
 from __future__ import annotations
@@ -26,12 +28,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
 from .errors import (
     EmptyGrid,
-    InconsistentTranscript,
     InvalidBlochVector,
     InvariantViolation,
     ParseError,
@@ -190,7 +192,6 @@ def parse_hypothesis_set(text: str) -> HypothesisSet:
 # --- trigonometric interpolation of outcome likelihoods ------------------
 
 _node_cache: dict = {}
-_dft_cache: dict = {}
 
 
 def _node_powers(cfg: FamilyConfig, copies: int) -> np.ndarray:
@@ -211,11 +212,9 @@ def _node_powers(cfg: FamilyConfig, copies: int) -> np.ndarray:
     return stacked
 
 
+@cache
 def _dft_matrix(copies: int) -> np.ndarray:
     """Map of node values to Fourier coefficients [c0, c1..cn, s1..sn]."""
-    hit = _dft_cache.get(copies)
-    if hit is not None:
-        return hit
     n_nodes = 2 * copies + 1
     theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
     rows = [np.full(n_nodes, 1.0 / n_nodes)]
@@ -225,7 +224,6 @@ def _dft_matrix(copies: int) -> np.ndarray:
         rows.append(2.0 / n_nodes * np.sin(k * theta))
     mat = np.array(rows)
     mat.setflags(write=False)
-    _dft_cache[copies] = mat
     return mat
 
 
@@ -246,11 +244,20 @@ def outcome_coeffs(cfg: FamilyConfig, element: np.ndarray, copies: int) -> np.nd
     return _dft_matrix(copies) @ traces
 
 
-def log_outcome_prob(cfg: FamilyConfig, omega: float, element: np.ndarray, copies: int) -> float:
-    """log max(Tr(rho(omega)^(x)copies element), floor), by direct trace."""
-    out = tensor_power(state_from_angle(cfg, omega), copies).mat
-    p = float(np.einsum("ab,ba->", out, element).real)
-    return math.log(max(p, P_FLOOR))
+def _row_log(coeffs: list, copies: int, cos: list, sin: list) -> float:
+    """Floored log of one coefficient row, given cos(k w) and sin(k w) for k <= copies."""
+    val = coeffs[0]
+    for k in range(1, copies + 1):
+        val += coeffs[k] * cos[k] + coeffs[copies + k] * sin[k]
+    return math.log(max(val, P_FLOOR))
+
+
+def log_outcome_prob(coeffs: np.ndarray, copies: int, omega: float) -> float:
+    """Floored log Tr(rho(omega)^(x)copies M), read from M's outcome_coeffs row."""
+    w = math.radians(omega)
+    cos = [math.cos(k * w) for k in range(copies + 1)]
+    sin = [math.sin(k * w) for k in range(copies + 1)]
+    return _row_log(coeffs.tolist(), copies, cos, sin)
 
 
 # --- parameter grids ------------------------------------------------------
@@ -356,23 +363,8 @@ def build_grid(hset: HypothesisSet, resolution: float = DEFAULT_RESOLUTION) -> P
     )
 
 
-def accumulate(
-    grid: ParamGrid,
-    cfg: FamilyConfig,
-    povm: Povm,
-    copies: int,
-    outcome,
-) -> ParamGrid:
-    """Return a new grid with one observed round folded into the sums."""
-    if povm.dim != 2**copies:
-        raise InconsistentTranscript(
-            f"POVM dim {povm.dim} does not match 2^{copies} for {copies} copies"
-        )
-    try:
-        element = povm.element(outcome)
-    except KeyError:
-        raise InconsistentTranscript(f"outcome {outcome!r} not among POVM labels") from None
-    coeffs = outcome_coeffs(cfg, element, copies)
+def accumulate(grid: ParamGrid, coeffs: np.ndarray, copies: int) -> ParamGrid:
+    """Return a new grid with one observed round's outcome_coeffs row folded into the sums."""
     probs = grid.basis(copies) @ coeffs
     new_loglik = grid.per_angle_loglik + np.log(np.maximum(probs, P_FLOOR))
     return ParamGrid(
@@ -395,12 +387,7 @@ def loglik_at(grid: ParamGrid, omega: float) -> float:
     w = math.radians(omega)
     cos = [math.cos(k * w) for k in range(top + 1)]
     sin = [math.sin(k * w) for k in range(top + 1)]
-    terms = []
-    for copies, coeffs in rows:
-        val = coeffs[0]
-        for k in range(1, copies + 1):
-            val += coeffs[k] * cos[k] + coeffs[copies + k] * sin[k]
-        terms.append(math.log(max(val, P_FLOOR)))
+    terms = [_row_log(coeffs, copies, cos, sin) for copies, coeffs in rows]
     total = 0.0
     for i in order:
         total += terms[i]

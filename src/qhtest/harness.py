@@ -13,6 +13,7 @@ full estimation-plus-joint cycle, while LHT and LVT always use one block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -84,6 +85,9 @@ class ExperimentConfig:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
         if not 0.0 < self.eps0 < 1.0:
             raise ConfigError(f"eps0 must lie in (0,1), got {self.eps0}")
+        for name in ("truth_omega", "r_z", "r_x"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.grid_resolution > 0.0:
             raise ConfigError(f"grid_resolution must be positive, got {self.grid_resolution}")
         if self.n_ic < 0:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -70,14 +71,9 @@ def helstrom_povm(spec: HelstromSpec) -> Povm:
     return Povm(labels=(0, 1), elements=(m0, m1))
 
 
-_chain_cache: dict = {}
-
-
+@cache
 def _cnot_chain(n: int) -> np.ndarray:
     """Product of CNOTs, control i -> target i+1, applied for i = 1..n-1."""
-    hit = _chain_cache.get(n)
-    if hit is not None:
-        return hit
     dim = 2**n
     chain = np.eye(dim)
     for i in range(1, n):
@@ -88,7 +84,6 @@ def _cnot_chain(n: int) -> np.ndarray:
             gate[b ^ targ if b & ctrl else b, b] = 1.0
         chain = gate @ chain
     chain.setflags(write=False)
-    _chain_cache[n] = chain
     return chain
 
 

@@ -31,6 +31,7 @@ from .family import (
     accumulate,
     build_grid,
     mle,
+    outcome_coeffs,
     parse_hypothesis_set,
 )
 from .measurements import HelstromSpec, helstrom_povm
@@ -148,29 +149,29 @@ def recompute_slr(
 ) -> np.ndarray:
     """From-scratch log SLR at every prefix of a stored transcript.
 
-    Every numerator estimate is refitted on its own prefix from an empty
-    grid, and every denominator maximization reruns on its full prefix;
-    nothing is reused across prefixes. The engine's incremental values must
+    Each round's coefficient row is rebuilt from its POVM and outcome
+    rather than read from the record. Every numerator estimate is refitted
+    on its own prefix from an empty grid, and every denominator
+    maximization reruns on its full prefix; no fit is reused across
+    prefixes. The engine's incremental values must
     match this within 1e-9. estimation_povm names the single-copy
     measurement whose outcomes regularize the numerator estimates and must
     match the policy that produced the transcript.
     """
     est_povm = select_estimation_povm(estimation_povm)
+    rows = [outcome_coeffs(cfg, r.povm.element(r.outcome), r.copies) for r in records]
     logs = np.empty(len(records))
     for t in range(1, len(records) + 1):
         frozen = 0.0
         for i in range(t):
             galt = build_grid(alt_set, resolution)
-            for r in records[:i]:
-                galt = accumulate(galt, cfg, r.povm, r.copies, r.outcome)
+            for row, r in zip(rows[:i], records):
+                galt = accumulate(galt, row, r.copies)
             est = predictable_estimate(galt, cfg, i > 0, initial_alt_angle, est_povm)
-            rec = records[i]
-            frozen += numerator_log_term(
-                cfg, est.omega, rec.povm.element(rec.outcome), rec.copies
-            )
+            frozen += numerator_log_term(rows[i], records[i].copies, est.omega)
         gnull = build_grid(null_set, resolution)
-        for r in records[:t]:
-            gnull = accumulate(gnull, cfg, r.povm, r.copies, r.outcome)
+        for row, r in zip(rows[:t], records):
+            gnull = accumulate(gnull, row, r.copies)
         logs[t - 1] = frozen - mle(gnull, cfg, refine=True).loglik
     return logs
 

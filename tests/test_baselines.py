@@ -9,7 +9,7 @@ from qhtest.baselines import (
     FixedOutcome,
     FixedTestConfig,
     _majority,
-    calibrate_lht_lambda,
+    _majority_tail,
     helstrom_calibration,
     run_blht,
     run_blvt,
@@ -90,14 +90,13 @@ def test_blocked_calibration_sizes_the_majority_tail():
         assert 0.0 < w < 1.0
 
 
-def test_calibrate_lht_lambda_matches_low_level_result():
-    rho0 = state_from_angle(CFG, 45.0)
-    rho1 = state_from_angle(CFG, 110.0)
-    lam = calibrate_lht_lambda(rho0, rho1, joint_copies=4, eps0=0.05)
-    w, _, _ = helstrom_calibration(
-        tensor_power(rho0, 4).mat, tensor_power(rho1, 4).mat, 0.05, 99
-    )
-    assert lam == w
+def test_majority_tail_matches_the_binomial_survival_function():
+    alpha = np.concatenate([np.linspace(0.0, 1.0, 101), [1e-9, 0.05, 0.5 - 1e-12]])
+    for blocks in range(2, 41):
+        expect = binom.sf(_majority(blocks) - 1, blocks, alpha)
+        assert np.max(np.abs(_majority_tail(alpha, blocks) - expect)) < 1e-15
+    # out-of-range sizes from rounding are clipped, as before
+    assert np.array_equal(_majority_tail(np.array([-1e-17, 1.0 + 1e-16]), 3), [0.0, 1.0])
 
 
 def test_infeasible_calibration_raises_and_run_falls_back():

@@ -73,6 +73,15 @@ def test_missing_config_file_fails_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_sweep_rejects_a_non_finite_truth_angle(tmp_path, capsys):
+    path = tmp_path / "nan.cfg"
+    path.write_text(CONFIG_TEXT.replace("truth_omega = 90", "truth_omega = nan"))
+    out = tmp_path / "out.csv"
+    assert main(["sweep", str(path), "-o", str(out)]) == 2
+    assert "truth_omega must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_calibrate_prints_reference_settings(config_path, capsys):
     assert main(["calibrate", config_path]) == 0
     out = capsys.readouterr().out

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qhtest import engine, oracle
+from qhtest import engine, family, oracle
 from qhtest.engine import (
     ACCEPT,
     BUDGET_EXHAUSTED,
@@ -22,21 +22,33 @@ from qhtest.engine import (
     slr_update,
     two_sided_decision,
 )
-from qhtest.errors import ConfigError, InvariantViolation
+from qhtest.errors import ConfigError, InconsistentTranscript, InvariantViolation
 from qhtest.family import (
     FamilyConfig,
     HypothesisSet,
     Piece,
     build_grid,
     mle,
+    outcome_coeffs,
     parse_hypothesis_set,
     state_from_angle,
 )
-from qhtest.quantum import computational_basis_povm, sic_povm_qubit
+from qhtest.quantum import (
+    born_distribution,
+    computational_basis_povm,
+    sample_outcome,
+    sic_povm_qubit,
+    tensor_power,
+)
 
 CFG = FamilyConfig()
 NULL_POINT = parse_hypothesis_set("{45}")
 ALT_UPPER = parse_hypothesis_set("(45,180]")
+
+
+def row(outcome):
+    """Coefficient row of a single-copy computational-basis outcome."""
+    return outcome_coeffs(CFG, computational_basis_povm(1).element(outcome), 1)
 
 
 def test_single_round_log_ratio_arithmetic():
@@ -51,6 +63,7 @@ def test_single_round_log_ratio_arithmetic():
         descriptor="computational(n=1)",
         copies=1,
         outcome="0",
+        coeffs=row("0"),
         log_numerator_term=math.log(0.9),
     )
     state, log_slr = slr_update(state, rec, CFG)
@@ -67,6 +80,7 @@ def test_slr_update_rejects_positive_numerator_term():
         descriptor="computational(n=1)",
         copies=1,
         outcome="0",
+        coeffs=row("0"),
         log_numerator_term=0.1,
     )
     with pytest.raises(InvariantViolation):
@@ -75,10 +89,9 @@ def test_slr_update_rejects_positive_numerator_term():
 
 def test_numerator_term_clamps_at_floor():
     # rho(180) is orthogonal to the |0><0| element, so the raw log diverges
-    povm = computational_basis_povm(1)
-    term = numerator_log_term(CFG, 180.0, povm.element("0"), 1)
+    term = numerator_log_term(row("0"), 1, 180.0)
     assert term == math.log(NUMERATOR_FLOOR)
-    mild = numerator_log_term(CFG, 90.0, povm.element("0"), 1)
+    mild = numerator_log_term(row("0"), 1, 90.0)
     assert abs(mild - math.log(0.5)) < 1e-12
 
 
@@ -107,13 +120,13 @@ def test_regularized_estimate_avoids_zero_probability_angles():
     from qhtest.family import accumulate
 
     povm = computational_basis_povm(1)
-    grid = accumulate(build_grid(ALT_UPPER), CFG, povm, 1, "1")
+    grid = accumulate(build_grid(ALT_UPPER), row("1"), 1)
     raw = predictable_estimate(grid, CFG, has_rounds=True)
     assert raw.omega == 180.0
     reg = predictable_estimate(grid, CFG, has_rounds=True, estimation_povm=povm)
     assert reg.omega < 180.0
-    p0 = math.exp(numerator_log_term(CFG, reg.omega, povm.element("0"), 1))
-    p1 = math.exp(numerator_log_term(CFG, reg.omega, povm.element("1"), 1))
+    p0 = math.exp(numerator_log_term(row("0"), 1, reg.omega))
+    p1 = math.exp(numerator_log_term(row("1"), 1, reg.omega))
     assert min(p0, p1) > 1e-6
     # the data still dominates: the estimate stays in the upper half
     assert reg.omega > 112.5
@@ -161,6 +174,11 @@ def test_two_sided_decision_branches():
         two_sided_decision(edge, edge, 0.05, 0.05)
     with pytest.raises(ConfigError):
         two_sided_decision(0.0, 0.0, 0.0, 0.05)
+    # each level is checked, not only the smaller one
+    with pytest.raises(ConfigError):
+        two_sided_decision(0.0, 0.0, 0.05, 1.5)
+    with pytest.raises(ConfigError):
+        two_sided_decision(0.0, 0.0, 3.0, 0.05)
 
 
 def test_block_structure_and_budget_exhaustion():
@@ -319,8 +337,6 @@ def test_run_sequential_test_validates_inputs():
         run_sequential_test(
             policy, truth, CFG, NULL_POINT, parse_hypothesis_set("[45,180]"), 0.05, 10, rng
         )
-    from qhtest.quantum import tensor_power
-
     with pytest.raises(ConfigError):
         run_sequential_test(
             policy, tensor_power(truth, 2), CFG, NULL_POINT, ALT_UPPER, 0.05, 10, rng
@@ -366,3 +382,51 @@ def test_joint_rounds_reuse_the_refined_null_mle(monkeypatch, two_sided):
         assert state.null_mle.loglik == again.loglik
     for state, w0 in designs:
         assert w0 == state.null_mle.omega
+
+
+def test_record_round_rejects_wrong_dimension():
+    state = new_slr_state(NULL_POINT, ALT_UPPER)
+    est = computational_basis_povm(1)
+    with pytest.raises(InconsistentTranscript):
+        engine.record_round(state, CFG, computational_basis_povm(2), "d", 1, "00", est)
+
+
+def test_record_round_rejects_unknown_outcome():
+    state = new_slr_state(NULL_POINT, ALT_UPPER)
+    est = computational_basis_povm(1)
+    with pytest.raises(InconsistentTranscript):
+        engine.record_round(state, CFG, est, "d", 1, "2", est)
+
+
+@pytest.mark.parametrize("kind", ["aLHT", "aLHT+", "aLVT"])
+def test_record_round_reduces_each_outcome_once(monkeypatch, kind):
+    """One outcome_coeffs call per recorded round; the numerator and both grids read that row."""
+    policy = PolicyConfig(
+        kind=kind, n_ic=2, n_joint=3, estimation_povm="sic",
+        lambda_grid_size=9, theta_grid_size=36,
+    )
+    est = engine.estimation_povm("sic")
+    state = new_slr_state(parse_hypothesis_set("[0,45]"), ALT_UPPER)
+    # build the estimate regularizer now; every later grid shares its cache
+    predictable_estimate(state.alt_grid, CFG, True, None, est)
+    calls = []
+    real = family.outcome_coeffs
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (engine, family):
+        monkeypatch.setattr(module, "outcome_coeffs", counted)
+    truth = state_from_angle(CFG, 100.0)
+    rng = np.random.default_rng(5)
+    for t in range(1, 10):
+        povm, copies, desc = engine.next_measurement(policy, state, CFG, rng)
+        outcome = sample_outcome(born_distribution(tensor_power(truth, copies), povm), rng)
+        w = predictable_estimate(state.alt_grid, CFG, bool(state.rounds), None, est).omega
+        state, _ = engine.record_round(state, CFG, povm, desc, copies, outcome, est)
+        assert len(calls) == t
+        rec = state.rounds[-1]
+        assert state.null_grid.rounds[-1][1] is rec.coeffs
+        assert state.alt_grid.rounds[-1][1] is rec.coeffs
+        assert rec.log_numerator_term == numerator_log_term(rec.coeffs, copies, w)

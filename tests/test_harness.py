@@ -72,6 +72,11 @@ class TestExperimentConfig:
             dict(estimation_povm="pauli"),
             dict(n_ic=-1, **fixed_only),
             dict(n_joint=0, **fixed_only),
+            dict(truth_omega=float("nan")),
+            dict(truth_omega=float("inf")),
+            dict(r_z=float("nan")),
+            dict(r_x=float("nan")),
+            dict(r_z=float("-inf")),
         ):
             with pytest.raises(ConfigError):
                 small_config(**bad)
