@@ -55,10 +55,13 @@ SIZE_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class FixedTestConfig:
-    """Budget split for a fixed-copy test; all copies are consumed."""
+    """Budget split for a fixed-copy test; all copies are consumed.
+
+    The blocks take joint_copies each and the rest of the budget goes to
+    single-copy estimation rounds (estimation_copies).
+    """
 
     total_budget: int
-    estimation_copies: int
     joint_copies: int = 4
     blocks: int = 1
     eps0: float = 0.05
@@ -73,29 +76,16 @@ class FixedTestConfig:
         if self.joint_copies < 1:
             raise ConfigError(f"joint_copies must be >= 1, got {self.joint_copies}")
         if self.estimation_copies < 0:
-            raise ConfigError(f"estimation_copies must be >= 0, got {self.estimation_copies}")
-        if self.estimation_copies + self.joint_copies * self.blocks != self.total_budget:
             raise ConfigError(
-                f"budget split {self.estimation_copies} + {self.joint_copies} * "
-                f"{self.blocks} != {self.total_budget}"
+                f"budget {self.total_budget} too small for {self.blocks} blocks "
+                f"of {self.joint_copies}"
             )
         if not 0.0 < self.eps0 < 1.0:
             raise ConfigError(f"eps0 must lie in (0,1), got {self.eps0}")
 
-    @classmethod
-    def for_budget(cls, total_budget: int, blocks: int = 1, joint_copies: int = 4, **kw):
-        m = total_budget - joint_copies * blocks
-        if m < 0:
-            raise ConfigError(
-                f"budget {total_budget} too small for {blocks} blocks of {joint_copies}"
-            )
-        return cls(
-            total_budget=total_budget,
-            estimation_copies=m,
-            joint_copies=joint_copies,
-            blocks=blocks,
-            **kw,
-        )
+    @property
+    def estimation_copies(self) -> int:
+        return self.total_budget - self.joint_copies * self.blocks
 
 
 @dataclass(frozen=True)

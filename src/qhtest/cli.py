@@ -142,8 +142,9 @@ def _cmd_calibrate(args) -> int:
     fam = config.family()
     alt_grid = build_grid(config.alt_set, config.grid_resolution)
     null_grid = build_grid(config.null_set, config.grid_resolution)
-    w1 = engine.predictable_estimate(alt_grid, fam, has_rounds=False).omega
-    w0 = engine.predictable_estimate(null_grid, fam, has_rounds=False).omega
+    est_povm = engine.estimation_povm(config.estimation_povm)
+    w1 = engine.predictable_estimate(alt_grid, fam, est_povm)
+    w0 = engine.predictable_estimate(null_grid, fam, est_povm)
     print(f"reference null angle {w0:g}, reference alternative angle {w1:g}")
     state0 = state_from_angle(fam, w0)
     state1 = state_from_angle(fam, w1)

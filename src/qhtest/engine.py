@@ -160,7 +160,6 @@ class RoundRecord:
     read.
     """
 
-    index: int
     povm: Povm
     descriptor: str
     copies: int
@@ -174,7 +173,8 @@ class SlrState:
     """Transcript plus the two accumulated grids and the frozen numerator.
 
     null_mle is the refined null-grid MLE behind the current denominator
-    (None before any round).
+    (None before any round); next_measurement reads a joint round's null
+    angle from it.
     """
 
     null_grid: ParamGrid
@@ -192,7 +192,7 @@ def new_slr_state(
     return SlrState(null_grid=build_grid(null_set, resolution), alt_grid=build_grid(alt_set, resolution))
 
 
-def slr_update(state: SlrState, rec: RoundRecord, cfg: FamilyConfig) -> tuple[SlrState, float]:
+def slr_update(state: SlrState, rec: RoundRecord) -> tuple[SlrState, float]:
     """Fold one round into the state; return it with the new log SLR.
 
     The record's numerator term must have been computed from the
@@ -210,7 +210,7 @@ def slr_update(state: SlrState, rec: RoundRecord, cfg: FamilyConfig) -> tuple[Sl
     alt = accumulate(state.alt_grid, rec.coeffs, rec.copies)
     null = accumulate(state.null_grid, rec.coeffs, rec.copies)
     frozen = state.frozen_log_numerator + rec.log_numerator_term
-    null_mle = mle(null, cfg, refine=True)
+    null_mle = mle(null)
     new_state = SlrState(
         null_grid=null,
         alt_grid=alt,
@@ -249,11 +249,8 @@ def record_round(
     except KeyError:
         raise InconsistentTranscript(f"outcome {outcome!r} not among POVM labels") from None
     coeffs = outcome_coeffs(cfg, element, copies)
-    w = predictable_estimate(
-        state.alt_grid, cfg, bool(state.rounds), override_angle, est_povm
-    ).omega
+    w = predictable_estimate(state.alt_grid, cfg, est_povm, override_angle)
     rec = RoundRecord(
-        index=len(state.rounds) + 1,
         povm=povm,
         descriptor=descriptor,
         copies=copies,
@@ -261,7 +258,7 @@ def record_round(
         coeffs=coeffs,
         log_numerator_term=numerator_log_term(coeffs, copies, w),
     )
-    return slr_update(state, rec, cfg)
+    return slr_update(state, rec)
 
 
 def _snap_to_grid(grid: ParamGrid, angle: float) -> float:
@@ -326,38 +323,26 @@ def _pseudo_loglik(grid: ParamGrid, cfg: FamilyConfig, povm: Povm) -> np.ndarray
 def predictable_estimate(
     state_grid: ParamGrid,
     cfg: FamilyConfig,
-    has_rounds: bool,
+    estimation_povm: Povm,
     override_angle: float | None = None,
-    estimation_povm: Povm | None = None,
-) -> MleResult:
-    """Predictable angle estimate for the ratio numerator.
+) -> float:
+    """Predictable grid angle for the ratio numerator.
 
-    Before any data the estimate is a fixed grid angle: the override if
-    given, else the widest-segment midpoint. Once data exists and an
-    estimation POVM is supplied, the estimate maximizes the accumulated
-    log likelihood plus the pseudo-outcome regularizer of _pseudo_loglik
-    (a raw grid MLE without a POVM). The regularizer perturbs each
-    prefix's maximizer by a bounded score, so the telescoping bound behind
-    the no-simultaneous-crossing argument degrades by at most the
-    regularizer's spread (well under 0.1 nats here) against a crossing
-    slack of log(1/(eps0*eps1)).
+    While state_grid holds no rounds the estimate is a fixed grid angle:
+    the override if given, else the widest-segment midpoint. Afterwards it
+    maximizes the accumulated log likelihood plus the pseudo-outcome
+    regularizer of _pseudo_loglik for estimation_povm. The regularizer
+    perturbs each prefix's maximizer by a bounded score, so the
+    telescoping bound behind the no-simultaneous-crossing argument
+    degrades by at most the regularizer's spread (well under 0.1 nats
+    here) against a crossing slack of log(1/(eps0*eps1)).
     """
-    if not has_rounds:
-        w = (
-            _snap_to_grid(state_grid, override_angle)
-            if override_angle is not None
-            else _default_angle(state_grid)
-        )
-        return MleResult(omega=w, loglik=0.0, state=state_from_angle(cfg, w))
-    if estimation_povm is None:
-        return mle(state_grid, cfg, refine=False)
+    if not state_grid.rounds:
+        if override_angle is not None:
+            return _snap_to_grid(state_grid, override_angle)
+        return _default_angle(state_grid)
     scores = state_grid.per_angle_loglik + _pseudo_loglik(state_grid, cfg, estimation_povm)
-    j = int(np.argmax(scores))
-    return MleResult(
-        omega=float(state_grid.angles[j]),
-        loglik=float(state_grid.per_angle_loglik[j]),
-        state=state_from_angle(cfg, float(state_grid.angles[j])),
-    )
+    return float(state_grid.angles[int(np.argmax(scores))])
 
 
 _design_cache: dict = {}
@@ -374,7 +359,8 @@ def _joint_design(
 
     Optimized designs are memoized on (kind, family, angles, sizes); the
     optimizers are pure so this only saves recomputation when the MLEs
-    revisit an angle pair. aLHT consumes one uniform draw here.
+    revisit an angle pair. The two family states are built once, after
+    the lookup, so a hit builds none. aLHT consumes one uniform draw here.
     """
     if policy.kind == "aLHT":
         lam = rng.random()
@@ -392,27 +378,18 @@ def _joint_design(
     hit = _design_cache.get(key)
     if hit is not None:
         return hit
+    rho0, rho1 = state_from_angle(cfg, w0), state_from_angle(cfg, w1)
     if policy.kind == "aLHT+":
-        lam = optimize_lambda(
-            state_from_angle(cfg, w0),
-            state_from_angle(cfg, w1),
-            policy.n_joint,
-            policy.lambda_grid_size,
-        )
+        lam = optimize_lambda(rho0, rho1, policy.n_joint, policy.lambda_grid_size)
         spec = HelstromSpec(
-            null_state=state_from_angle(cfg, w0),
-            alt_state=state_from_angle(cfg, w1),
+            null_state=rho0,
+            alt_state=rho1,
             weight=lam,
             copies=policy.n_joint,
         )
         out = (helstrom_povm(spec), f"helstrom(w0={w0:g},w1={w1:g},lam={lam:.6f})")
     else:
-        theta = optimize_theta(
-            state_from_angle(cfg, w0),
-            state_from_angle(cfg, w1),
-            policy.n_joint,
-            policy.theta_grid_size,
-        )
+        theta = optimize_theta(rho0, rho1, policy.n_joint, policy.theta_grid_size)
         out = (variational_povm(theta, policy.n_joint), f"variational(theta={theta:.8f})")
     _design_cache[key] = out
     return out
@@ -429,11 +406,8 @@ def next_measurement(
     est = estimation_povm(policy.estimation_povm)
     if pos < policy.n_ic:
         return est, 1, f"{policy.estimation_povm}(n=1)"
-    has = bool(state.rounds)
-    w0 = state.null_mle.omega if has else _default_angle(state.null_grid)
-    w1 = predictable_estimate(
-        state.alt_grid, cfg, has, policy.initial_alt_angle, est
-    ).omega
+    w0 = state.null_mle.omega if state.rounds else _default_angle(state.null_grid)
+    w1 = predictable_estimate(state.alt_grid, cfg, est, policy.initial_alt_angle)
     povm, desc = _joint_design(policy, cfg, w0, w1, rng)
     return povm, policy.n_joint, desc
 

@@ -112,7 +112,9 @@ class Piece:
 
 
 def _fmt_angle(a: float) -> str:
-    return f"{a:g}"
+    """Short :g text when it parses back to the same float, else repr."""
+    text = f"{a:g}"
+    return text if float(text) == a else repr(float(a))
 
 
 def _pieces_overlap(a: Piece, b: Piece) -> bool:
@@ -398,7 +400,6 @@ def loglik_at(grid: ParamGrid, omega: float) -> float:
 class MleResult:
     omega: float
     loglik: float
-    state: DensityMatrix
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -427,11 +428,11 @@ def _golden_max(f, lo: float, hi: float, iters: int = 48) -> tuple[float, float]
     return best_x, best_f
 
 
-def mle(grid: ParamGrid, cfg: FamilyConfig, refine: bool = False) -> MleResult:
-    """Maximum-likelihood angle on the grid, optionally refined.
+def mle(grid: ParamGrid) -> MleResult:
+    """Refined maximum-likelihood angle of the accumulated rounds.
 
-    The raw estimate is the grid argmax with ties toward the smallest
-    angle. With refine set and the argmax interior to an interval (both
+    Starts from the grid argmax, ties toward the smallest angle. When the
+    grid holds rounds and the argmax is interior to an interval (both
     neighbors in the same piece), a golden-section pass over the two
     adjacent grid cells replaces the grid value whenever it improves the
     continuous log-likelihood.
@@ -439,9 +440,9 @@ def mle(grid: ParamGrid, cfg: FamilyConfig, refine: bool = False) -> MleResult:
     j = int(np.argmax(grid.per_angle_loglik))
     omega = float(grid.angles[j])
     best = float(grid.per_angle_loglik[j])
-    if refine and 0 < j < grid.angles.shape[0] - 1:
+    if grid.rounds and 0 < j < grid.angles.shape[0] - 1:
         seg = grid.segments
-        if seg[j - 1] == seg[j] == seg[j + 1] and grid.rounds:
+        if seg[j - 1] == seg[j] == seg[j + 1]:
             x, fx = _golden_max(
                 lambda w: loglik_at(grid, w),
                 float(grid.angles[j - 1]),
@@ -449,4 +450,4 @@ def mle(grid: ParamGrid, cfg: FamilyConfig, refine: bool = False) -> MleResult:
             )
             if fx > best:
                 omega, best = x, fx
-    return MleResult(omega=omega, loglik=best, state=state_from_angle(cfg, omega))
+    return MleResult(omega=omega, loglik=best)

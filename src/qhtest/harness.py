@@ -189,7 +189,7 @@ def _fixed_config(config: ExperimentConfig, method: str, budget: int) -> FixedTe
         blocks = budget // (config.n_ic + config.n_joint)
     else:
         blocks = 1
-    return FixedTestConfig.for_budget(
+    return FixedTestConfig(
         budget,
         blocks=blocks,
         joint_copies=config.n_joint,

@@ -167,12 +167,12 @@ def recompute_slr(
             galt = build_grid(alt_set, resolution)
             for row, r in zip(rows[:i], records):
                 galt = accumulate(galt, row, r.copies)
-            est = predictable_estimate(galt, cfg, i > 0, initial_alt_angle, est_povm)
-            frozen += numerator_log_term(rows[i], records[i].copies, est.omega)
+            w = predictable_estimate(galt, cfg, est_povm, initial_alt_angle)
+            frozen += numerator_log_term(rows[i], records[i].copies, w)
         gnull = build_grid(null_set, resolution)
         for row, r in zip(rows[:t], records):
             gnull = accumulate(gnull, row, r.copies)
-        logs[t - 1] = frozen - mle(gnull, cfg, refine=True).loglik
+        logs[t - 1] = frozen - mle(gnull).loglik
     return logs
 
 

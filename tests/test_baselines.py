@@ -29,17 +29,15 @@ SPLIT_ALT = parse_hypothesis_set("(45,135) (135,180)")
 
 
 def test_fixed_config_budget_arithmetic():
-    fcfg = FixedTestConfig.for_budget(10, blocks=1, joint_copies=4)
+    fcfg = FixedTestConfig(10, blocks=1, joint_copies=4)
     assert fcfg.estimation_copies == 6
     assert fcfg.total_budget == 10
-    blocked = FixedTestConfig.for_budget(20, blocks=2, joint_copies=4)
+    blocked = FixedTestConfig(20, blocks=2, joint_copies=4)
     assert blocked.estimation_copies == 12
     with pytest.raises(ConfigError):
-        FixedTestConfig.for_budget(3, blocks=1, joint_copies=4)
+        FixedTestConfig(3, blocks=1, joint_copies=4)
     with pytest.raises(ConfigError):
-        FixedTestConfig(total_budget=10, estimation_copies=5, joint_copies=4, blocks=1)
-    with pytest.raises(ConfigError):
-        FixedTestConfig.for_budget(10, blocks=1, joint_copies=4, eps0=1.5)
+        FixedTestConfig(10, blocks=1, joint_copies=4, eps0=1.5)
 
 
 def test_majority_votes_needed():
@@ -105,8 +103,7 @@ def test_infeasible_calibration_raises_and_run_falls_back():
     with pytest.raises(InfeasibleCalibration):
         helstrom_calibration(rho0.mat, rho1.mat, 1e-12, 9, blocks=1)
     # the runners swallow the failure and report a non-rejection
-    fcfg = FixedTestConfig.for_budget(5, blocks=1, joint_copies=1, eps0=1e-12,
-                                      lambda_grid_size=9)
+    fcfg = FixedTestConfig(5, blocks=1, joint_copies=1, eps0=1e-12, lambda_grid_size=9)
     out = run_lht(fcfg, rho1, CFG, 45.0, ALT_UPPER, np.random.default_rng(1))
     assert out.decision == 0
     assert out.copies_used == 5
@@ -114,7 +111,7 @@ def test_infeasible_calibration_raises_and_run_falls_back():
 
 def test_lht_type_one_error_within_monte_carlo_band():
     truth = state_from_angle(CFG, 45.0)
-    fcfg = FixedTestConfig.for_budget(10, blocks=1, joint_copies=4)
+    fcfg = FixedTestConfig(10, blocks=1, joint_copies=4)
     runs = 500
     hits = 0
     for seed in range(runs):
@@ -126,8 +123,7 @@ def test_lht_type_one_error_within_monte_carlo_band():
 
 def test_lvt_type_one_error_within_monte_carlo_band():
     truth = state_from_angle(CFG, 45.0)
-    fcfg = FixedTestConfig.for_budget(10, blocks=1, joint_copies=4,
-                                      theta_grid_size=90)
+    fcfg = FixedTestConfig(10, blocks=1, joint_copies=4, theta_grid_size=90)
     runs = 200
     hits = 0
     for seed in range(runs):
@@ -140,8 +136,7 @@ def test_lvt_type_one_error_within_monte_carlo_band():
 def test_single_block_majority_variants_reduce_exactly():
     """With one block the majority-vote runners equal the plain runners."""
     truth = state_from_angle(CFG, 100.0)
-    fcfg = FixedTestConfig.for_budget(10, blocks=1, joint_copies=4,
-                                      theta_grid_size=90)
+    fcfg = FixedTestConfig(10, blocks=1, joint_copies=4, theta_grid_size=90)
     for seed in range(5):
         a = run_lht(fcfg, truth, CFG, 45.0, ALT_UPPER, np.random.default_rng([3, seed]))
         b = run_blht(fcfg, truth, CFG, 45.0, ALT_UPPER, np.random.default_rng([3, seed]))
@@ -155,7 +150,7 @@ def test_single_block_majority_variants_reduce_exactly():
 
 def test_copies_and_rounds_accounting():
     truth = state_from_angle(CFG, 90.0)
-    fcfg = FixedTestConfig.for_budget(20, blocks=2, joint_copies=4)
+    fcfg = FixedTestConfig(20, blocks=2, joint_copies=4)
     out = run_blht(fcfg, truth, CFG, 45.0, ALT_UPPER, np.random.default_rng(5))
     assert out.copies_used == 20
     assert out.rounds_used == fcfg.estimation_copies + 2
@@ -165,7 +160,7 @@ def test_copies_and_rounds_accounting():
 
 def test_plain_runners_refuse_multiple_blocks():
     truth = state_from_angle(CFG, 90.0)
-    fcfg = FixedTestConfig.for_budget(20, blocks=2, joint_copies=4)
+    fcfg = FixedTestConfig(20, blocks=2, joint_copies=4)
     with pytest.raises(ConfigError):
         run_lht(fcfg, truth, CFG, 45.0, ALT_UPPER, np.random.default_rng(0))
     with pytest.raises(ConfigError):
@@ -178,7 +173,7 @@ def test_blht_power_grows_with_budget():
     runs = 60
     powers = []
     for budget, blocks in ((10, 1), (50, 5)):
-        fcfg = FixedTestConfig.for_budget(budget, blocks=blocks, joint_copies=4)
+        fcfg = FixedTestConfig(budget, blocks=blocks, joint_copies=4)
         hits = 0
         for seed in range(runs):
             rng = np.random.default_rng([7, budget, seed])

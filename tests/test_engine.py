@@ -27,12 +27,14 @@ from qhtest.family import (
     FamilyConfig,
     HypothesisSet,
     Piece,
+    accumulate,
     build_grid,
     mle,
     outcome_coeffs,
     parse_hypothesis_set,
     state_from_angle,
 )
+from qhtest.harness import ExperimentConfig, run_sweep
 from qhtest.quantum import (
     born_distribution,
     computational_basis_povm,
@@ -58,7 +60,6 @@ def test_single_round_log_ratio_arithmetic():
     null_set = HypothesisSet(pieces=(Piece(omega0, omega0),))
     state = new_slr_state(null_set, ALT_UPPER)
     rec = RoundRecord(
-        index=1,
         povm=computational_basis_povm(1),
         descriptor="computational(n=1)",
         copies=1,
@@ -66,7 +67,7 @@ def test_single_round_log_ratio_arithmetic():
         coeffs=row("0"),
         log_numerator_term=math.log(0.9),
     )
-    state, log_slr = slr_update(state, rec, CFG)
+    state, log_slr = slr_update(state, rec)
     assert abs(log_slr - math.log(3.0)) < 1e-12
     assert state.frozen_log_numerator == math.log(0.9)
     assert len(state.rounds) == 1
@@ -75,7 +76,6 @@ def test_single_round_log_ratio_arithmetic():
 def test_slr_update_rejects_positive_numerator_term():
     state = new_slr_state(NULL_POINT, ALT_UPPER)
     rec = RoundRecord(
-        index=1,
         povm=computational_basis_povm(1),
         descriptor="computational(n=1)",
         copies=1,
@@ -84,7 +84,7 @@ def test_slr_update_rejects_positive_numerator_term():
         log_numerator_term=0.1,
     )
     with pytest.raises(InvariantViolation):
-        slr_update(state, rec, CFG)
+        slr_update(state, rec)
 
 
 def test_numerator_term_clamps_at_floor():
@@ -97,39 +97,41 @@ def test_numerator_term_clamps_at_floor():
 
 def test_predictable_estimate_pre_data_default_is_segment_midpoint():
     grid = build_grid(ALT_UPPER)
-    est = predictable_estimate(grid, CFG, has_rounds=False)
-    assert est.omega == 112.5
-    assert est.loglik == 0.0
+    povm = computational_basis_povm(1)
+    est = predictable_estimate(grid, CFG, povm)
+    assert est == 112.5
+    # a grid angle, and no data behind it yet
+    assert grid.per_angle_loglik[np.flatnonzero(grid.angles == est)].tolist() == [0.0]
     split = build_grid(parse_hypothesis_set("(45,135) (135,180)"))
-    assert predictable_estimate(split, CFG, has_rounds=False).omega == 90.0
+    assert predictable_estimate(split, CFG, povm) == 90.0
 
 
 def test_predictable_estimate_override_snaps_to_grid():
     grid = build_grid(ALT_UPPER)
-    est = predictable_estimate(grid, CFG, has_rounds=False, override_angle=46.2)
-    assert est.omega == 46.0
+    povm = computational_basis_povm(1)
+    assert predictable_estimate(grid, CFG, povm, override_angle=46.2) == 46.0
     # the override applies only before data; afterwards the fit wins
-    # (flat likelihood here, so the raw MLE tie-breaks to the smallest angle)
-    assert predictable_estimate(grid, CFG, True, override_angle=46.2).omega == 45.5
+    seen = accumulate(grid, row("1"), 1)
+    fit = predictable_estimate(seen, CFG, povm)
+    assert predictable_estimate(seen, CFG, povm, override_angle=46.2) == fit
+    assert fit > 112.5
 
 
 def test_regularized_estimate_avoids_zero_probability_angles():
     """After a single '1' outcome the raw grid MLE sits at 180 degrees, an
     angle that predicts probability exactly zero for the next '0'. The
     regularized estimate must keep every estimation outcome possible."""
-    from qhtest.family import accumulate
-
     povm = computational_basis_povm(1)
     grid = accumulate(build_grid(ALT_UPPER), row("1"), 1)
-    raw = predictable_estimate(grid, CFG, has_rounds=True)
-    assert raw.omega == 180.0
-    reg = predictable_estimate(grid, CFG, has_rounds=True, estimation_povm=povm)
-    assert reg.omega < 180.0
-    p0 = math.exp(numerator_log_term(row("0"), 1, reg.omega))
-    p1 = math.exp(numerator_log_term(row("1"), 1, reg.omega))
+    raw = float(grid.angles[np.argmax(grid.per_angle_loglik)])
+    assert raw == 180.0
+    reg = predictable_estimate(grid, CFG, povm)
+    assert reg < 180.0
+    p0 = math.exp(numerator_log_term(row("0"), 1, reg))
+    p1 = math.exp(numerator_log_term(row("1"), 1, reg))
     assert min(p0, p1) > 1e-6
     # the data still dominates: the estimate stays in the upper half
-    assert reg.omega > 112.5
+    assert reg > 112.5
 
 
 def test_conservative_start_picks_angle_facing_the_other_set():
@@ -377,7 +379,7 @@ def test_joint_rounds_reuse_the_refined_null_mle(monkeypatch, two_sided):
         oracle.sample_transcript(policy, truth, CFG, null_set, ALT_UPPER, 9, rng)
     assert len(states) >= 9 and len(designs) >= 3
     for state in states:
-        again = mle(state.null_grid, CFG, refine=True)
+        again = mle(state.null_grid)
         assert state.null_mle.omega == again.omega
         assert state.null_mle.loglik == again.loglik
     for state, w0 in designs:
@@ -408,7 +410,7 @@ def test_record_round_reduces_each_outcome_once(monkeypatch, kind):
     est = engine.estimation_povm("sic")
     state = new_slr_state(parse_hypothesis_set("[0,45]"), ALT_UPPER)
     # build the estimate regularizer now; every later grid shares its cache
-    predictable_estimate(state.alt_grid, CFG, True, None, est)
+    engine._pseudo_loglik(state.alt_grid, CFG, est)
     calls = []
     real = family.outcome_coeffs
 
@@ -423,10 +425,34 @@ def test_record_round_reduces_each_outcome_once(monkeypatch, kind):
     for t in range(1, 10):
         povm, copies, desc = engine.next_measurement(policy, state, CFG, rng)
         outcome = sample_outcome(born_distribution(tensor_power(truth, copies), povm), rng)
-        w = predictable_estimate(state.alt_grid, CFG, bool(state.rounds), None, est).omega
+        w = predictable_estimate(state.alt_grid, CFG, est)
         state, _ = engine.record_round(state, CFG, povm, desc, copies, outcome, est)
         assert len(calls) == t
         rec = state.rounds[-1]
         assert state.null_grid.rounds[-1][1] is rec.coeffs
         assert state.alt_grid.rounds[-1][1] is rec.coeffs
         assert rec.log_numerator_term == numerator_log_term(rec.coeffs, copies, w)
+
+
+@pytest.mark.parametrize("truth", [22.3, 44.75])
+def test_interval_null_size_with_off_grid_truth(truth):
+    """Type-I error stays inside its Monte Carlo band for null truths off the grid.
+
+    The denominator is a grid maximum refined only around the argmax cell;
+    44.75 sits half a grid step inside the boundary that faces the
+    alternative, where a coarse maximum would leak the most.
+    """
+    runs = 100
+    config = ExperimentConfig(
+        null_set=parse_hypothesis_set("[0,45]"),
+        alt_set=ALT_UPPER,
+        truth_omega=truth,
+        methods=("aLHT", "aLHT+", "aLVT"),
+        budgets=(40,),
+        runs=runs,
+        eps0=0.05,
+        master_seed=11,
+    )
+    bound = 0.05 + 3.0 * math.sqrt(0.05 * 0.95 / runs)
+    for r in run_sweep(config):
+        assert r.power <= bound, (r.method, r.power)

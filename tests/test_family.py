@@ -127,7 +127,9 @@ def test_parse_rejects_garbage():
 
 
 def test_str_round_trip():
-    for text in ("{45}", "(45,180]", "{45} {135}", "[0,10) (20,30]"):
+    for text in (
+        "{45}", "(45,180]", "{45} {135}", "[0,10) (20,30]", "(45.000001,180]", "{123.4567}"
+    ):
         hs = parse_hypothesis_set(text)
         again = parse_hypothesis_set(str(hs))
         assert again == hs
@@ -338,7 +340,7 @@ def test_loglik_at_without_rounds_is_zero():
 def test_mle_tie_breaks_to_smallest_angle():
     grid = build_grid(parse_hypothesis_set("[0,180]"), resolution=1.0)
     # no data: all logliks are zero, so the first angle wins
-    res = mle(grid, FamilyConfig())
+    res = mle(grid)
     assert res.omega == 0.0
     assert res.loglik == 0.0
 
@@ -352,10 +354,11 @@ def test_mle_refine_improves_continuous_loglik():
     for _ in range(40):
         out = born_and_sample(truth, povm, rng)
         grid = fold(grid, cfg, povm, 1, out)
-    coarse = mle(grid, cfg, refine=False)
-    fine = mle(grid, cfg, refine=True)
-    assert fine.loglik >= coarse.loglik
-    assert abs(fine.omega - coarse.omega) <= 5.0
+    j = int(np.argmax(grid.per_angle_loglik))
+    coarse_omega, coarse_loglik = grid.angles[j], grid.per_angle_loglik[j]
+    fine = mle(grid)
+    assert fine.loglik >= coarse_loglik
+    assert abs(fine.omega - coarse_omega) <= 5.0
     # the refined point really does evaluate to the reported loglik
     assert abs(loglik_at(grid, fine.omega) - fine.loglik) < 1e-10
 
