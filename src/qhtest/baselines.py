@@ -28,14 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import estimation_povm
+from .engine import check_design_settings, estimation_povm
 from .errors import ConfigError, InfeasibleCalibration
 from .family import (
     DEFAULT_RESOLUTION,
     FamilyConfig,
     HypothesisSet,
     P_FLOOR,
-    ParamGrid,
     build_grid,
     estimation_log_rows,
     state_from_angle,
@@ -44,11 +43,12 @@ from .measurements import (
     HelstromSpec,
     _binary_probs_on_weight_grid,
     _rotated_basis_probs,
-    _variational_unitaries,
+    _u_cache,  # noqa: F401  (perfbench/child.py reports len(baselines._u_cache))
     helstrom_povm,
+    rotation_grid,
     variational_povm,
 )
-from .quantum import DensityMatrix, born_distribution, sample_outcome, tensor_power
+from .quantum import DensityMatrix, Povm, born_distribution, sample_outcome, tensor_power
 
 SIZE_SLACK = 1e-12
 
@@ -82,6 +82,9 @@ class FixedTestConfig:
             )
         if not 0.0 < self.eps0 < 1.0:
             raise ConfigError(f"eps0 must lie in (0,1), got {self.eps0}")
+        if not self.resolution > 0.0:
+            raise ConfigError(f"resolution must be positive, got {self.resolution}")
+        check_design_settings(self.estimation_povm, self.lambda_grid_size, self.theta_grid_size)
 
     @property
     def estimation_copies(self) -> int:
@@ -101,12 +104,20 @@ class FixedOutcome:
         return self.decision == 1
 
 
+def _fixed_outcome(fcfg: FixedTestConfig, decision: int) -> FixedOutcome:
+    """Every fixed-copy run spends its whole budget, in m + b rounds."""
+    return FixedOutcome(decision, fcfg.total_budget, fcfg.estimation_copies + fcfg.blocks)
+
+
 def _majority(blocks: int) -> int:
     return blocks // 2 + 1
 
 
 def _majority_tail(alpha: np.ndarray, blocks: int) -> np.ndarray:
-    """Exact size of a majority vote: P(Binomial(blocks, alpha) >= _majority(blocks))."""
+    """Exact size of a majority vote: P(Binomial(blocks, alpha) >= _majority(blocks)).
+
+    For one block this is alpha bit for bit, so one size rule serves every block count.
+    """
     a = alpha.clip(0.0, 1.0)
     return sum(
         math.comb(blocks, k) * a**k * (1.0 - a) ** (blocks - k)
@@ -118,10 +129,11 @@ def _fit_alternative(
     fcfg: FixedTestConfig,
     truth: DensityMatrix,
     cfg: FamilyConfig,
-    grid: ParamGrid,
+    alt_set: HypothesisSet,
     rng: np.random.Generator,
 ) -> float:
-    """Grid MLE angle from m single-copy estimation rounds."""
+    """Grid MLE angle on alt_set's grid from m single-copy estimation rounds."""
+    grid = build_grid(alt_set, fcfg.resolution)
     povm = estimation_povm(fcfg.estimation_povm)
     dist = born_distribution(truth, povm)
     counts = np.zeros(len(povm.labels))
@@ -129,6 +141,19 @@ def _fit_alternative(
         counts[povm._index[sample_outcome(dist, rng)]] += 1.0
     log_rows = estimation_log_rows(grid, cfg, povm)
     return float(grid.angles[int(np.argmax(counts @ log_rows))])
+
+
+def _block_vote(
+    fcfg: FixedTestConfig,
+    truth: DensityMatrix,
+    povm: Povm,
+    rejects,
+    rng: np.random.Generator,
+) -> FixedOutcome:
+    """Majority vote of fcfg.blocks joint blocks; rejects(outcome) is one block's vote."""
+    dist = born_distribution(tensor_power(truth, fcfg.joint_copies), povm)
+    votes = sum(bool(rejects(sample_outcome(dist, rng))) for _ in range(fcfg.blocks))
+    return _fixed_outcome(fcfg, int(votes >= _majority(fcfg.blocks)))
 
 
 def helstrom_calibration(
@@ -145,14 +170,10 @@ def helstrom_calibration(
     the null keeps the b-block majority size within eps0; ties break toward
     the smaller weight. Raises InfeasibleCalibration when nothing passes.
     """
-    weights = np.arange(1, grid_size + 1) / (grid_size + 1)
-    p_m0 = _binary_probs_on_weight_grid(pow0, pow1, weights, np.stack([pow0, pow1]))
+    weights, p_m0 = _binary_probs_on_weight_grid(pow0, pow1, grid_size)
     alpha = 1.0 - p_m0[:, 0]
     power = 1.0 - p_m0[:, 1]
-    if blocks == 1:
-        ok = alpha <= eps0 + SIZE_SLACK
-    else:
-        ok = _majority_tail(alpha, blocks) <= eps0 + SIZE_SLACK
+    ok = _majority_tail(alpha, blocks) <= eps0 + SIZE_SLACK
     if not bool(ok.any()):
         raise InfeasibleCalibration(
             f"no weight on the {grid_size}-point grid meets size {eps0} with {blocks} blocks"
@@ -169,29 +190,20 @@ def _run_helstrom_family(
     alt_set: HypothesisSet,
     rng: np.random.Generator,
 ) -> FixedOutcome:
-    rounds = fcfg.estimation_copies + fcfg.blocks
-    grid = build_grid(alt_set, fcfg.resolution)
-    w1 = _fit_alternative(fcfg, truth, cfg, grid, rng)
-    pow0 = tensor_power(state_from_angle(cfg, omega0), fcfg.joint_copies).mat
-    pow1 = tensor_power(state_from_angle(cfg, w1), fcfg.joint_copies).mat
+    w1 = _fit_alternative(fcfg, truth, cfg, alt_set, rng)
+    rho0, rho1 = state_from_angle(cfg, omega0), state_from_angle(cfg, w1)
+    pow0 = tensor_power(rho0, fcfg.joint_copies).mat
+    pow1 = tensor_power(rho1, fcfg.joint_copies).mat
     try:
         lam, _, _ = helstrom_calibration(
             pow0, pow1, fcfg.eps0, fcfg.lambda_grid_size, fcfg.blocks
         )
     except InfeasibleCalibration:
-        return FixedOutcome(decision=0, copies_used=fcfg.total_budget, rounds_used=rounds)
+        return _fixed_outcome(fcfg, 0)
     povm = helstrom_povm(
-        HelstromSpec(
-            null_state=state_from_angle(cfg, omega0),
-            alt_state=state_from_angle(cfg, w1),
-            weight=lam,
-            copies=fcfg.joint_copies,
-        )
+        HelstromSpec(null_state=rho0, alt_state=rho1, weight=lam, copies=fcfg.joint_copies)
     )
-    dist = born_distribution(tensor_power(truth, fcfg.joint_copies), povm)
-    votes = sum(sample_outcome(dist, rng) == 1 for _ in range(fcfg.blocks))
-    decision = int(votes >= _majority(fcfg.blocks))
-    return FixedOutcome(decision=decision, copies_used=fcfg.total_budget, rounds_used=rounds)
+    return _block_vote(fcfg, truth, povm, lambda x: x == 1, rng)
 
 
 def run_lht(
@@ -220,19 +232,6 @@ def run_blht(
     return _run_helstrom_family(fcfg, truth, cfg, omega0, alt_set, rng)
 
 
-_u_cache: dict = {}
-
-
-def _unitary_grid(grid_size: int, copies: int) -> tuple[np.ndarray, np.ndarray]:
-    key = (grid_size, copies)
-    hit = _u_cache.get(key)
-    if hit is None:
-        thetas = 2.0 * np.pi * np.arange(grid_size) / grid_size
-        hit = (thetas, _variational_unitaries(thetas, copies))
-        _u_cache[key] = hit
-    return hit
-
-
 def variational_tables(
     cfg: FamilyConfig,
     alt_angle: float,
@@ -242,18 +241,18 @@ def variational_tables(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rotation grid and outcome tables that _calibrate_variational sizes.
 
-    Returns (thetas, q, pn): thetas holds grid_size rotation angles in
-    radians, q[t, x] the probability of outcome x of the rotated basis at
-    thetas[t] on `copies` copies of the state at alt_angle, and
-    pn[t, x, j] the same under the state at null_angles[j].
+    Returns (thetas, q, pn): thetas holds measurements.rotation_grid's
+    grid_size rotation angles in radians, q[t, x] the probability of
+    outcome x of the rotated basis at thetas[t] on `copies` copies of the
+    state at alt_angle, and pn[t, x, j] the same under the state at
+    null_angles[j].
     """
-    thetas, u = _unitary_grid(grid_size, copies)
-    q = _rotated_basis_probs(u, tensor_power(state_from_angle(cfg, alt_angle), copies).mat)
-    nstack = np.stack(
-        [tensor_power(state_from_angle(cfg, w), copies).mat for w in null_angles]
+    thetas, u = rotation_grid(grid_size, copies)
+    mats = np.stack(
+        [tensor_power(state_from_angle(cfg, w), copies).mat for w in (alt_angle, *null_angles)]
     )
-    pn = np.einsum("txa,jab,txb->txj", u, nstack, u.conj()).real.clip(min=0.0)
-    return thetas, q, pn
+    p = _rotated_basis_probs(u, mats)
+    return thetas, p[:, :, 0], p[:, :, 1:]
 
 
 def _calibrate_variational(
@@ -274,10 +273,7 @@ def _calibrate_variational(
     q_cum = np.cumsum(np.take_along_axis(q, order, axis=1), axis=1)
     n_cum = np.cumsum(np.take_along_axis(pn, order[:, :, None], axis=1), axis=1)
     alpha = n_cum.max(axis=2)
-    if blocks == 1:
-        ok = alpha <= eps0 + SIZE_SLACK
-    else:
-        ok = _majority_tail(alpha, blocks) <= eps0 + SIZE_SLACK
+    ok = _majority_tail(alpha, blocks) <= eps0 + SIZE_SLACK
     cuttable = np.ones_like(ok)
     cuttable[:, :-1] = r_sorted[:, :-1] > r_sorted[:, 1:]
     feas = ok & cuttable
@@ -311,9 +307,7 @@ def _run_variational_family(
     alt_set: HypothesisSet,
     rng: np.random.Generator,
 ) -> FixedOutcome:
-    rounds = fcfg.estimation_copies + fcfg.blocks
-    alt_grid = build_grid(alt_set, fcfg.resolution)
-    w1 = _fit_alternative(fcfg, truth, cfg, alt_grid, rng)
+    w1 = _fit_alternative(fcfg, truth, cfg, alt_set, rng)
     null_angles = build_grid(null_set, fcfg.resolution).angles
     thetas, q, pn = variational_tables(
         cfg, w1, null_angles, fcfg.joint_copies, fcfg.theta_grid_size
@@ -321,14 +315,9 @@ def _run_variational_family(
     t_best, _, threshold = variational_calibration(q, pn, fcfg.eps0, fcfg.blocks)
     ratio_row = q[t_best] / np.maximum(pn[t_best].max(axis=1), P_FLOOR)
     povm = variational_povm(float(thetas[t_best]), fcfg.joint_copies)
-    dist = born_distribution(tensor_power(truth, fcfg.joint_copies), povm)
-    votes = 0
-    for _ in range(fcfg.blocks):
-        x = sample_outcome(dist, rng)
-        if ratio_row[povm._index[x]] >= threshold:
-            votes += 1
-    decision = int(votes >= _majority(fcfg.blocks))
-    return FixedOutcome(decision=decision, copies_used=fcfg.total_budget, rounds_used=rounds)
+    return _block_vote(
+        fcfg, truth, povm, lambda x: ratio_row[povm._index[x]] >= threshold, rng
+    )
 
 
 def run_lvt(

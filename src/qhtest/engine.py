@@ -16,10 +16,11 @@ round's numerator term is frozen when the round is recorded and never
 revisited; only the denominator maximization reruns as new rounds arrive.
 The test rejects as soon as log SLR >= log(1/eps0).
 
-Both sides read one likelihood: record_round reduces the observed outcome
+Both sides read one likelihood: outcome_row reduces the observed outcome
 M_i to its Fourier coefficient row once (family.outcome_coeffs), the
 numerator term is that row evaluated at the predictable angle, and
 slr_update folds the same row into the null and the alternative grids.
+A two-sided run hands the one row to both statistics.
 
 Numerator probabilities are additionally clamped at NUMERATOR_FLOOR, so a
 predicted-impossible outcome that still happens costs log(NUMERATOR_FLOOR)
@@ -98,6 +99,14 @@ def estimation_povm(name: str) -> Povm:
         return sic_povm_qubit()
     raise ConfigError(f"unknown estimation POVM {name!r}, expected {ESTIMATION_POVMS}")
 
+
+def check_design_settings(estimation: str, lambda_grid_size: int, theta_grid_size: int) -> None:
+    """ConfigError for an unknown estimation POVM or an empty design grid."""
+    estimation_povm(estimation)
+    if lambda_grid_size < 1 or theta_grid_size < 1:
+        raise ConfigError("lambda_grid_size and theta_grid_size must be >= 1")
+
+
 NUMERATOR_FLOOR = 1e-12
 _LOG_NUMERATOR_FLOOR = math.log(NUMERATOR_FLOOR)
 
@@ -139,16 +148,11 @@ class PolicyConfig:
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise ConfigError(f"unknown policy kind {self.kind!r}, expected {POLICY_KINDS}")
-        if self.estimation_povm not in ESTIMATION_POVMS:
-            raise ConfigError(
-                f"unknown estimation POVM {self.estimation_povm!r}, expected {ESTIMATION_POVMS}"
-            )
+        check_design_settings(self.estimation_povm, self.lambda_grid_size, self.theta_grid_size)
         if self.n_ic < 0:
             raise ConfigError(f"n_ic must be >= 0, got {self.n_ic}")
         if self.n_joint < 1:
             raise ConfigError(f"n_joint must be >= 1, got {self.n_joint}")
-        if self.lambda_grid_size < 1 or self.theta_grid_size < 1:
-            raise ConfigError("design grid sizes must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -221,24 +225,10 @@ def slr_update(state: SlrState, rec: RoundRecord) -> tuple[SlrState, float]:
     return new_state, frozen - null_mle.loglik
 
 
-def record_round(
-    state: SlrState,
-    cfg: FamilyConfig,
-    povm: Povm,
-    descriptor: str,
-    copies: int,
-    outcome,
-    est_povm: Povm,
-    override_angle: float | None = None,
-) -> tuple[SlrState, float]:
-    """Record one observed round and fold it into the state.
+def outcome_row(cfg: FamilyConfig, povm: Povm, copies: int, outcome) -> np.ndarray:
+    """Coefficient row (family.outcome_coeffs) of one observed outcome.
 
-    The outcome is reduced to its coefficient row once, after checking
-    that it belongs to the POVM and that the POVM acts on `copies` qubits.
-    The numerator term is that row evaluated at the predictable estimate
-    of the rounds already in `state` (see predictable_estimate), before
-    this outcome counts toward any fit. Returns slr_update's new state and
-    log SLR.
+    InconsistentTranscript if the POVM does not act on `copies` qubits or lacks the outcome.
     """
     if povm.dim != 2**copies:
         raise InconsistentTranscript(
@@ -248,7 +238,28 @@ def record_round(
         element = povm.element(outcome)
     except KeyError:
         raise InconsistentTranscript(f"outcome {outcome!r} not among POVM labels") from None
-    coeffs = outcome_coeffs(cfg, element, copies)
+    return outcome_coeffs(cfg, element, copies)
+
+
+def record_round(
+    state: SlrState,
+    cfg: FamilyConfig,
+    povm: Povm,
+    descriptor: str,
+    copies: int,
+    outcome,
+    coeffs: np.ndarray,
+    est_povm: Povm,
+    override_angle: float | None = None,
+) -> tuple[SlrState, float]:
+    """Record one observed round and fold it into the state.
+
+    coeffs is the outcome's row from outcome_row, computed once per round
+    however many statistics record it. The numerator term is that row
+    evaluated at the predictable estimate of the rounds already in `state`
+    (see predictable_estimate), before this outcome counts toward any fit.
+    Returns slr_update's new state and log SLR.
+    """
     w = predictable_estimate(state.alt_grid, cfg, est_povm, override_angle)
     rec = RoundRecord(
         povm=povm,
@@ -528,11 +539,12 @@ def run_sequential_test(
         outcome = sample_outcome(dist, rng)
         copies_used += copies
 
+        coeffs = outcome_row(cfg, povm, copies, outcome)
         s0, log0 = record_round(
-            s0, cfg, povm, desc, copies, outcome, est_povm, policy.initial_alt_angle
+            s0, cfg, povm, desc, copies, outcome, coeffs, est_povm, policy.initial_alt_angle
         )
         if s1 is not None:
-            s1, log1 = record_round(s1, cfg, povm, desc, copies, outcome, est_povm)
+            s1, log1 = record_round(s1, cfg, povm, desc, copies, outcome, coeffs, est_povm)
 
         if collect_trace:
             trace.append(

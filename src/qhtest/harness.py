@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import FixedTestConfig, run_blht, run_blvt, run_lht, run_lvt
-from .engine import ESTIMATION_POVMS, PolicyConfig, conservative_start, run_sequential_test
+from .engine import PolicyConfig, check_design_settings, conservative_start, run_sequential_test
 from .errors import ConfigError, IoError, ParseError
 from .family import (
     DEFAULT_RESOLUTION,
@@ -94,12 +94,7 @@ class ExperimentConfig:
             raise ConfigError(f"n_ic must be >= 0, got {self.n_ic}")
         if self.n_joint < 1:
             raise ConfigError(f"n_joint must be >= 1, got {self.n_joint}")
-        if self.lambda_grid_size < 1 or self.theta_grid_size < 1:
-            raise ConfigError("lambda_grid_size and theta_grid_size must be >= 1")
-        if self.estimation_povm not in ESTIMATION_POVMS:
-            raise ConfigError(
-                f"unknown estimation POVM {self.estimation_povm!r}, expected {ESTIMATION_POVMS}"
-            )
+        check_design_settings(self.estimation_povm, self.lambda_grid_size, self.theta_grid_size)
         if not sets_disjoint(self.null_set, self.alt_set):
             raise ConfigError(
                 f"null set {self.null_set} overlaps alternative set {self.alt_set}"

@@ -10,19 +10,24 @@ Two parametric designs act on blocks of n fresh copies:
 * variational_povm: the computational basis conjugated by a hardware-style
   circuit U(theta) = [CNOT chain] [R_y(theta) on every qubit], with the
   chain applying control i -> target i+1 for i ascending and qubit 1 held
-  as the most significant bit.
+  as the most significant bit. The chain only permutes basis states, so up
+  to a classical relabelling of outcomes this is a product measurement,
+  each copy read out in the R_y(theta)-rotated basis: aLVT, LVT and bLVT
+  never use an entangled measurement. PAPER.md holds only the paper's
+  abstract, so the paper's gate order cannot be checked.
 
 Both designs are scored by the expected one-round log-likelihood-ratio
 increment under the current alternative estimate, and optimized by plain
 grid search with deterministic tie-breaking (toward w = 0.5 and then the
-smaller w; toward the smaller theta). The grid searches run on batched
-eigendecompositions / conjugations; unit tests pin their selections against
-exhaustive evaluation through the single-design operations.
+smaller w; toward the smaller theta). Both design grids and their outcome
+tables are built here only, and `baselines` calibrates on the same tables.
+The grid searches run on batched eigendecompositions / conjugations; unit
+tests pin their selections against exhaustive evaluation through the
+single-design operations.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -87,25 +92,11 @@ def _cnot_chain(n: int) -> np.ndarray:
     return chain
 
 
-def _ry(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]])
-
-
-def variational_unitary(theta: float, copies: int) -> np.ndarray:
-    """U(theta) on `copies` qubits: per-qubit R_y rotations, then the CNOT chain."""
-    if copies < 1:
-        raise ValueError(f"copies must be >= 1, got {copies}")
-    rot = _ry(theta)
-    full = rot
-    for _ in range(copies - 1):
-        full = np.kron(full, rot)
-    return _cnot_chain(copies) @ full
-
-
 def variational_povm(theta: float, copies: int) -> Povm:
     """Computational basis rotated by U(theta): M_x = U^dag |x><x| U."""
-    u = variational_unitary(theta, copies)
+    if copies < 1:
+        raise ValueError(f"copies must be >= 1, got {copies}")
+    u = _variational_unitaries(np.array([theta]), copies)[0]
     labels = tuple(format(i, f"0{copies}b") for i in range(u.shape[0]))
     elements = tuple(
         np.outer(u[x, :].conj(), u[x, :]).astype(complex) for x in range(u.shape[0])
@@ -135,26 +126,26 @@ def expected_log_increment(
 
 
 def _binary_probs_on_weight_grid(
-    pow0: np.ndarray, pow1: np.ndarray, weights: np.ndarray, states: np.ndarray
-) -> np.ndarray:
-    """Probability of Helstrom outcome 0 for each weight and each state.
+    pow0: np.ndarray, pow1: np.ndarray, grid_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weights w = k / (grid_size + 1), k = 1..grid_size, and the outcome-0 table p[k, s].
 
-    pow0/pow1 are the tensor-power matrices entering the Helstrom operator;
-    states is a stack (S, d, d) of density matrices to score. Returns (W, S).
-    Runs all weights through one batched eigendecomposition.
+    p[k, s] is the probability of outcome 0 of the Helstrom design at
+    weights[k] under pow0 (s = 0) and pow1 (s = 1), the tensor-power
+    matrices entering its operator. One batched eigendecomposition.
     """
+    weights = np.arange(1, grid_size + 1) / (grid_size + 1)
     a = (1.0 - weights)[:, None, None] * pow0 - weights[:, None, None] * pow1
     a = (a + a.conj().transpose(0, 2, 1)) / 2.0
     vals, vecs = np.linalg.eigh(a)
     mask = (vals > PROJECTOR_TOL).astype(float)
+    states = np.stack([pow0, pow1])
     quad = np.einsum("lij,sik,lkj->lsj", vecs.conj(), states, vecs).real
-    return np.einsum("lsj,lj->ls", quad, mask).clip(0.0, 1.0)
+    return weights, np.einsum("lsj,lj->ls", quad, mask).clip(0.0, 1.0)
 
 
-def _increment_from_binary(p_alt: np.ndarray, p_null: np.ndarray) -> np.ndarray:
-    """Vectorized expected log increment from outcome-0 probabilities."""
-    q = np.stack([p_alt, 1.0 - p_alt], axis=-1)
-    p = np.stack([p_null, 1.0 - p_null], axis=-1)
+def _log_ratio_gain(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """expected_log_increment's sum over the last axis of batched outcome tables q, p."""
     terms = q * (np.log(np.maximum(q, P_FLOOR)) - np.log(np.maximum(p, P_FLOOR)))
     return terms.sum(axis=-1)
 
@@ -167,33 +158,25 @@ def optimize_lambda(
 ) -> float:
     """Helstrom weight maximizing the expected log increment.
 
-    Searches w = k / (grid_size + 1) for k = 1..grid_size; ties break toward
-    the weight closest to 0.5 and then toward the smaller weight, so the
-    degenerate case alt == null lands on 0.5.
+    Searches the weight grid of _binary_probs_on_weight_grid; ties break
+    toward the weight closest to 0.5 and then toward the smaller weight,
+    so the degenerate case alt == null lands on 0.5.
     """
     pow0 = tensor_power(null_state, copies).mat
     pow1 = tensor_power(alt_state, copies).mat
-    weights = np.arange(1, grid_size + 1) / (grid_size + 1)
-    p_m0 = _binary_probs_on_weight_grid(pow0, pow1, weights, np.stack([pow0, pow1]))
-    obj = _increment_from_binary(p_m0[:, 1], p_m0[:, 0])
-    best_k = 0
-    best_key = (obj[0], -abs(weights[0] - 0.5), -weights[0])
-    for k in range(1, weights.shape[0]):
-        key = (obj[k], -abs(weights[k] - 0.5), -weights[k])
-        if key > best_key:
-            best_k, best_key = k, key
-    return float(weights[best_k])
+    weights, p_m0 = _binary_probs_on_weight_grid(pow0, pow1, grid_size)
+    probs = np.stack([p_m0, 1.0 - p_m0], axis=-1)  # [weight, state, outcome]
+    obj = _log_ratio_gain(probs[:, 1], probs[:, 0])
+    best = max(range(grid_size), key=lambda k: (obj[k], -abs(weights[k] - 0.5), -weights[k]))
+    return float(weights[best])
 
 
 def _variational_unitaries(thetas: np.ndarray, copies: int) -> np.ndarray:
     """Stack of U(theta) over a batch of angles, shape (T, 2^copies, 2^copies)."""
     half = np.asarray(thetas) / 2.0
     t = half.shape[0]
-    ry = np.empty((t, 2, 2))
-    ry[:, 0, 0] = np.cos(half)
-    ry[:, 0, 1] = -np.sin(half)
-    ry[:, 1, 0] = np.sin(half)
-    ry[:, 1, 1] = np.cos(half)
+    c, s = np.cos(half), np.sin(half)
+    ry = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=1)
     full = ry
     for _ in range(copies - 1):
         d = full.shape[1]
@@ -201,9 +184,28 @@ def _variational_unitaries(thetas: np.ndarray, copies: int) -> np.ndarray:
     return np.matmul(_cnot_chain(copies), full)
 
 
-def _rotated_basis_probs(u: np.ndarray, power_mat: np.ndarray) -> np.ndarray:
-    """p[t, x] = Tr(rho M_x) for the rotated-basis POVMs of a unitary stack."""
-    return np.einsum("txj,jk,txk->tx", u, power_mat, u.conj()).real.clip(min=0.0)
+_u_cache: dict = {}
+
+
+def rotation_grid(grid_size: int, copies: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only thetas = 2 pi k / grid_size, k = 0..grid_size-1, and u[t] = U(thetas[t]).
+
+    Built once per (grid_size, copies) and shared by every caller.
+    """
+    key = (grid_size, copies)
+    hit = _u_cache.get(key)
+    if hit is None:
+        thetas = 2.0 * np.pi * np.arange(grid_size) / grid_size
+        u = _variational_unitaries(thetas, copies)
+        thetas.setflags(write=False)
+        u.setflags(write=False)
+        hit = _u_cache[key] = (thetas, u)
+    return hit
+
+
+def _rotated_basis_probs(u: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """p[t, x, j] = Tr(mats[j] M_x) for the rotated-basis POVMs of the unitary stack u."""
+    return np.einsum("txa,jab,txb->txj", u, mats, u.conj()).real.clip(min=0.0)
 
 
 def optimize_theta(
@@ -214,12 +216,10 @@ def optimize_theta(
 ) -> float:
     """Variational angle maximizing the expected log increment.
 
-    Searches theta = 2 pi k / grid_size for k = 0..grid_size-1; ties break
-    toward the smaller angle.
+    Searches the rotation grid of rotation_grid; ties break toward the
+    smaller angle.
     """
-    thetas = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    u = _variational_unitaries(thetas, copies)
-    p0 = _rotated_basis_probs(u, tensor_power(null_state, copies).mat)
-    p1 = _rotated_basis_probs(u, tensor_power(alt_state, copies).mat)
-    terms = p1 * (np.log(np.maximum(p1, P_FLOOR)) - np.log(np.maximum(p0, P_FLOOR)))
-    return float(thetas[int(np.argmax(terms.sum(axis=1)))])
+    thetas, u = rotation_grid(grid_size, copies)
+    mats = np.stack([tensor_power(null_state, copies).mat, tensor_power(alt_state, copies).mat])
+    p = _rotated_basis_probs(u, mats)
+    return float(thetas[int(np.argmax(_log_ratio_gain(p[:, :, 1], p[:, :, 0])))])

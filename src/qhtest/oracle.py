@@ -20,6 +20,7 @@ from .engine import (
     new_slr_state,
     next_measurement,
     numerator_log_term,
+    outcome_row,
     predictable_estimate,
     record_round,
 )
@@ -97,8 +98,9 @@ def enumerate_transcripts(
         for label, p in zip(dist.labels, dist.probs):
             if p == 0.0:
                 continue
+            row = outcome_row(cfg, povm, copies, label)
             child, log_next = record_round(
-                state, cfg, povm, desc, copies, label, est_povm, policy.initial_alt_angle
+                state, cfg, povm, desc, copies, label, row, est_povm, policy.initial_alt_angle
             )
             walk(child, prob * float(p), log_next, depth + 1)
 
@@ -239,7 +241,8 @@ def sample_transcript(
             power = tensor_power(truth, copies)
             powers[copies] = power
         outcome = sample_outcome(born_distribution(power, povm), rng)
+        row = outcome_row(cfg, povm, copies, outcome)
         state, logs[t] = record_round(
-            state, cfg, povm, desc, copies, outcome, est_povm, policy.initial_alt_angle
+            state, cfg, povm, desc, copies, outcome, row, est_povm, policy.initial_alt_angle
         )
     return state.rounds, logs

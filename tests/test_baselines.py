@@ -40,6 +40,24 @@ def test_fixed_config_budget_arithmetic():
         FixedTestConfig(10, blocks=1, joint_copies=4, eps0=1.5)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"lambda_grid_size": 0},
+        {"theta_grid_size": 0},
+        {"theta_grid_size": -3},
+        {"resolution": 0.0},
+        {"resolution": -0.5},
+        {"resolution": float("nan")},
+        {"estimation_povm": "pauli"},
+    ],
+)
+def test_fixed_config_rejects_degenerate_settings(bad):
+    """Settings that would make a baseline never reject or crash mid-run fail at construction."""
+    with pytest.raises(ConfigError):
+        FixedTestConfig(10, blocks=1, joint_copies=4, **bad)
+
+
 def test_majority_votes_needed():
     assert _majority(1) == 1
     assert _majority(2) == 2
@@ -95,6 +113,15 @@ def test_majority_tail_matches_the_binomial_survival_function():
         assert np.max(np.abs(_majority_tail(alpha, blocks) - expect)) < 1e-15
     # out-of-range sizes from rounding are clipped, as before
     assert np.array_equal(_majority_tail(np.array([-1e-17, 1.0 + 1e-16]), 3), [0.0, 1.0])
+
+
+def test_single_block_majority_tail_is_alpha_bit_for_bit():
+    """One block: the shared size rule reads alpha <= eps0 + SIZE_SLACK exactly."""
+    rng = np.random.default_rng(12)
+    alpha = np.concatenate(
+        [rng.uniform(0.0, 1.0, 500), [0.0, 1.0, 5e-324, 1e-300, 0.05, 0.05 + SIZE_SLACK]]
+    )
+    assert _majority_tail(alpha, 1).tobytes() == alpha.tobytes()
 
 
 def test_infeasible_calibration_raises_and_run_falls_back():

@@ -387,22 +387,22 @@ def test_joint_rounds_reuse_the_refined_null_mle(monkeypatch, two_sided):
 
 
 def test_record_round_rejects_wrong_dimension():
-    state = new_slr_state(NULL_POINT, ALT_UPPER)
-    est = computational_basis_povm(1)
     with pytest.raises(InconsistentTranscript):
-        engine.record_round(state, CFG, computational_basis_povm(2), "d", 1, "00", est)
+        engine.outcome_row(CFG, computational_basis_povm(2), 1, "00")
 
 
 def test_record_round_rejects_unknown_outcome():
-    state = new_slr_state(NULL_POINT, ALT_UPPER)
-    est = computational_basis_povm(1)
     with pytest.raises(InconsistentTranscript):
-        engine.record_round(state, CFG, est, "d", 1, "2", est)
+        engine.outcome_row(CFG, computational_basis_povm(1), 1, "2")
 
 
 @pytest.mark.parametrize("kind", ["aLHT", "aLHT+", "aLVT"])
 def test_record_round_reduces_each_outcome_once(monkeypatch, kind):
-    """One outcome_coeffs call per recorded round; the numerator and both grids read that row."""
+    """One outcome_coeffs call per observed round; the numerator and both grids read that row.
+
+    A two-sided run records every round in two statistics and still
+    reduces each outcome once.
+    """
     policy = PolicyConfig(
         kind=kind, n_ic=2, n_joint=3, estimation_povm="sic",
         lambda_grid_size=9, theta_grid_size=36,
@@ -426,12 +426,24 @@ def test_record_round_reduces_each_outcome_once(monkeypatch, kind):
         povm, copies, desc = engine.next_measurement(policy, state, CFG, rng)
         outcome = sample_outcome(born_distribution(tensor_power(truth, copies), povm), rng)
         w = predictable_estimate(state.alt_grid, CFG, est)
-        state, _ = engine.record_round(state, CFG, povm, desc, copies, outcome, est)
+        coeffs = engine.outcome_row(CFG, povm, copies, outcome)
+        state, _ = engine.record_round(state, CFG, povm, desc, copies, outcome, coeffs, est)
         assert len(calls) == t
         rec = state.rounds[-1]
+        assert rec.coeffs is coeffs
         assert state.null_grid.rounds[-1][1] is rec.coeffs
         assert state.alt_grid.rounds[-1][1] is rec.coeffs
         assert rec.log_numerator_term == numerator_log_term(rec.coeffs, copies, w)
+
+    # Count only the engine's reductions: new grids also build their
+    # estimate regularizer through family.outcome_coeffs.
+    monkeypatch.setattr(family, "outcome_coeffs", real)
+    calls.clear()
+    null_set = parse_hypothesis_set("[0,45]")
+    rng = np.random.default_rng(5)
+    out = run_sequential_test(policy, truth, CFG, null_set, ALT_UPPER, 0.05, 30, rng, eps1=0.05)
+    assert out.rounds_used > 9
+    assert len(calls) == out.rounds_used
 
 
 @pytest.mark.parametrize("truth", [22.3, 44.75])
@@ -442,12 +454,34 @@ def test_interval_null_size_with_off_grid_truth(truth):
     44.75 sits half a grid step inside the boundary that faces the
     alternative, where a coarse maximum would leak the most.
     """
-    runs = 100
+    assert_size_band(parse_hypothesis_set("[0,45]"), ALT_UPPER, truth, ("aLHT", "aLHT+", "aLVT"))
+
+
+@pytest.mark.parametrize("truth", [45.0, 135.0])
+def test_two_point_null_size_at_each_point(truth):
+    """Type-I error stays inside its Monte Carlo band at either point of a two-point null.
+
+    The alternative surrounds 135 on both sides, so each point of the null
+    is approached by alternative angles.
+    """
+    assert_size_band(
+        parse_hypothesis_set("{45,135}"),
+        parse_hypothesis_set("(45,135) (135,180)"),
+        truth,
+        ("aLHT", "aLHT+", "aLVT", "LVT"),
+    )
+
+
+def assert_size_band(null_set, alt_set, truth, methods, runs=100):
+    """Each method's rejection rate at a null truth is within eps0 + 3 standard errors.
+
+    Budget 40, eps0 0.05 and master seed 11; with 100 runs the band is 0.115.
+    """
     config = ExperimentConfig(
-        null_set=parse_hypothesis_set("[0,45]"),
-        alt_set=ALT_UPPER,
+        null_set=null_set,
+        alt_set=alt_set,
         truth_omega=truth,
-        methods=("aLHT", "aLHT+", "aLVT"),
+        methods=methods,
         budgets=(40,),
         runs=runs,
         eps0=0.05,

@@ -4,16 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qhtest.baselines import variational_tables
 from qhtest.errors import DimensionMismatch
+from qhtest.family import FamilyConfig, state_from_angle
 from qhtest.measurements import (
     HelstromSpec,
+    _binary_probs_on_weight_grid,
+    _variational_unitaries,
     expected_log_increment,
     helstrom_povm,
     optimize_lambda,
     optimize_theta,
     variational_povm,
-    variational_unitary,
 )
 from qhtest.quantum import born_distribution, tensor_power, trace_norm, validate_density
 
@@ -32,6 +37,11 @@ def random_qubit(rng):
     sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
     sz = np.array([[1, 0], [0, -1]], dtype=complex)
     return validate_density((np.eye(2) + b[0] * sx + b[1] * sy + b[2] * sz) / 2.0)
+
+
+def variational_unitary(theta, copies):
+    """U(theta) from the batched builder, for one angle."""
+    return _variational_unitaries(np.array([theta]), copies)[0]
 
 
 def weighted_error(povm, rho0, rho1, weight, copies):
@@ -120,7 +130,50 @@ class TestVariational:
 
     def test_copies_must_be_positive(self):
         with pytest.raises(ValueError):
-            variational_unitary(0.3, 0)
+            variational_povm(0.3, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    grid_size=st.integers(1, 40),
+    copies=st.integers(1, 4),
+    radii=st.sampled_from([(1.0, 1.0), (0.9, 0.7)]),
+    alt_angle=st.floats(0.0, 360.0),
+    null_angles=st.lists(st.floats(0.0, 360.0), min_size=1, max_size=4),
+)
+def test_variational_tables_match_single_design_born(
+    grid_size, copies, radii, alt_angle, null_angles
+):
+    """Every cell of the batched tables equals the Born rule on variational_povm."""
+    cfg = FamilyConfig(r_z=radii[0], r_x=radii[1])
+    thetas, q, pn = variational_tables(cfg, alt_angle, np.array(null_angles), copies, grid_size)
+    assert thetas.shape == (grid_size,) and q.shape == (grid_size, 2**copies)
+    assert pn.shape == (grid_size, 2**copies, len(null_angles))
+    for t, theta in enumerate(thetas):
+        assert theta == 2.0 * math.pi * t / grid_size
+        povm = variational_povm(float(theta), copies)
+        ref = born_distribution(tensor_power(state_from_angle(cfg, alt_angle), copies), povm)
+        assert np.max(np.abs(q[t] - ref.probs)) <= 1e-12
+        for j, w in enumerate(null_angles):
+            ref = born_distribution(tensor_power(state_from_angle(cfg, w), copies), povm)
+            assert np.max(np.abs(pn[t, :, j] - ref.probs)) <= 1e-12
+
+
+def test_weight_grid_table_matches_single_design_born():
+    """Each weight's outcome-0 probabilities equal the Born rule on helstrom_povm."""
+    rng = np.random.default_rng(41)
+    for _ in range(8):
+        rho0, rho1 = random_qubit(rng), random_qubit(rng)
+        copies = int(rng.integers(1, 4))
+        grid_size = int(rng.integers(1, 30))
+        pow0, pow1 = tensor_power(rho0, copies), tensor_power(rho1, copies)
+        weights, p = _binary_probs_on_weight_grid(pow0.mat, pow1.mat, grid_size)
+        assert p.shape == (grid_size, 2)
+        for k, w in enumerate(weights):
+            assert w == (k + 1) / (grid_size + 1)
+            povm = helstrom_povm(HelstromSpec(rho0, rho1, weight=float(w), copies=copies))
+            assert abs(p[k, 0] - born_distribution(pow0, povm).probs[0]) <= 1e-12
+            assert abs(p[k, 1] - born_distribution(pow1, povm).probs[0]) <= 1e-12
 
 
 class TestExpectedLogIncrement:
