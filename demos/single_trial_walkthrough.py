@@ -35,18 +35,17 @@ def main() -> None:
         eps0=EPS0,
         budget=60,
         rng=np.random.default_rng(20260815),
-        collect_trace=True,
     )
 
     boundary = math.log(1.0 / EPS0)
     print(f"null {null_set}, alternative {alt_set}, truth at 90 degrees")
     print(f"reject once the log ratio reaches log(1/{EPS0}) = {boundary:.4f}\n")
     used = 0
-    for row in out.trace:
-        used += row.copies
+    for i, (rec, log_slr) in enumerate(zip(out.rounds, out.log_slrs), start=1):
+        used += rec.copies
         print(
-            f"round {row.index:2d}  {row.descriptor:<44s} copies {used:3d}"
-            f"  outcome {row.outcome!s:>4s}  log ratio {row.log_slr:+8.4f}"
+            f"round {i:2d}  {rec.descriptor:<44s} copies {used:3d}"
+            f"  outcome {rec.outcome!s:>4s}  log ratio {log_slr:+8.4f}"
         )
     print(
         f"\n{out.decision} after {out.rounds_used} rounds and "

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import baselines, engine, harness, measurements, oracle
-from .errors import QhtError
+from .errors import InfeasibleCalibration, QhtError
 from .family import build_grid, state_from_angle
 from .quantum import DensityMatrix, tensor_power
 
@@ -166,13 +166,15 @@ def _cmd_calibrate(args) -> int:
             pow0 = tensor_power(state_from_angle(fam, omega0), config.n_joint).mat
             pow1 = tensor_power(state1, config.n_joint).mat
             for blocks in _calibration_blocks(config, method):
-                lam, alpha, power = baselines.helstrom_calibration(
-                    pow0, pow1, config.eps0, config.lambda_grid_size, blocks
-                )
-                print(
-                    f"{method}: blocks {blocks}, weight {lam:g}, "
-                    f"block size {alpha:.4g}, block power {power:.4g}"
-                )
+                try:
+                    lam, alpha, power = baselines.helstrom_calibration(
+                        pow0, pow1, config.eps0, config.lambda_grid_size, blocks
+                    )
+                except InfeasibleCalibration:
+                    setting = f"no weight meets size {config.eps0:g}, so the test always accepts"
+                else:
+                    setting = f"weight {lam:g}, block size {alpha:.4g}, block power {power:.4g}"
+                print(f"{method}: blocks {blocks}, {setting}")
         else:
             print(f"{method}: threshold depends on the estimated alternative; "
                   f"reference angle {w1:g} shown")
@@ -197,19 +199,18 @@ def _cmd_single(args) -> int:
     b_idx = config.budgets.index(budget) if budget in config.budgets else 0
     # Validate the method and budget actually run, not the ones the file lists.
     config = dataclasses.replace(config, methods=(method,), budgets=(budget,))
-    out = harness.make_trial(config, method)(
-        budget, harness.run_rng(config.master_seed, method, b_idx, 0), collect_trace=args.trace
-    )
+    rng = harness.run_rng(config.master_seed, method, b_idx, 0)
+    out = harness.make_trial(config, method)(budget, rng)
     if method in harness.SEQUENTIAL_METHODS:
         print(
             f"{method} budget {budget}: {out.decision} after {out.rounds_used} rounds, "
             f"{out.copies_used} copies, final log ratio {out.final_log_slr:.6g}"
         )
         if args.trace:
-            for row in out.trace:
+            for i, (rec, log_slr) in enumerate(zip(out.rounds, out.log_slrs), start=1):
                 print(
-                    f"  round {row.index:3d}  {row.descriptor:<44s} copies {row.copies}  "
-                    f"outcome {row.outcome}  log ratio {row.log_slr:.6g}"
+                    f"  round {i:3d}  {rec.descriptor:<44s} copies {rec.copies}  "
+                    f"outcome {rec.outcome}  log ratio {log_slr:.6g}"
                 )
     else:
         verdict = "reject" if out.rejected else "accept"

@@ -16,6 +16,10 @@ round's numerator term is frozen when the round is recorded and never
 revisited; only the denominator maximization reruns as new rounds arrive.
 The test rejects as soon as log SLR >= log(1/eps0).
 
+An SlrState owns one statistic and its transcript, and log SLR is read
+off it (SlrState.log_slr). A run reports the forward state's records and
+the statistic after each round (TestOutcome.rounds and log_slrs).
+
 Both sides read one likelihood: outcome_row reduces the observed outcome
 M_i to its Fourier coefficient row once (family.outcome_coeffs), the
 numerator term is that row evaluated at the predictable angle, and
@@ -174,11 +178,11 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class SlrState:
-    """Transcript plus the two accumulated grids and the frozen numerator.
+    """One statistic: its RoundRecords, the two accumulated grids and the frozen numerator.
 
     null_mle is the refined null-grid MLE behind the current denominator
     (None before any round); next_measurement reads a joint round's null
-    angle from it.
+    angle from it, and log_slr subtracts its loglik from the numerator.
     """
 
     null_grid: ParamGrid
@@ -186,6 +190,13 @@ class SlrState:
     frozen_log_numerator: float = 0.0
     rounds: tuple = ()
     null_mle: MleResult | None = None
+
+    @property
+    def log_slr(self) -> float:
+        """Current log SLR; 0.0 before any round."""
+        if self.null_mle is None:
+            return 0.0
+        return self.frozen_log_numerator - self.null_mle.loglik
 
 
 def new_slr_state(
@@ -196,8 +207,8 @@ def new_slr_state(
     return SlrState(null_grid=build_grid(null_set, resolution), alt_grid=build_grid(alt_set, resolution))
 
 
-def slr_update(state: SlrState, rec: RoundRecord) -> tuple[SlrState, float]:
-    """Fold one round into the state; return it with the new log SLR.
+def slr_update(state: SlrState, rec: RoundRecord) -> SlrState:
+    """Fold one round into the state; the new state's log_slr is the updated statistic.
 
     The record's numerator term must have been computed from the
     alternative MLE fitted on prior rounds only; this function just
@@ -213,16 +224,13 @@ def slr_update(state: SlrState, rec: RoundRecord) -> tuple[SlrState, float]:
         )
     alt = accumulate(state.alt_grid, rec.coeffs, rec.copies)
     null = accumulate(state.null_grid, rec.coeffs, rec.copies)
-    frozen = state.frozen_log_numerator + rec.log_numerator_term
-    null_mle = mle(null)
-    new_state = SlrState(
+    return SlrState(
         null_grid=null,
         alt_grid=alt,
-        frozen_log_numerator=frozen,
+        frozen_log_numerator=state.frozen_log_numerator + rec.log_numerator_term,
         rounds=state.rounds + (rec,),
-        null_mle=null_mle,
+        null_mle=mle(null),
     )
-    return new_state, frozen - null_mle.loglik
 
 
 def outcome_row(cfg: FamilyConfig, povm: Povm, copies: int, outcome) -> np.ndarray:
@@ -251,14 +259,14 @@ def record_round(
     coeffs: np.ndarray,
     est_povm: Povm,
     override_angle: float | None = None,
-) -> tuple[SlrState, float]:
+) -> SlrState:
     """Record one observed round and fold it into the state.
 
     coeffs is the outcome's row from outcome_row, computed once per round
     however many statistics record it. The numerator term is that row
     evaluated at the predictable estimate of the rounds already in `state`
     (see predictable_estimate), before this outcome counts toward any fit.
-    Returns slr_update's new state and log SLR.
+    Returns slr_update's new state, whose log_slr counts this round.
     """
     w = predictable_estimate(state.alt_grid, cfg, est_povm, override_angle)
     rec = RoundRecord(
@@ -448,30 +456,28 @@ def two_sided_decision(log_slr0: float, log_slr1: float, eps0: float, eps1: floa
 
 
 @dataclass(frozen=True)
-class TraceRow:
-    index: int
-    descriptor: str
-    copies: int
-    outcome: object
-    log_slr: float
-    log_slr_rev: float | None
-
-
-@dataclass(frozen=True)
 class TestOutcome:
     """Terminal report of one sequential run.
 
-    decision is one of reject / accept / budget_exhausted; the SLR values
-    are in log form (the raw ratio overflows well before interesting
-    budgets). budget_exhausted counts as a non-rejection.
+    decision is one of reject / accept / budget_exhausted (a non-rejection).
+    rounds is the forward statistic's SlrState.rounds, log_slrs[i] its log
+    SLR after round i + 1 (log form: the raw ratio overflows well before
+    interesting budgets); final_log_slr_rev is None for a one-sided run.
     """
 
     decision: str
     copies_used: int
-    rounds_used: int
-    final_log_slr: float
+    rounds: tuple
+    log_slrs: tuple
     final_log_slr_rev: float | None = None
-    trace: tuple = ()
+
+    @property
+    def rounds_used(self) -> int:
+        return len(self.rounds)
+
+    @property
+    def final_log_slr(self) -> float:
+        return self.log_slrs[-1] if self.log_slrs else 0.0
 
     @property
     def rejected(self) -> bool:
@@ -489,7 +495,6 @@ def run_sequential_test(
     rng: np.random.Generator,
     eps1: float | None = None,
     resolution: float = DEFAULT_RESOLUTION,
-    collect_trace: bool = False,
 ) -> TestOutcome:
     """Run one sequential test on copies of `truth` until stop or budget.
 
@@ -510,14 +515,12 @@ def run_sequential_test(
 
     s0 = new_slr_state(null_set, alt_set, resolution)
     s1 = new_slr_state(alt_set, null_set, resolution) if eps1 is not None else None
-    log0 = 0.0
-    log1: float | None = 0.0 if eps1 is not None else None
+    log_slrs: list[float] = []
     copies_used = 0
     decision = None
     truth_powers: dict[int, DensityMatrix] = {}
     est_povm = estimation_povm(policy.estimation_povm)
     est_dist = None
-    trace: list[TraceRow] = []
 
     while True:
         pos = len(s0.rounds) % (policy.n_ic + 1)
@@ -540,30 +543,19 @@ def run_sequential_test(
         copies_used += copies
 
         coeffs = outcome_row(cfg, povm, copies, outcome)
-        s0, log0 = record_round(
+        s0 = record_round(
             s0, cfg, povm, desc, copies, outcome, coeffs, est_povm, policy.initial_alt_angle
         )
         if s1 is not None:
-            s1, log1 = record_round(s1, cfg, povm, desc, copies, outcome, coeffs, est_povm)
-
-        if collect_trace:
-            trace.append(
-                TraceRow(
-                    index=len(s0.rounds),
-                    descriptor=desc,
-                    copies=copies,
-                    outcome=outcome,
-                    log_slr=log0,
-                    log_slr_rev=log1,
-                )
-            )
+            s1 = record_round(s1, cfg, povm, desc, copies, outcome, coeffs, est_povm)
+        log_slrs.append(s0.log_slr)
 
         if s1 is None:
-            if one_sided_decision(log0, eps0):
+            if one_sided_decision(log_slrs[-1], eps0):
                 decision = REJECT
                 break
         else:
-            verdict = two_sided_decision(log0, log1, eps0, eps1)
+            verdict = two_sided_decision(log_slrs[-1], s1.log_slr, eps0, eps1)
             if verdict != "continue":
                 decision = verdict
                 break
@@ -571,8 +563,7 @@ def run_sequential_test(
     return TestOutcome(
         decision=decision,
         copies_used=copies_used,
-        rounds_used=len(s0.rounds),
-        final_log_slr=log0,
-        final_log_slr_rev=log1,
-        trace=tuple(trace),
+        rounds=s0.rounds,
+        log_slrs=tuple(log_slrs),
+        final_log_slr_rev=s1.log_slr if s1 is not None else None,
     )

@@ -21,7 +21,7 @@ import numpy as np
 
 from .baselines import FixedTestConfig, run_blht, run_blvt, run_lht, run_lvt
 from .engine import PolicyConfig, check_design_settings, conservative_start, run_sequential_test
-from .errors import ConfigError, IoError, ParseError
+from .errors import ConfigError, InvalidBlochVector, IoError, ParseError
 from .family import (
     DEFAULT_RESOLUTION,
     FamilyConfig,
@@ -88,6 +88,10 @@ class ExperimentConfig:
         for name in ("truth_omega", "r_z", "r_x"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        try:
+            self.family()
+        except InvalidBlochVector as exc:
+            raise ConfigError(str(exc)) from None
         if not self.grid_resolution > 0.0:
             raise ConfigError(f"grid_resolution must be positive, got {self.grid_resolution}")
         if self.n_ic < 0:
@@ -205,17 +209,16 @@ def make_trial(config: ExperimentConfig, method: str):
     """One Monte Carlo trial of `method` as a function of (budget, rng).
 
     The function returns a TestOutcome or a FixedOutcome; both have
-    `rejected`, `copies_used` and `rounds_used`. collect_trace only affects
-    sequential methods. Run functions are looked up as module globals on
-    every call, so rebinding harness.run_lht and the others (a timing hook,
-    say) intercepts every run.
+    `rejected`, `copies_used` and `rounds_used`. Run functions are looked
+    up as module globals on every call, so rebinding harness.run_lht and
+    the others (a timing hook, say) intercepts every run.
     """
     fam = config.family()
     truth = state_from_angle(fam, config.truth_omega)
     if method in SEQUENTIAL_METHODS:
         policy = _policy(config, method)
 
-        def trial(budget: int, rng: np.random.Generator, collect_trace: bool = False):
+        def trial(budget: int, rng: np.random.Generator):
             return run_sequential_test(
                 policy,
                 truth,
@@ -226,14 +229,13 @@ def make_trial(config: ExperimentConfig, method: str):
                 budget,
                 rng,
                 resolution=config.grid_resolution,
-                collect_trace=collect_trace,
             )
 
         return trial
     runner = _FIXED_RUNNERS[method]
     null = config.point_null_angle() if method in POINT_NULL_METHODS else config.null_set
 
-    def trial(budget: int, rng: np.random.Generator, collect_trace: bool = False):
+    def trial(budget: int, rng: np.random.Generator):
         fcfg = _fixed_config(config, method, budget)
         return globals()[runner](fcfg, truth, fam, null, config.alt_set, rng)
 

@@ -85,9 +85,9 @@ def enumerate_transcripts(
     powers: dict[int, DensityMatrix] = {}
     out: list[Branch] = []
 
-    def walk(state: SlrState, prob: float, log_slr: float, depth: int):
+    def walk(state: SlrState, prob: float, depth: int):
         if depth == horizon:
-            out.append(Branch(records=state.rounds, probability=prob, log_slr=log_slr))
+            out.append(Branch(records=state.rounds, probability=prob, log_slr=state.log_slr))
             return
         povm, copies, desc = next_measurement(policy, state, cfg, rng)
         power = powers.get(copies)
@@ -99,12 +99,12 @@ def enumerate_transcripts(
             if p == 0.0:
                 continue
             row = outcome_row(cfg, povm, copies, label)
-            child, log_next = record_round(
+            child = record_round(
                 state, cfg, povm, desc, copies, label, row, est_povm, policy.initial_alt_angle
             )
-            walk(child, prob * float(p), log_next, depth + 1)
+            walk(child, prob * float(p), depth + 1)
 
-    walk(new_slr_state(null_set, alt_set, resolution), 1.0, 0.0, 0)
+    walk(new_slr_state(null_set, alt_set, resolution), 1.0, 0)
     return out
 
 
@@ -242,7 +242,8 @@ def sample_transcript(
             powers[copies] = power
         outcome = sample_outcome(born_distribution(power, povm), rng)
         row = outcome_row(cfg, povm, copies, outcome)
-        state, logs[t] = record_round(
+        state = record_round(
             state, cfg, povm, desc, copies, outcome, row, est_povm, policy.initial_alt_angle
         )
+        logs[t] = state.log_slr
     return state.rounds, logs

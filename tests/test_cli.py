@@ -91,6 +91,19 @@ def test_calibrate_prints_reference_settings(config_path, capsys):
     assert "LHT: blocks 1, weight" in out
 
 
+def test_calibrate_reports_an_infeasible_helstrom_size(tmp_path, capsys):
+    # No weight meets eps0 = 1e-9; sweep runs LHT as always-accept, so calibrate must not fail
+    path = tmp_path / "infeasible.cfg"
+    path.write_text(
+        CONFIG_TEXT.replace("aLHT+,LHT", "LVT,LHT").replace("budgets = 10,14", "budgets = 10")
+        .replace("eps0 = 0.05", "eps0 = 1e-9") + "r_z = 0.9\nr_x = 0.7\n"
+    )
+    assert main(["calibrate", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "LVT: blocks 1, rotation 0 rad, threshold inf, block power 0" in out
+    assert "LHT: blocks 1, no weight meets size 1e-09, so the test always accepts" in out
+
+
 def test_verify_self_checks_pass(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out

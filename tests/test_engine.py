@@ -67,8 +67,8 @@ def test_single_round_log_ratio_arithmetic():
         coeffs=row("0"),
         log_numerator_term=math.log(0.9),
     )
-    state, log_slr = slr_update(state, rec)
-    assert abs(log_slr - math.log(3.0)) < 1e-12
+    state = slr_update(state, rec)
+    assert abs(state.log_slr - math.log(3.0)) < 1e-12
     assert state.frozen_log_numerator == math.log(0.9)
     assert len(state.rounds) == 1
 
@@ -194,17 +194,56 @@ def test_block_structure_and_budget_exhaustion():
         eps0=1e-9,
         budget=15,
         rng=np.random.default_rng(0),
-        collect_trace=True,
     )
     assert out.decision == BUDGET_EXHAUSTED
     assert out.copies_used == 15
     assert out.rounds_used == 9
-    assert [row.copies for row in out.trace] == [1, 1, 3] * 3
-    for row in out.trace:
+    assert [row.copies for row in out.rounds] == [1, 1, 3] * 3
+    for row in out.rounds:
         if row.copies == 1:
             assert row.descriptor == "computational(n=1)"
         else:
             assert row.descriptor.startswith("helstrom(")
+
+
+@pytest.mark.parametrize(
+    "kind, estimation, budget, decision",
+    [
+        ("aLHT", "computational", 60, REJECT),
+        ("aLHT+", "sic", 60, REJECT),
+        ("aLVT", "computational", 60, REJECT),
+        ("aLHT+", "computational", 15, BUDGET_EXHAUSTED),
+    ],
+)
+def test_outcome_transcript_replays_to_its_log_ratios(kind, estimation, budget, decision):
+    """A run's rounds, recomputed from scratch, give its per-round log ratios."""
+    policy = PolicyConfig(
+        kind=kind, estimation_povm=estimation, initial_alt_angle=45.5, theta_grid_size=90
+    )
+    out = run_sequential_test(
+        policy,
+        state_from_angle(CFG, 90.0),
+        CFG,
+        NULL_POINT,
+        ALT_UPPER,
+        eps0=0.05 if decision == REJECT else 1e-9,
+        budget=budget,
+        rng=np.random.default_rng(8),
+    )
+    assert out.decision == decision
+    if decision == REJECT:
+        assert out.copies_used < budget
+    assert out.rounds_used == len(out.rounds) == len(out.log_slrs)
+    assert out.final_log_slr == out.log_slrs[-1]
+    redone = oracle.recompute_slr(
+        out.rounds,
+        CFG,
+        NULL_POINT,
+        ALT_UPPER,
+        initial_alt_angle=policy.initial_alt_angle,
+        estimation_povm=policy.estimation_povm,
+    )
+    assert np.max(np.abs(redone - np.array(out.log_slrs))) < 1e-9
 
 
 def test_budget_contract_holds_for_random_policies():
@@ -240,15 +279,14 @@ def test_runs_are_deterministic_in_the_seed():
             eps0=0.05,
             budget=30,
             rng=np.random.default_rng(777),
-            collect_trace=True,
         )
         for _ in range(2)
     ]
     assert runs[0].decision == runs[1].decision
     assert runs[0].copies_used == runs[1].copies_used
     assert runs[0].final_log_slr == runs[1].final_log_slr
-    assert [r.outcome for r in runs[0].trace] == [r.outcome for r in runs[1].trace]
-    assert [r.descriptor for r in runs[0].trace] == [r.descriptor for r in runs[1].trace]
+    assert [r.outcome for r in runs[0].rounds] == [r.outcome for r in runs[1].rounds]
+    assert [r.descriptor for r in runs[0].rounds] == [r.descriptor for r in runs[1].rounds]
 
 
 def test_alht_redraws_weight_every_block():
@@ -262,9 +300,8 @@ def test_alht_redraws_weight_every_block():
         eps0=1e-9,
         budget=12,
         rng=np.random.default_rng(3),
-        collect_trace=True,
     )
-    lams = [row.descriptor.split("lam=")[1].rstrip(")") for row in out.trace]
+    lams = [row.descriptor.split("lam=")[1].rstrip(")") for row in out.rounds]
     assert len(lams) == 6
     assert len(set(lams)) > 1
 
@@ -319,11 +356,10 @@ def test_sic_estimation_rounds():
         eps0=0.05,
         budget=10,
         rng=np.random.default_rng(5),
-        collect_trace=True,
     )
-    assert out.trace[0].descriptor == "sic(n=1)"
-    assert out.trace[0].outcome in (0, 1, 2, 3)
-    joint = [r for r in out.trace if r.copies == 2]
+    assert out.rounds[0].descriptor == "sic(n=1)"
+    assert out.rounds[0].outcome in (0, 1, 2, 3)
+    joint = [r for r in out.rounds if r.copies == 2]
     assert all(r.descriptor.startswith("variational(theta=") for r in joint)
 
 
@@ -364,7 +400,7 @@ def test_joint_rounds_reuse_the_refined_null_mle(monkeypatch, two_sided):
 
     def record_round(*args, **kwargs):
         out = real_record(*args, **kwargs)
-        states.append(out[0])
+        states.append(out)
         return out
 
     monkeypatch.setattr(engine, "_joint_design", joint_design)
@@ -427,7 +463,7 @@ def test_record_round_reduces_each_outcome_once(monkeypatch, kind):
         outcome = sample_outcome(born_distribution(tensor_power(truth, copies), povm), rng)
         w = predictable_estimate(state.alt_grid, CFG, est)
         coeffs = engine.outcome_row(CFG, povm, copies, outcome)
-        state, _ = engine.record_round(state, CFG, povm, desc, copies, outcome, coeffs, est)
+        state = engine.record_round(state, CFG, povm, desc, copies, outcome, coeffs, est)
         assert len(calls) == t
         rec = state.rounds[-1]
         assert rec.coeffs is coeffs
@@ -453,6 +489,15 @@ def test_interval_null_size_with_off_grid_truth(truth):
     The denominator is a grid maximum refined only around the argmax cell;
     44.75 sits half a grid step inside the boundary that faces the
     alternative, where a coarse maximum would leak the most.
+    """
+    assert_size_band(parse_hypothesis_set("[0,45]"), ALT_UPPER, truth, ("aLHT", "aLHT+", "aLVT"))
+
+
+@pytest.mark.parametrize("truth", [22.5, 45.0])
+def test_interval_null_size_with_on_grid_truth(truth):
+    """Type-I error stays inside its Monte Carlo band for null truths on the grid.
+
+    45.0 is the closed endpoint that faces the alternative.
     """
     assert_size_band(parse_hypothesis_set("[0,45]"), ALT_UPPER, truth, ("aLHT", "aLHT+", "aLVT"))
 

@@ -77,6 +77,8 @@ class TestExperimentConfig:
             dict(r_z=float("nan")),
             dict(r_x=float("nan")),
             dict(r_z=float("-inf")),
+            dict(r_z=1.5),
+            dict(r_z=0.9, r_x=1.2),
         ):
             with pytest.raises(ConfigError):
                 small_config(**bad)
