@@ -40,7 +40,6 @@ from .family import (
     state_from_angle,
 )
 from .measurements import (
-    HelstromSpec,
     _binary_probs_on_weight_grid,
     _rotated_basis_probs,
     _u_cache,  # noqa: F401  (perfbench/child.py reports len(baselines._u_cache))
@@ -191,19 +190,15 @@ def _run_helstrom_family(
     rng: np.random.Generator,
 ) -> FixedOutcome:
     w1 = _fit_alternative(fcfg, truth, cfg, alt_set, rng)
-    rho0, rho1 = state_from_angle(cfg, omega0), state_from_angle(cfg, w1)
-    pow0 = tensor_power(rho0, fcfg.joint_copies).mat
-    pow1 = tensor_power(rho1, fcfg.joint_copies).mat
+    pow0 = tensor_power(state_from_angle(cfg, omega0), fcfg.joint_copies).mat
+    pow1 = tensor_power(state_from_angle(cfg, w1), fcfg.joint_copies).mat
     try:
         lam, _, _ = helstrom_calibration(
             pow0, pow1, fcfg.eps0, fcfg.lambda_grid_size, fcfg.blocks
         )
     except InfeasibleCalibration:
         return _fixed_outcome(fcfg, 0)
-    povm = helstrom_povm(
-        HelstromSpec(null_state=rho0, alt_state=rho1, weight=lam, copies=fcfg.joint_copies)
-    )
-    return _block_vote(fcfg, truth, povm, lambda x: x == 1, rng)
+    return _block_vote(fcfg, truth, helstrom_povm(pow0, pow1, lam), lambda x: x == 1, rng)
 
 
 def run_lht(
@@ -291,10 +286,14 @@ def variational_calibration(
     """Most powerful rotation of variational_tables' grid at exact size eps0.
 
     Returns (index into thetas, per-block power, ratio threshold); ties
-    break toward the smaller angle. With no feasible rotation the power is
-    0 and the threshold infinite, so the test never rejects.
+    break toward the smaller angle. Raises InfeasibleCalibration when no
+    rotation has a finite threshold.
     """
     power, tau = _calibrate_variational(q, pn, eps0, blocks)
+    if not np.isfinite(tau).any():
+        raise InfeasibleCalibration(
+            f"no rotation on the {len(tau)}-point grid meets size {eps0} with {blocks} blocks"
+        )
     t = int(np.argmax(power))
     return t, float(power[t]), float(tau[t])
 
@@ -312,7 +311,10 @@ def _run_variational_family(
     thetas, q, pn = variational_tables(
         cfg, w1, null_angles, fcfg.joint_copies, fcfg.theta_grid_size
     )
-    t_best, _, threshold = variational_calibration(q, pn, fcfg.eps0, fcfg.blocks)
+    try:
+        t_best, _, threshold = variational_calibration(q, pn, fcfg.eps0, fcfg.blocks)
+    except InfeasibleCalibration:
+        return _fixed_outcome(fcfg, 0)
     ratio_row = q[t_best] / np.maximum(pn[t_best].max(axis=1), P_FLOOR)
     povm = variational_povm(float(thetas[t_best]), fcfg.joint_copies)
     return _block_vote(

@@ -146,32 +146,27 @@ def _cmd_calibrate(args) -> int:
     w1 = engine.predictable_estimate(alt_grid, fam, est_povm)
     w0 = engine.predictable_estimate(null_grid, fam, est_povm)
     print(f"reference null angle {w0:g}, reference alternative angle {w1:g}")
-    state0 = state_from_angle(fam, w0)
-    state1 = state_from_angle(fam, w1)
+    infeasible = f"meets size {config.eps0:g}, so the test always accepts"
+    # For a point null (LHT/bLHT) w0 is the null angle itself.
+    pow0 = tensor_power(state_from_angle(fam, w0), config.n_joint).mat
+    pow1 = tensor_power(state_from_angle(fam, w1), config.n_joint).mat
     for method in config.methods:
         if method == "aLHT":
             print(f"{method}: weight drawn uniformly at random each block")
         elif method == "aLHT+":
-            lam = measurements.optimize_lambda(
-                state0, state1, config.n_joint, config.lambda_grid_size
-            )
+            lam = measurements.optimize_lambda(pow0, pow1, config.lambda_grid_size)
             print(f"{method}: first-block weight {lam:g}")
         elif method == "aLVT":
-            theta = measurements.optimize_theta(
-                state0, state1, config.n_joint, config.theta_grid_size
-            )
+            theta = measurements.optimize_theta(pow0, pow1, config.theta_grid_size)
             print(f"{method}: first-block rotation {theta:g} rad")
         elif method in ("LHT", "bLHT"):
-            omega0 = config.point_null_angle()
-            pow0 = tensor_power(state_from_angle(fam, omega0), config.n_joint).mat
-            pow1 = tensor_power(state1, config.n_joint).mat
             for blocks in _calibration_blocks(config, method):
                 try:
                     lam, alpha, power = baselines.helstrom_calibration(
                         pow0, pow1, config.eps0, config.lambda_grid_size, blocks
                     )
                 except InfeasibleCalibration:
-                    setting = f"no weight meets size {config.eps0:g}, so the test always accepts"
+                    setting = f"no weight {infeasible}"
                 else:
                     setting = f"weight {lam:g}, block size {alpha:.4g}, block power {power:.4g}"
                 print(f"{method}: blocks {blocks}, {setting}")
@@ -182,11 +177,15 @@ def _cmd_calibrate(args) -> int:
                 fam, w1, null_grid.angles, config.n_joint, config.theta_grid_size
             )
             for blocks in _calibration_blocks(config, method):
-                t, power, tau = baselines.variational_calibration(q, pn, config.eps0, blocks)
-                print(
-                    f"{method}: blocks {blocks}, rotation {thetas[t]:g} rad, "
-                    f"threshold {tau:g}, block power {power:.4g}"
-                )
+                try:
+                    t, power, tau = baselines.variational_calibration(q, pn, config.eps0, blocks)
+                except InfeasibleCalibration:
+                    setting = f"no rotation {infeasible}"
+                else:
+                    setting = (
+                        f"rotation {thetas[t]:g} rad, threshold {tau:g}, block power {power:.4g}"
+                    )
+                print(f"{method}: blocks {blocks}, {setting}")
     return 0
 
 

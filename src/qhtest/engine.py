@@ -73,13 +73,7 @@ from .family import (
     sets_disjoint,
     state_from_angle,
 )
-from .measurements import (
-    HelstromSpec,
-    helstrom_povm,
-    optimize_lambda,
-    optimize_theta,
-    variational_povm,
-)
+from .measurements import helstrom_povm, optimize_lambda, optimize_theta, variational_povm
 from .quantum import (
     DensityMatrix,
     Povm,
@@ -378,39 +372,32 @@ def _joint_design(
 
     Optimized designs are memoized on (kind, family, angles, sizes); the
     optimizers are pure so this only saves recomputation when the MLEs
-    revisit an angle pair. The two family states are built once, after
-    the lookup, so a hit builds none. aLHT consumes one uniform draw here.
+    revisit an angle pair. The tensor powers of the two family states are
+    built once per design, after the lookup, so a hit builds none. aLHT
+    consumes one uniform draw here and is never memoized.
     """
+    key = None
     if policy.kind == "aLHT":
         lam = rng.random()
         while lam == 0.0:
             lam = rng.random()
-        spec = HelstromSpec(
-            null_state=state_from_angle(cfg, w0),
-            alt_state=state_from_angle(cfg, w1),
-            weight=lam,
-            copies=policy.n_joint,
-        )
-        return helstrom_povm(spec), f"helstrom(w0={w0:g},w1={w1:g},lam={lam:.6f})"
-    key = (policy.kind, cfg.r_z, cfg.r_x, w0, w1, policy.n_joint,
-           policy.lambda_grid_size, policy.theta_grid_size)
-    hit = _design_cache.get(key)
-    if hit is not None:
-        return hit
-    rho0, rho1 = state_from_angle(cfg, w0), state_from_angle(cfg, w1)
-    if policy.kind == "aLHT+":
-        lam = optimize_lambda(rho0, rho1, policy.n_joint, policy.lambda_grid_size)
-        spec = HelstromSpec(
-            null_state=rho0,
-            alt_state=rho1,
-            weight=lam,
-            copies=policy.n_joint,
-        )
-        out = (helstrom_povm(spec), f"helstrom(w0={w0:g},w1={w1:g},lam={lam:.6f})")
     else:
-        theta = optimize_theta(rho0, rho1, policy.n_joint, policy.theta_grid_size)
+        key = (policy.kind, cfg.r_z, cfg.r_x, w0, w1, policy.n_joint,
+               policy.lambda_grid_size, policy.theta_grid_size)
+        hit = _design_cache.get(key)
+        if hit is not None:
+            return hit
+    pow0 = tensor_power(state_from_angle(cfg, w0), policy.n_joint).mat
+    pow1 = tensor_power(state_from_angle(cfg, w1), policy.n_joint).mat
+    if policy.kind == "aLHT+":
+        lam = optimize_lambda(pow0, pow1, policy.lambda_grid_size)
+    if policy.kind == "aLVT":
+        theta = optimize_theta(pow0, pow1, policy.theta_grid_size)
         out = (variational_povm(theta, policy.n_joint), f"variational(theta={theta:.8f})")
-    _design_cache[key] = out
+    else:
+        out = (helstrom_povm(pow0, pow1, lam), f"helstrom(w0={w0:g},w1={w1:g},lam={lam:.6f})")
+    if key is not None:
+        _design_cache[key] = out
     return out
 
 

@@ -31,6 +31,7 @@ from .family import (
     sets_disjoint,
     state_from_angle,
 )
+from .quantum import MAX_TENSOR_DIM
 
 METHOD_IDS = {"aLHT": 0, "aLHT+": 1, "aLVT": 2, "LHT": 3, "bLHT": 4, "LVT": 5, "bLVT": 6}
 SEQUENTIAL_METHODS = ("aLHT", "aLHT+", "aLVT")
@@ -83,6 +84,8 @@ class ExperimentConfig:
             raise ConfigError(f"budgets must be strictly ascending, got {self.budgets}")
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         if not 0.0 < self.eps0 < 1.0:
             raise ConfigError(f"eps0 must lie in (0,1), got {self.eps0}")
         for name in ("truth_omega", "r_z", "r_x"):
@@ -98,6 +101,10 @@ class ExperimentConfig:
             raise ConfigError(f"n_ic must be >= 0, got {self.n_ic}")
         if self.n_joint < 1:
             raise ConfigError(f"n_joint must be >= 1, got {self.n_joint}")
+        if self.n_joint > math.log2(MAX_TENSOR_DIM):
+            raise ConfigError(
+                f"n_joint must keep 2^n_joint within {MAX_TENSOR_DIM}, got {self.n_joint}"
+            )
         check_design_settings(self.estimation_povm, self.lambda_grid_size, self.theta_grid_size)
         if not sets_disjoint(self.null_set, self.alt_set):
             raise ConfigError(

@@ -21,6 +21,10 @@ increment under the current alternative estimate, and optimized by plain
 grid search with deterministic tie-breaking (toward w = 0.5 and then the
 smaller w; toward the smaller theta). Both design grids and their outcome
 tables are built here only, and `baselines` calibrates on the same tables.
+Every design entry point (helstrom_povm, optimize_lambda, optimize_theta and
+the table builders) takes the two tensor-power matrices rho_0^(x)n and
+rho_1^(x)n, so each caller raises its state pair once per design;
+expected_log_increment, the single-design reference, takes the states.
 The grid searches run on batched eigendecompositions / conjugations; unit
 tests pin their selections against exhaustive evaluation through the
 single-design operations.
@@ -28,7 +32,6 @@ single-design operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -45,33 +48,17 @@ from .quantum import (
 PROJECTOR_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class HelstromSpec:
-    """Inputs of a weighted Helstrom measurement on `copies` fresh copies."""
+def helstrom_povm(pow0: np.ndarray, pow1: np.ndarray, weight: float) -> Povm:
+    """Binary POVM (labels 0, 1) optimal for the weighted discrimination of pow0 and pow1.
 
-    null_state: DensityMatrix
-    alt_state: DensityMatrix
-    weight: float
-    copies: int
-
-    def __post_init__(self):
-        if not 0.0 < self.weight < 1.0:
-            raise ValueError(f"weight must lie strictly in (0,1), got {self.weight}")
-        if self.copies < 1:
-            raise ValueError(f"copies must be >= 1, got {self.copies}")
-        if self.null_state.dim != self.alt_state.dim:
-            raise DimensionMismatch(
-                f"state dims differ: {self.null_state.dim} vs {self.alt_state.dim}"
-            )
-
-
-def helstrom_povm(spec: HelstromSpec) -> Povm:
-    """Binary POVM (labels 0, 1) optimal for the weighted discrimination."""
-    p0 = tensor_power(spec.null_state, spec.copies).mat
-    p1 = tensor_power(spec.alt_state, spec.copies).mat
-    m0 = positive_eigenprojector(
-        (1.0 - spec.weight) * p0 - spec.weight * p1, tol=PROJECTOR_TOL
-    )
+    pow0 and pow1 are the tensor-power matrices of the null and the
+    alternative state on the block's copies.
+    """
+    if not 0.0 < weight < 1.0:
+        raise ValueError(f"weight must lie strictly in (0,1), got {weight}")
+    if pow0.shape != pow1.shape:
+        raise DimensionMismatch(f"state shapes differ: {pow0.shape} vs {pow1.shape}")
+    m0 = positive_eigenprojector((1.0 - weight) * pow0 - weight * pow1, tol=PROJECTOR_TOL)
     m1 = np.eye(m0.shape[0], dtype=complex) - m0
     return Povm(labels=(0, 1), elements=(m0, m1))
 
@@ -150,20 +137,13 @@ def _log_ratio_gain(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     return terms.sum(axis=-1)
 
 
-def optimize_lambda(
-    null_state: DensityMatrix,
-    alt_state: DensityMatrix,
-    copies: int,
-    grid_size: int = 99,
-) -> float:
+def optimize_lambda(pow0: np.ndarray, pow1: np.ndarray, grid_size: int = 99) -> float:
     """Helstrom weight maximizing the expected log increment.
 
     Searches the weight grid of _binary_probs_on_weight_grid; ties break
     toward the weight closest to 0.5 and then toward the smaller weight,
     so the degenerate case alt == null lands on 0.5.
     """
-    pow0 = tensor_power(null_state, copies).mat
-    pow1 = tensor_power(alt_state, copies).mat
     weights, p_m0 = _binary_probs_on_weight_grid(pow0, pow1, grid_size)
     probs = np.stack([p_m0, 1.0 - p_m0], axis=-1)  # [weight, state, outcome]
     obj = _log_ratio_gain(probs[:, 1], probs[:, 0])
@@ -208,18 +188,13 @@ def _rotated_basis_probs(u: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return np.einsum("txa,jab,txb->txj", u, mats, u.conj()).real.clip(min=0.0)
 
 
-def optimize_theta(
-    null_state: DensityMatrix,
-    alt_state: DensityMatrix,
-    copies: int,
-    grid_size: int = 360,
-) -> float:
+def optimize_theta(pow0: np.ndarray, pow1: np.ndarray, grid_size: int = 360) -> float:
     """Variational angle maximizing the expected log increment.
 
-    Searches the rotation grid of rotation_grid; ties break toward the
-    smaller angle.
+    Searches the rotation grid of rotation_grid on as many copies as the
+    2^copies-dimensional pow0 and pow1 span; ties break toward the smaller
+    angle.
     """
-    thetas, u = rotation_grid(grid_size, copies)
-    mats = np.stack([tensor_power(null_state, copies).mat, tensor_power(alt_state, copies).mat])
-    p = _rotated_basis_probs(u, mats)
+    thetas, u = rotation_grid(grid_size, pow0.shape[0].bit_length() - 1)
+    p = _rotated_basis_probs(u, np.stack([pow0, pow1]))
     return float(thetas[int(np.argmax(_log_ratio_gain(p[:, :, 1], p[:, :, 0])))])

@@ -35,7 +35,7 @@ from .family import (
     outcome_coeffs,
     parse_hypothesis_set,
 )
-from .measurements import HelstromSpec, helstrom_povm
+from .measurements import helstrom_povm
 from .quantum import (
     DensityMatrix,
     born_distribution,
@@ -197,11 +197,11 @@ def helstrom_error(
     copies: int = 1,
 ) -> float:
     """Weighted error the two-outcome eigenspace measurement realizes."""
-    povm = helstrom_povm(
-        HelstromSpec(null_state=null_state, alt_state=alt_state, weight=weight, copies=copies)
-    )
-    alpha = born_distribution(tensor_power(null_state, copies), povm).probs[1]
-    beta = born_distribution(tensor_power(alt_state, copies), povm).probs[0]
+    pow0 = tensor_power(null_state, copies)
+    pow1 = tensor_power(alt_state, copies)
+    povm = helstrom_povm(pow0.mat, pow1.mat, weight)
+    alpha = born_distribution(pow0, povm).probs[1]
+    beta = born_distribution(pow1, povm).probs[0]
     return (1.0 - weight) * alpha + weight * beta
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
+from qhtest import baselines
 from qhtest.baselines import (
     SIZE_SLACK,
     FixedOutcome,
@@ -15,10 +16,12 @@ from qhtest.baselines import (
     run_blvt,
     run_lht,
     run_lvt,
+    variational_calibration,
+    variational_tables,
 )
 from qhtest.errors import ConfigError, InfeasibleCalibration
 from qhtest.family import FamilyConfig, parse_hypothesis_set, state_from_angle
-from qhtest.measurements import HelstromSpec, helstrom_povm
+from qhtest.measurements import helstrom_povm
 from qhtest.quantum import born_distribution, tensor_power
 
 CFG = FamilyConfig()
@@ -82,13 +85,13 @@ def test_helstrom_calibration_exact_size_and_optimality():
     assert alpha <= eps0 + SIZE_SLACK
 
     # independent recomputation of size and power through the Born rule
-    povm = helstrom_povm(HelstromSpec(rho0, rho1, weight=w, copies=4))
+    povm = helstrom_povm(pow0.mat, pow1.mat, w)
     assert abs(born_distribution(pow0, povm).probs[1] - alpha) < 1e-10
     assert abs(born_distribution(pow1, povm).probs[1] - power) < 1e-10
 
     for k in range(1, grid_size + 1):
         cand = k / (grid_size + 1)
-        p = helstrom_povm(HelstromSpec(rho0, rho1, weight=cand, copies=4))
+        p = helstrom_povm(pow0.mat, pow1.mat, cand)
         a_k = float(born_distribution(pow0, p).probs[1])
         if a_k <= eps0 + SIZE_SLACK:
             assert float(born_distribution(pow1, p).probs[1]) <= power + 1e-10
@@ -134,6 +137,20 @@ def test_infeasible_calibration_raises_and_run_falls_back():
     out = run_lht(fcfg, rho1, CFG, 45.0, ALT_UPPER, np.random.default_rng(1))
     assert out.decision == 0
     assert out.copies_used == 5
+
+
+def test_infeasible_variational_calibration_raises_and_run_accepts(monkeypatch):
+    # Every 4-copy outcome has null probability above 1e-9 for these mixed states
+    mixed = FamilyConfig(r_z=0.9, r_x=0.7)
+    _, q, pn = variational_tables(mixed, 112.5, np.array([45.0]), 4, 36)
+    with pytest.raises(InfeasibleCalibration):
+        variational_calibration(q, pn, 1e-9, 1)
+    # the run accepts without building a design or drawing a block
+    monkeypatch.setattr(baselines, "_block_vote", None)
+    fcfg = FixedTestConfig(10, eps0=1e-9, theta_grid_size=36)
+    out = run_lvt(fcfg, state_from_angle(mixed, 90.0), mixed, NULL_POINT, ALT_UPPER,
+                  np.random.default_rng(1))
+    assert (out.decision, out.copies_used, out.rounds_used) == (0, 10, 7)
 
 
 def test_lht_type_one_error_within_monte_carlo_band():

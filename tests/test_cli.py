@@ -82,6 +82,13 @@ def test_sweep_rejects_a_non_finite_truth_angle(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_rejects_a_negative_seed_override(config_path, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(["sweep", config_path, "-o", str(out), "--seed", "-1"]) == 2
+    assert "master_seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_calibrate_prints_reference_settings(config_path, capsys):
     assert main(["calibrate", config_path]) == 0
     out = capsys.readouterr().out
@@ -92,7 +99,8 @@ def test_calibrate_prints_reference_settings(config_path, capsys):
 
 
 def test_calibrate_reports_an_infeasible_helstrom_size(tmp_path, capsys):
-    # No weight meets eps0 = 1e-9; sweep runs LHT as always-accept, so calibrate must not fail
+    # Neither a weight nor a rotation meets eps0 = 1e-9; sweep runs LHT and LVT as
+    # always-accept, so calibrate must not fail and must say so for both
     path = tmp_path / "infeasible.cfg"
     path.write_text(
         CONFIG_TEXT.replace("aLHT+,LHT", "LVT,LHT").replace("budgets = 10,14", "budgets = 10")
@@ -100,7 +108,7 @@ def test_calibrate_reports_an_infeasible_helstrom_size(tmp_path, capsys):
     )
     assert main(["calibrate", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "LVT: blocks 1, rotation 0 rad, threshold inf, block power 0" in out
+    assert "LVT: blocks 1, no rotation meets size 1e-09, so the test always accepts" in out
     assert "LHT: blocks 1, no weight meets size 1e-09, so the test always accepts" in out
 
 

@@ -535,3 +535,27 @@ def assert_size_band(null_set, alt_set, truth, methods, runs=100):
     bound = 0.05 + 3.0 * math.sqrt(0.05 * 0.95 / runs)
     for r in run_sweep(config):
         assert r.power <= bound, (r.method, r.power)
+
+
+@pytest.mark.parametrize("truth", [45.2, 45.5])
+@pytest.mark.parametrize("kind", ["aLHT", "aLHT+", "aLVT"])
+def test_two_sided_acceptance_rate_at_alternative_truths(kind, truth):
+    """The reversed statistic's error (accepting a true alternative) stays inside its band.
+
+    `[0,45]` is the alternative of the reversed test, so truths just above
+    45 probe the eps1 side where it is closest to the null. Budget 40,
+    eps0 = eps1 = 0.05 and 100 runs; the band is eps1 + 3 standard errors,
+    0.115, the formula of assert_size_band.
+    """
+    runs = 100
+    policy = PolicyConfig(kind=kind, initial_alt_angle=45.5)
+    null_set = parse_hypothesis_set("[0,45]")
+    state = state_from_angle(CFG, truth)
+    accepted = sum(
+        run_sequential_test(
+            policy, state, CFG, null_set, ALT_UPPER, 0.05, 40,
+            np.random.default_rng([11, r]), eps1=0.05,
+        ).decision == ACCEPT
+        for r in range(runs)
+    )
+    assert accepted / runs <= 0.05 + 3.0 * math.sqrt(0.05 * 0.95 / runs), accepted

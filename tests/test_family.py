@@ -28,8 +28,14 @@ from qhtest.family import (
     sets_disjoint,
     state_from_angle,
 )
-from qhtest.measurements import HelstromSpec, helstrom_povm, variational_povm
-from qhtest.quantum import Povm, born_distribution, computational_basis_povm, sic_povm_qubit
+from qhtest.measurements import helstrom_povm, variational_povm
+from qhtest.quantum import (
+    Povm,
+    born_distribution,
+    computational_basis_povm,
+    sic_povm_qubit,
+    tensor_power,
+)
 
 
 def direct_tensor_prob(cfg, omega, element, copies):
@@ -199,8 +205,6 @@ def test_log_outcome_prob_matches_born_rule():
     cfg = FamilyConfig()
     povm = computational_basis_povm(2)
     rho = state_from_angle(cfg, 70.0)
-    from qhtest.quantum import tensor_power
-
     dist = born_distribution(tensor_power(rho, 2), povm)
     for label, p in zip(dist.labels, dist.probs):
         if p > 0:
@@ -215,13 +219,9 @@ def _engine_design(cfg, kind, copies, w0, w1, weight, theta):
     if kind == "sic":
         return sic_povm_qubit(), 1
     if kind == "helstrom":
-        spec = HelstromSpec(
-            null_state=state_from_angle(cfg, w0),
-            alt_state=state_from_angle(cfg, w1),
-            weight=weight,
-            copies=copies,
-        )
-        return helstrom_povm(spec), copies
+        pow0 = tensor_power(state_from_angle(cfg, w0), copies).mat
+        pow1 = tensor_power(state_from_angle(cfg, w1), copies).mat
+        return helstrom_povm(pow0, pow1, weight), copies
     return variational_povm(theta, copies), copies
 
 
@@ -297,13 +297,9 @@ def _round_povms():
     for copies, (w0, w1, lam, theta) in zip(
         (2, 3, 4), ((10.0, 60.0, 0.4, 0.3), (30.0, 90.0, 0.7, 1.2), (45.0, 50.0, 0.5, 2.9))
     ):
-        spec = HelstromSpec(
-            null_state=state_from_angle(cfg, w0),
-            alt_state=state_from_angle(cfg, w1),
-            weight=lam,
-            copies=copies,
-        )
-        out.append((helstrom_povm(spec), copies))
+        pow0 = tensor_power(state_from_angle(cfg, w0), copies).mat
+        pow1 = tensor_power(state_from_angle(cfg, w1), copies).mat
+        out.append((helstrom_povm(pow0, pow1, lam), copies))
         out.append((variational_povm(theta, copies), copies))
     return out
 

@@ -79,6 +79,8 @@ class TestExperimentConfig:
             dict(r_z=float("-inf")),
             dict(r_z=1.5),
             dict(r_z=0.9, r_x=1.2),
+            dict(master_seed=-1),
+            dict(n_joint=13, methods=("aLHT+",)),
         ):
             with pytest.raises(ConfigError):
                 small_config(**bad)

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhtest.baselines import variational_tables
+from qhtest import baselines, engine, measurements
+from qhtest.baselines import FixedTestConfig, run_lht, variational_tables
+from qhtest.engine import PolicyConfig
 from qhtest.errors import DimensionMismatch
-from qhtest.family import FamilyConfig, state_from_angle
+from qhtest.family import FamilyConfig, parse_hypothesis_set, state_from_angle
 from qhtest.measurements import (
-    HelstromSpec,
     _binary_probs_on_weight_grid,
     _variational_unitaries,
     expected_log_increment,
@@ -44,6 +45,11 @@ def variational_unitary(theta, copies):
     return _variational_unitaries(np.array([theta]), copies)[0]
 
 
+def powers(rho0, rho1, copies):
+    """The tensor-power matrices the design entry points take."""
+    return tensor_power(rho0, copies).mat, tensor_power(rho1, copies).mat
+
+
 def weighted_error(povm, rho0, rho1, weight, copies):
     """(1 - w) P(vote alt | null) + w P(vote null | alt), computed by Born."""
     p0 = born_distribution(tensor_power(rho0, copies), povm)
@@ -52,24 +58,22 @@ def weighted_error(povm, rho0, rho1, weight, copies):
 
 
 class TestHelstrom:
-    def test_spec_validation(self):
+    def test_weight_and_shape_validation(self):
         with pytest.raises(ValueError):
-            HelstromSpec(KET0, KET1, weight=0.0, copies=1)
+            helstrom_povm(KET0.mat, KET1.mat, 0.0)
         with pytest.raises(ValueError):
-            HelstromSpec(KET0, KET1, weight=1.0, copies=1)
-        with pytest.raises(ValueError):
-            HelstromSpec(KET0, KET1, weight=0.5, copies=0)
+            helstrom_povm(KET0.mat, KET1.mat, 1.0)
         with pytest.raises(DimensionMismatch):
-            HelstromSpec(KET0, tensor_power(KET1, 2), weight=0.5, copies=1)
+            helstrom_povm(KET0.mat, tensor_power(KET1, 2).mat, 0.5)
 
     def test_orthogonal_states_zero_error(self):
-        povm = helstrom_povm(HelstromSpec(KET0, KET1, weight=0.5, copies=1))
+        povm = helstrom_povm(*powers(KET0, KET1, 1), 0.5)
         assert np.allclose(povm.element(0), np.diag([1.0, 0.0]))
         assert weighted_error(povm, KET0, KET1, 0.5, 1) < 1e-12
 
     def test_spot_value_zero_versus_plus(self):
         """Equal-weight discrimination of |0> and |+>."""
-        povm = helstrom_povm(HelstromSpec(KET0, PLUS, weight=0.5, copies=1))
+        povm = helstrom_povm(*powers(KET0, PLUS, 1), 0.5)
         err = weighted_error(povm, KET0, PLUS, 0.5, 1)
         assert abs(err - (2.0 - math.sqrt(2.0)) / 4.0) < 1e-12
 
@@ -80,7 +84,7 @@ class TestHelstrom:
             rho0, rho1 = random_qubit(rng), random_qubit(rng)
             w = float(rng.uniform(0.05, 0.95))
             copies = int(rng.integers(1, 3))
-            povm = helstrom_povm(HelstromSpec(rho0, rho1, weight=w, copies=copies))
+            povm = helstrom_povm(*powers(rho0, rho1, copies), w)
             err = weighted_error(povm, rho0, rho1, w, copies)
             gap = trace_norm(
                 (1.0 - w) * tensor_power(rho0, copies).mat
@@ -94,7 +98,7 @@ class TestHelstrom:
             rho0, rho1 = random_qubit(rng), random_qubit(rng)
             if trace_norm(rho0.mat - rho1.mat) < 1e-3:
                 continue
-            povm = helstrom_povm(HelstromSpec(rho0, rho1, weight=0.5, copies=1))
+            povm = helstrom_povm(*powers(rho0, rho1, 1), 0.5)
             p_alt = born_distribution(rho1, povm).probs[1]
             p_null = born_distribution(rho0, povm).probs[1]
             assert p_alt > p_null
@@ -171,14 +175,14 @@ def test_weight_grid_table_matches_single_design_born():
         assert p.shape == (grid_size, 2)
         for k, w in enumerate(weights):
             assert w == (k + 1) / (grid_size + 1)
-            povm = helstrom_povm(HelstromSpec(rho0, rho1, weight=float(w), copies=copies))
+            povm = helstrom_povm(pow0.mat, pow1.mat, float(w))
             assert abs(p[k, 0] - born_distribution(pow0, povm).probs[0]) <= 1e-12
             assert abs(p[k, 1] - born_distribution(pow1, povm).probs[0]) <= 1e-12
 
 
 class TestExpectedLogIncrement:
     def test_zero_when_states_coincide(self):
-        povm = helstrom_povm(HelstromSpec(KET0, PLUS, weight=0.5, copies=1))
+        povm = helstrom_povm(*powers(KET0, PLUS, 1), 0.5)
         assert expected_log_increment(PLUS, PLUS, povm, 1) == 0.0
 
     def test_nonnegative_for_helstrom_designs(self):
@@ -186,13 +190,13 @@ class TestExpectedLogIncrement:
         for _ in range(20):
             rho0, rho1 = random_qubit(rng), random_qubit(rng)
             w = float(rng.uniform(0.1, 0.9))
-            povm = helstrom_povm(HelstromSpec(rho0, rho1, weight=w, copies=1))
+            povm = helstrom_povm(*powers(rho0, rho1, 1), w)
             assert expected_log_increment(rho1, rho0, povm, 1) >= -1e-15
 
 
 class TestOptimizers:
     def test_lambda_ties_to_half_when_states_equal(self):
-        assert optimize_lambda(PLUS, PLUS, copies=1, grid_size=99) == 0.5
+        assert optimize_lambda(*powers(PLUS, PLUS, 1), grid_size=99) == 0.5
 
     def test_lambda_matches_exhaustive_search(self):
         rng = np.random.default_rng(55)
@@ -200,11 +204,11 @@ class TestOptimizers:
         for _ in range(8):
             rho0, rho1 = random_qubit(rng), random_qubit(rng)
             copies = int(rng.integers(1, 3))
-            got = optimize_lambda(rho0, rho1, copies=copies, grid_size=grid_size)
+            got = optimize_lambda(*powers(rho0, rho1, copies), grid_size=grid_size)
             best = None
             for k in range(1, grid_size + 1):
                 w = k / (grid_size + 1)
-                povm = helstrom_povm(HelstromSpec(rho0, rho1, weight=w, copies=copies))
+                povm = helstrom_povm(*powers(rho0, rho1, copies), w)
                 obj = expected_log_increment(rho1, rho0, povm, copies)
                 key = (obj, -abs(w - 0.5), -w)
                 if best is None or key > best[0]:
@@ -224,7 +228,7 @@ class TestOptimizers:
         for _ in range(6):
             rho0, rho1 = random_qubit(rng), random_qubit(rng)
             copies = int(rng.integers(1, 3))
-            got = optimize_theta(rho0, rho1, copies=copies, grid_size=grid_size)
+            got = optimize_theta(*powers(rho0, rho1, copies), grid_size=grid_size)
             thetas = 2.0 * np.pi * np.arange(grid_size) / grid_size
             objs = np.array(
                 [
@@ -237,3 +241,40 @@ class TestOptimizers:
             assert float(np.min(np.abs(thetas - got))) == 0.0
             got_obj = objs[int(np.argmin(np.abs(thetas - got)))]
             assert got_obj >= objs.max() - 1e-10
+
+
+@pytest.fixture
+def tensor_power_calls(monkeypatch):
+    """Copy counts of the tensor_power calls made through engine, measurements and baselines."""
+    calls = []
+
+    def counted(rho, n, *args, **kwargs):
+        calls.append(n)
+        return tensor_power(rho, n, *args, **kwargs)
+
+    for module in (engine, measurements, baselines):
+        monkeypatch.setattr(module, "tensor_power", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["aLHT+", "aLVT"])
+def test_joint_design_raises_each_state_once(tensor_power_calls, monkeypatch, kind):
+    """A design-cache miss raises the null and the alternative state once each; a hit none."""
+    monkeypatch.setattr(engine, "_design_cache", {})
+    policy = PolicyConfig(kind=kind, n_joint=3, theta_grid_size=24)
+    rng = np.random.default_rng(0)
+    first = engine._joint_design(policy, FamilyConfig(), 45.0, 100.0, rng)
+    assert tensor_power_calls == [3, 3]
+    assert engine._joint_design(policy, FamilyConfig(), 45.0, 100.0, rng) is first
+    assert tensor_power_calls == [3, 3]
+
+
+def test_lht_run_raises_each_state_once(tensor_power_calls):
+    """One LHT run raises the null, the fitted alternative and the truth once each."""
+    cfg = FamilyConfig()
+    out = run_lht(
+        FixedTestConfig(12, joint_copies=3), state_from_angle(cfg, 90.0), cfg, 45.0,
+        parse_hypothesis_set("(45,180]"), np.random.default_rng(3),
+    )
+    assert out.copies_used == 12
+    assert tensor_power_calls == [3, 3, 3]
