@@ -47,7 +47,7 @@ from .measurements import (
     rotation_grid,
     variational_povm,
 )
-from .quantum import DensityMatrix, Povm, born_distribution, sample_outcome, tensor_power
+from .quantum import Povm, born_distribution, sample_outcome, tensor_power
 
 SIZE_SLACK = 1e-12
 
@@ -126,7 +126,7 @@ def _majority_tail(alpha: np.ndarray, blocks: int) -> np.ndarray:
 
 def _fit_alternative(
     fcfg: FixedTestConfig,
-    truth: DensityMatrix,
+    truth: np.ndarray,
     cfg: FamilyConfig,
     alt_set: HypothesisSet,
     rng: np.random.Generator,
@@ -144,7 +144,7 @@ def _fit_alternative(
 
 def _block_vote(
     fcfg: FixedTestConfig,
-    truth: DensityMatrix,
+    truth: np.ndarray,
     povm: Povm,
     rejects,
     rng: np.random.Generator,
@@ -183,15 +183,15 @@ def helstrom_calibration(
 
 def _run_helstrom_family(
     fcfg: FixedTestConfig,
-    truth: DensityMatrix,
+    truth: np.ndarray,
     cfg: FamilyConfig,
     omega0: float,
     alt_set: HypothesisSet,
     rng: np.random.Generator,
 ) -> FixedOutcome:
     w1 = _fit_alternative(fcfg, truth, cfg, alt_set, rng)
-    pow0 = tensor_power(state_from_angle(cfg, omega0), fcfg.joint_copies).mat
-    pow1 = tensor_power(state_from_angle(cfg, w1), fcfg.joint_copies).mat
+    pow0 = tensor_power(state_from_angle(cfg, omega0), fcfg.joint_copies)
+    pow1 = tensor_power(state_from_angle(cfg, w1), fcfg.joint_copies)
     try:
         lam, _, _ = helstrom_calibration(
             pow0, pow1, fcfg.eps0, fcfg.lambda_grid_size, fcfg.blocks
@@ -203,7 +203,7 @@ def _run_helstrom_family(
 
 def run_lht(
     fcfg: FixedTestConfig,
-    truth: DensityMatrix,
+    truth: np.ndarray,
     cfg: FamilyConfig,
     omega0: float,
     alt_set: HypothesisSet,
@@ -217,7 +217,7 @@ def run_lht(
 
 def run_blht(
     fcfg: FixedTestConfig,
-    truth: DensityMatrix,
+    truth: np.ndarray,
     cfg: FamilyConfig,
     omega0: float,
     alt_set: HypothesisSet,
@@ -244,7 +244,7 @@ def variational_tables(
     """
     thetas, u = rotation_grid(grid_size, copies)
     mats = np.stack(
-        [tensor_power(state_from_angle(cfg, w), copies).mat for w in (alt_angle, *null_angles)]
+        [tensor_power(state_from_angle(cfg, w), copies) for w in (alt_angle, *null_angles)]
     )
     p = _rotated_basis_probs(u, mats)
     return thetas, p[:, :, 0], p[:, :, 1:]
@@ -300,7 +300,7 @@ def variational_calibration(
 
 def _run_variational_family(
     fcfg: FixedTestConfig,
-    truth: DensityMatrix,
+    truth: np.ndarray,
     cfg: FamilyConfig,
     null_set: HypothesisSet,
     alt_set: HypothesisSet,
@@ -324,7 +324,7 @@ def _run_variational_family(
 
 def run_lvt(
     fcfg: FixedTestConfig,
-    truth: DensityMatrix,
+    truth: np.ndarray,
     cfg: FamilyConfig,
     null_set: HypothesisSet,
     alt_set: HypothesisSet,
@@ -338,7 +338,7 @@ def run_lvt(
 
 def run_blvt(
     fcfg: FixedTestConfig,
-    truth: DensityMatrix,
+    truth: np.ndarray,
     cfg: FamilyConfig,
     null_set: HypothesisSet,
     alt_set: HypothesisSet,

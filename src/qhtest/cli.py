@@ -19,7 +19,7 @@ import numpy as np
 from . import baselines, engine, harness, measurements, oracle
 from .errors import InfeasibleCalibration, QhtError
 from .family import build_grid, state_from_angle
-from .quantum import DensityMatrix, tensor_power
+from .quantum import tensor_power
 
 
 def _cmd_sweep(args) -> int:
@@ -46,14 +46,14 @@ def _verify_helstrom(rng: np.random.Generator) -> bool:
         for _ in range(2):
             a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             m = a @ a.conj().T
-            states.append(DensityMatrix(m / np.trace(m).real))
+            states.append(m / np.trace(m).real)
         for w in (0.1, 0.3, 0.5, 0.7, 0.9):
             achieved = oracle.helstrom_error(states[0], states[1], w)
             bound = oracle.helstrom_bound(states[0], states[1], w)
             worst = max(worst, abs(achieved - bound))
     spot = oracle.helstrom_error(
-        DensityMatrix(np.diag([1.0, 0.0]).astype(complex)),
-        DensityMatrix(np.full((2, 2), 0.5, dtype=complex)),
+        np.diag([1.0, 0.0]).astype(complex),
+        np.full((2, 2), 0.5, dtype=complex),
         0.5,
     )
     ok = worst <= 1e-9 and abs(spot - 0.5 * (1.0 - math.sqrt(0.5))) <= 1e-5
@@ -148,8 +148,8 @@ def _cmd_calibrate(args) -> int:
     print(f"reference null angle {w0:g}, reference alternative angle {w1:g}")
     infeasible = f"meets size {config.eps0:g}, so the test always accepts"
     # For a point null (LHT/bLHT) w0 is the null angle itself.
-    pow0 = tensor_power(state_from_angle(fam, w0), config.n_joint).mat
-    pow1 = tensor_power(state_from_angle(fam, w1), config.n_joint).mat
+    pow0 = tensor_power(state_from_angle(fam, w0), config.n_joint)
+    pow1 = tensor_power(state_from_angle(fam, w1), config.n_joint)
     for method in config.methods:
         if method == "aLHT":
             print(f"{method}: weight drawn uniformly at random each block")

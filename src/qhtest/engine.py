@@ -24,7 +24,8 @@ Both sides read one likelihood: outcome_row reduces the observed outcome
 M_i to its Fourier coefficient row once (family.outcome_coeffs), the
 numerator term is that row evaluated at the predictable angle, and
 slr_update folds the same row into the null and the alternative grids.
-A two-sided run hands the one row to both statistics.
+A two-sided run hands the one row to both statistics. The copy count n_i
+is never passed along: the POVM is 2^n_i-dimensional, the row 2 n_i + 1 long.
 
 Numerator probabilities are additionally clamped at NUMERATOR_FLOOR, so a
 predicted-impossible outcome that still happens costs log(NUMERATOR_FLOOR)
@@ -70,12 +71,12 @@ from .family import (
     log_outcome_prob,
     mle,
     outcome_coeffs,
+    row_copies,
     sets_disjoint,
     state_from_angle,
 )
 from .measurements import helstrom_povm, optimize_lambda, optimize_theta, variational_povm
 from .quantum import (
-    DensityMatrix,
     Povm,
     born_distribution,
     computational_basis_povm,
@@ -115,9 +116,9 @@ _LOG_NUMERATOR_FLOOR = math.log(NUMERATOR_FLOOR)
 PSEUDO_WEIGHT = 0.3
 
 
-def numerator_log_term(coeffs: np.ndarray, copies: int, omega: float) -> float:
+def numerator_log_term(coeffs: np.ndarray, omega: float) -> float:
     """Clamped log probability of a round's outcome row, frozen into the numerator."""
-    return max(log_outcome_prob(coeffs, copies, omega), _LOG_NUMERATOR_FLOOR)
+    return max(log_outcome_prob(coeffs, omega), _LOG_NUMERATOR_FLOOR)
 
 REJECT = "reject"
 ACCEPT = "accept"
@@ -152,6 +153,10 @@ class PolicyConfig:
         if self.n_joint < 1:
             raise ConfigError(f"n_joint must be >= 1, got {self.n_joint}")
 
+    def is_estimation_round(self, t: int) -> bool:
+        """Whether round t (0-based) is a single-copy estimation round, not a joint one."""
+        return t % (self.n_ic + 1) < self.n_ic
+
 
 @dataclass(frozen=True)
 class RoundRecord:
@@ -159,15 +164,18 @@ class RoundRecord:
 
     coeffs is the outcome's Fourier coefficient row (family.outcome_coeffs),
     the one likelihood of this round that both the numerator and the grids
-    read.
+    read; copies is read off the row's length.
     """
 
     povm: Povm
     descriptor: str
-    copies: int
     outcome: object
     coeffs: np.ndarray
     log_numerator_term: float
+
+    @property
+    def copies(self) -> int:
+        return row_copies(self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -216,8 +224,8 @@ def slr_update(state: SlrState, rec: RoundRecord) -> SlrState:
         raise InvariantViolation(
             f"log numerator term {rec.log_numerator_term:.3e} is positive"
         )
-    alt = accumulate(state.alt_grid, rec.coeffs, rec.copies)
-    null = accumulate(state.null_grid, rec.coeffs, rec.copies)
+    alt = accumulate(state.alt_grid, rec.coeffs)
+    null = accumulate(state.null_grid, rec.coeffs)
     return SlrState(
         null_grid=null,
         alt_grid=alt,
@@ -227,20 +235,18 @@ def slr_update(state: SlrState, rec: RoundRecord) -> SlrState:
     )
 
 
-def outcome_row(cfg: FamilyConfig, povm: Povm, copies: int, outcome) -> np.ndarray:
+def outcome_row(cfg: FamilyConfig, povm: Povm, outcome) -> np.ndarray:
     """Coefficient row (family.outcome_coeffs) of one observed outcome.
 
-    InconsistentTranscript if the POVM does not act on `copies` qubits or lacks the outcome.
+    InconsistentTranscript if the POVM does not act on whole qubits or lacks the outcome.
     """
-    if povm.dim != 2**copies:
-        raise InconsistentTranscript(
-            f"POVM dim {povm.dim} does not match 2^{copies} for {copies} copies"
-        )
+    if povm.dim < 2 or povm.dim & (povm.dim - 1):
+        raise InconsistentTranscript(f"POVM dim {povm.dim} is not 2^n for any n >= 1")
     try:
         element = povm.element(outcome)
     except KeyError:
         raise InconsistentTranscript(f"outcome {outcome!r} not among POVM labels") from None
-    return outcome_coeffs(cfg, element, copies)
+    return outcome_coeffs(cfg, element)
 
 
 def record_round(
@@ -248,7 +254,6 @@ def record_round(
     cfg: FamilyConfig,
     povm: Povm,
     descriptor: str,
-    copies: int,
     outcome,
     coeffs: np.ndarray,
     est_povm: Povm,
@@ -257,19 +262,19 @@ def record_round(
     """Record one observed round and fold it into the state.
 
     coeffs is the outcome's row from outcome_row, computed once per round
-    however many statistics record it. The numerator term is that row
-    evaluated at the predictable estimate of the rounds already in `state`
-    (see predictable_estimate), before this outcome counts toward any fit.
-    Returns slr_update's new state, whose log_slr counts this round.
+    however many statistics record it, and carries the round's copy count.
+    The numerator term is that row evaluated at the predictable estimate of
+    the rounds already in `state` (see predictable_estimate), before this
+    outcome counts toward any fit. Returns slr_update's new state, whose
+    log_slr counts this round.
     """
     w = predictable_estimate(state.alt_grid, cfg, est_povm, override_angle)
     rec = RoundRecord(
         povm=povm,
         descriptor=descriptor,
-        copies=copies,
         outcome=outcome,
         coeffs=coeffs,
-        log_numerator_term=numerator_log_term(coeffs, copies, w),
+        log_numerator_term=numerator_log_term(coeffs, w),
     )
     return slr_update(state, rec)
 
@@ -387,8 +392,8 @@ def _joint_design(
         hit = _design_cache.get(key)
         if hit is not None:
             return hit
-    pow0 = tensor_power(state_from_angle(cfg, w0), policy.n_joint).mat
-    pow1 = tensor_power(state_from_angle(cfg, w1), policy.n_joint).mat
+    pow0 = tensor_power(state_from_angle(cfg, w0), policy.n_joint)
+    pow1 = tensor_power(state_from_angle(cfg, w1), policy.n_joint)
     if policy.kind == "aLHT+":
         lam = optimize_lambda(pow0, pow1, policy.lambda_grid_size)
     if policy.kind == "aLVT":
@@ -406,16 +411,14 @@ def next_measurement(
     state: SlrState,
     cfg: FamilyConfig,
     rng: np.random.Generator,
-) -> tuple[Povm, int, str]:
-    """Measurement for the upcoming round given the transcript so far."""
-    pos = len(state.rounds) % (policy.n_ic + 1)
+) -> tuple[Povm, str]:
+    """POVM (of dimension 2^copies) and descriptor of the upcoming round given the transcript."""
     est = estimation_povm(policy.estimation_povm)
-    if pos < policy.n_ic:
-        return est, 1, f"{policy.estimation_povm}(n=1)"
+    if policy.is_estimation_round(len(state.rounds)):
+        return est, f"{policy.estimation_povm}(n=1)"
     w0 = state.null_mle.omega if state.rounds else _default_angle(state.null_grid)
     w1 = predictable_estimate(state.alt_grid, cfg, est, policy.initial_alt_angle)
-    povm, desc = _joint_design(policy, cfg, w0, w1, rng)
-    return povm, policy.n_joint, desc
+    return _joint_design(policy, cfg, w0, w1, rng)
 
 
 def one_sided_decision(log_slr: float, eps0: float) -> bool:
@@ -473,7 +476,7 @@ class TestOutcome:
 
 def run_sequential_test(
     policy: PolicyConfig,
-    truth: DensityMatrix,
+    truth: np.ndarray,
     cfg: FamilyConfig,
     null_set: HypothesisSet,
     alt_set: HypothesisSet,
@@ -487,7 +490,8 @@ def run_sequential_test(
 
     The loop stops before any round whose copies would push the total past
     the budget, so copies_used <= budget always holds. With eps1 set the
-    reversed statistic runs in lockstep and the test may accept.
+    reversed statistic runs in lockstep and the test may accept. truth is
+    a 2x2 density matrix, raised to n_joint copies once per run.
     """
     if not 0.0 < eps0 < 1.0:
         raise ConfigError(f"eps0 must lie in (0,1), got {eps0}")
@@ -495,8 +499,8 @@ def run_sequential_test(
         raise ConfigError(f"eps1 must lie in (0,1), got {eps1}")
     if budget < 1:
         raise ConfigError(f"budget must be >= 1, got {budget}")
-    if truth.dim != 2:
-        raise ConfigError(f"truth must be a single-qubit state, got dim {truth.dim}")
+    if truth.shape != (2, 2):
+        raise ConfigError(f"truth must be a single-qubit state, got shape {truth.shape}")
     if not sets_disjoint(null_set, alt_set):
         raise ConfigError(f"hypothesis sets overlap: {null_set} vs {alt_set}")
 
@@ -505,36 +509,27 @@ def run_sequential_test(
     log_slrs: list[float] = []
     copies_used = 0
     decision = None
-    truth_powers: dict[int, DensityMatrix] = {}
     est_povm = estimation_povm(policy.estimation_povm)
-    est_dist = None
+    est_dist = born_distribution(truth, est_povm)
+    joint_power = tensor_power(truth, policy.n_joint)
 
     while True:
-        pos = len(s0.rounds) % (policy.n_ic + 1)
-        upcoming = 1 if pos < policy.n_ic else policy.n_joint
-        if copies_used + upcoming > budget:
+        estimating = policy.is_estimation_round(len(s0.rounds))
+        copies = 1 if estimating else policy.n_joint
+        if copies_used + copies > budget:
             decision = BUDGET_EXHAUSTED
             break
-        povm, copies, desc = next_measurement(policy, s0, cfg, rng)
-        power = truth_powers.get(copies)
-        if power is None:
-            power = tensor_power(truth, copies)
-            truth_powers[copies] = power
-        if pos < policy.n_ic:
-            if est_dist is None:
-                est_dist = born_distribution(power, povm)
-            dist = est_dist
-        else:
-            dist = born_distribution(power, povm)
+        povm, desc = next_measurement(policy, s0, cfg, rng)
+        dist = est_dist if estimating else born_distribution(joint_power, povm)
         outcome = sample_outcome(dist, rng)
         copies_used += copies
 
-        coeffs = outcome_row(cfg, povm, copies, outcome)
+        coeffs = outcome_row(cfg, povm, outcome)
         s0 = record_round(
-            s0, cfg, povm, desc, copies, outcome, coeffs, est_povm, policy.initial_alt_angle
+            s0, cfg, povm, desc, outcome, coeffs, est_povm, policy.initial_alt_angle
         )
         if s1 is not None:
-            s1 = record_round(s1, cfg, povm, desc, copies, outcome, coeffs, est_povm)
+            s1 = record_round(s1, cfg, povm, desc, outcome, coeffs, est_povm)
         log_slrs.append(s0.log_slr)
 
         if s1 is None:

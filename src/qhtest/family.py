@@ -15,7 +15,9 @@ Likelihood bookkeeping exploits that Tr(rho(omega)^(x)n M) is a
 trigonometric polynomial of degree n in omega: each observed outcome is
 reduced once to its 2n+1 Fourier coefficients (outcome_coeffs) by exact
 interpolation through equispaced node angles, and every likelihood reads
-that row. On a grid (accumulate) it is a single matrix-vector product; at
+that row. No caller passes n beside a row: it is read off the element's
+dimension 2^n and then off the row's length 2n+1 (row_copies). On a
+grid (accumulate) it is a single matrix-vector product; at
 one angle (log_outcome_prob, and loglik_at for the golden-section
 refinement of the null MLE) it is the scalar sum c0 + sum_k (c_k cos kw +
 s_k sin kw). loglik_at costs one such term per distinct outcome row:
@@ -38,7 +40,7 @@ from .errors import (
     InvariantViolation,
     ParseError,
 )
-from .quantum import DensityMatrix, Povm, tensor_power
+from .quantum import Povm, tensor_power
 
 P_FLOOR = 1e-300
 DEFAULT_RESOLUTION = 0.5
@@ -63,8 +65,8 @@ class FamilyConfig:
             )
 
 
-def state_from_angle(cfg: FamilyConfig, omega: float) -> DensityMatrix:
-    """Family state at the given angle (degrees)."""
+def state_from_angle(cfg: FamilyConfig, omega: float) -> np.ndarray:
+    """Family state at the given angle (degrees), as a read-only 2x2 array."""
     w = math.radians(omega)
     bz = cfg.r_z * math.cos(w)
     bx = cfg.r_x * math.sin(w)
@@ -72,7 +74,8 @@ def state_from_angle(cfg: FamilyConfig, omega: float) -> DensityMatrix:
     if n2 > 1.0 + 1e-12:
         raise InvalidBlochVector(f"Bloch norm^2 {n2:.6g} > 1 at omega = {omega}")
     mat = 0.5 * np.array([[1.0 + bz, bx], [bx, 1.0 - bz]], dtype=complex)
-    return DensityMatrix(mat=mat)
+    mat.setflags(write=False)
+    return mat
 
 
 @dataclass(frozen=True)
@@ -205,7 +208,7 @@ def _node_powers(cfg: FamilyConfig, copies: int) -> np.ndarray:
     n_nodes = 2 * copies + 1
     stacked = np.stack(
         [
-            tensor_power(state_from_angle(cfg, 360.0 * j / n_nodes), copies).mat
+            tensor_power(state_from_angle(cfg, 360.0 * j / n_nodes), copies)
             for j in range(n_nodes)
         ]
     )
@@ -240,26 +243,34 @@ def _fourier_basis(angles_deg: np.ndarray, copies: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def outcome_coeffs(cfg: FamilyConfig, element: np.ndarray, copies: int) -> np.ndarray:
-    """Fourier coefficients of omega -> Tr(rho(omega)^(x)copies element)."""
+def row_copies(row) -> int:
+    """Copy count n of an outcome_coeffs row, whose length is 2n+1."""
+    return len(row) // 2
+
+
+def outcome_coeffs(cfg: FamilyConfig, element: np.ndarray) -> np.ndarray:
+    """Fourier coefficients of omega -> Tr(rho(omega)^(x)n element) for a 2^n-dim element."""
+    copies = element.shape[0].bit_length() - 1
     traces = np.einsum("nab,ba->n", _node_powers(cfg, copies), element).real
     return _dft_matrix(copies) @ traces
 
 
-def _row_log(coeffs: list, copies: int, cos: list, sin: list) -> float:
-    """Floored log of one coefficient row, given cos(k w) and sin(k w) for k <= copies."""
+def _row_log(coeffs: list, cos: list, sin: list) -> float:
+    """Floored log of one coefficient row, given cos(k w) and sin(k w) up to its copy count."""
+    copies = row_copies(coeffs)
     val = coeffs[0]
     for k in range(1, copies + 1):
         val += coeffs[k] * cos[k] + coeffs[copies + k] * sin[k]
     return math.log(max(val, P_FLOOR))
 
 
-def log_outcome_prob(coeffs: np.ndarray, copies: int, omega: float) -> float:
-    """Floored log Tr(rho(omega)^(x)copies M), read from M's outcome_coeffs row."""
+def log_outcome_prob(coeffs: np.ndarray, omega: float) -> float:
+    """Floored log Tr(rho(omega)^(x)n M), read from M's outcome_coeffs row."""
     w = math.radians(omega)
-    cos = [math.cos(k * w) for k in range(copies + 1)]
-    sin = [math.sin(k * w) for k in range(copies + 1)]
-    return _row_log(coeffs.tolist(), copies, cos, sin)
+    top = row_copies(coeffs) + 1
+    cos = [math.cos(k * w) for k in range(top)]
+    sin = [math.sin(k * w) for k in range(top)]
+    return _row_log(coeffs.tolist(), cos, sin)
 
 
 # --- parameter grids ------------------------------------------------------
@@ -267,7 +278,7 @@ def log_outcome_prob(coeffs: np.ndarray, copies: int, omega: float) -> float:
 
 @dataclass(frozen=True)
 class ParamGrid:
-    """Grid angles with running log-likelihood sums over observed rounds."""
+    """Grid angles, running log-likelihood sums, and each observed round's coefficient row."""
 
     angles: np.ndarray
     per_angle_loglik: np.ndarray
@@ -290,7 +301,7 @@ class ParamGrid:
         return b
 
     def round_rows(self) -> tuple:
-        """Distinct (copies, coeffs) rows, each round's row index, and the most copies.
+        """Distinct coefficient rows (as lists), each round's row index, and the most copies.
 
         Built on first use and kept on this grid only: accumulate returns a
         new grid, so grids that are never evaluated off the lattice pay
@@ -301,14 +312,14 @@ class ParamGrid:
             index: dict = {}
             rows: list = []
             order: list = []
-            for copies, coeffs in self.rounds:
-                key = (copies, coeffs.tobytes())
+            for coeffs in self.rounds:
+                key = coeffs.tobytes()
                 i = index.get(key)
                 if i is None:
                     i = index[key] = len(rows)
-                    rows.append((copies, coeffs.tolist()))
+                    rows.append(coeffs.tolist())
                 order.append(i)
-            top = max((copies for copies, _ in rows), default=0)
+            top = max(map(row_copies, rows), default=0)
             object.__setattr__(self, "_round_rows", (tuple(rows), tuple(order), top))
         return self._round_rows
 
@@ -320,7 +331,7 @@ def estimation_log_rows(grid: ParamGrid, cfg: FamilyConfig, povm: Povm) -> np.nd
     """
     basis = grid.basis(1)
     return np.stack(
-        [np.log(np.maximum(basis @ outcome_coeffs(cfg, e, 1), P_FLOOR)) for e in povm.elements]
+        [np.log(np.maximum(basis @ outcome_coeffs(cfg, e), P_FLOOR)) for e in povm.elements]
     )
 
 
@@ -365,15 +376,15 @@ def build_grid(hset: HypothesisSet, resolution: float = DEFAULT_RESOLUTION) -> P
     )
 
 
-def accumulate(grid: ParamGrid, coeffs: np.ndarray, copies: int) -> ParamGrid:
+def accumulate(grid: ParamGrid, coeffs: np.ndarray) -> ParamGrid:
     """Return a new grid with one observed round's outcome_coeffs row folded into the sums."""
-    probs = grid.basis(copies) @ coeffs
+    probs = grid.basis(row_copies(coeffs)) @ coeffs
     new_loglik = grid.per_angle_loglik + np.log(np.maximum(probs, P_FLOOR))
     return ParamGrid(
         angles=grid.angles,
         per_angle_loglik=new_loglik,
         segments=grid.segments,
-        rounds=grid.rounds + ((copies, coeffs),),
+        rounds=grid.rounds + (coeffs,),
         basis_cache=grid.basis_cache,
     )
 
@@ -389,7 +400,7 @@ def loglik_at(grid: ParamGrid, omega: float) -> float:
     w = math.radians(omega)
     cos = [math.cos(k * w) for k in range(top + 1)]
     sin = [math.sin(k * w) for k in range(top + 1)]
-    terms = [_row_log(coeffs, copies, cos, sin) for copies, coeffs in rows]
+    terms = [_row_log(coeffs, cos, sin) for coeffs in rows]
     total = 0.0
     for i in order:
         total += terms[i]

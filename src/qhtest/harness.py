@@ -116,11 +116,15 @@ class ExperimentConfig:
                 f"null angle {shared[0]:g} and alternative angle {shared[1]:g} "
                 f"give the same state for (r_z, r_x) = ({self.r_z}, {self.r_x})"
             )
-        block = self.n_ic + self.n_joint
         for m in self.methods:
+            # The copies of the method's first measured round: a smaller
+            # budget would report a cell that measured nothing.
             if m in SEQUENTIAL_METHODS:
-                continue
-            floor = block if m in BLOCK_SCALED_METHODS else self.n_joint
+                floor = 1 if self.n_ic else self.n_joint
+            elif m in BLOCK_SCALED_METHODS:
+                floor = self.n_ic + self.n_joint
+            else:
+                floor = self.n_joint
             low = [b for b in self.budgets if b < floor]
             if low:
                 raise ConfigError(f"budgets {low} below minimum {floor} for method {m}")

@@ -38,12 +38,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .family import P_FLOOR
-from .quantum import (
-    DensityMatrix,
-    Povm,
-    positive_eigenprojector,
-    tensor_power,
-)
+from .quantum import Povm, positive_eigenprojector, tensor_power
 
 PROJECTOR_TOL = 1e-10
 
@@ -92,8 +87,8 @@ def variational_povm(theta: float, copies: int) -> Povm:
 
 
 def expected_log_increment(
-    alt_state: DensityMatrix,
-    null_state: DensityMatrix,
+    alt_state: np.ndarray,
+    null_state: np.ndarray,
     povm: Povm,
     copies: int,
 ) -> float:
@@ -104,8 +99,8 @@ def expected_log_increment(
     the Helstrom design with distinct states this is a KL divergence, hence
     nonnegative.
     """
-    p1 = tensor_power(alt_state, copies).mat
-    p0 = tensor_power(null_state, copies).mat
+    p1 = tensor_power(alt_state, copies)
+    p0 = tensor_power(null_state, copies)
     q = np.einsum("ij,xji->x", p1, povm._stack).real.clip(min=0.0)
     p = np.einsum("ij,xji->x", p0, povm._stack).real.clip(min=0.0)
     terms = q * (np.log(np.maximum(q, P_FLOOR)) - np.log(np.maximum(p, P_FLOOR)))

@@ -36,13 +36,7 @@ from .family import (
     parse_hypothesis_set,
 )
 from .measurements import helstrom_povm
-from .quantum import (
-    DensityMatrix,
-    born_distribution,
-    sample_outcome,
-    tensor_power,
-    trace_norm,
-)
+from .quantum import born_distribution, sample_outcome, tensor_power, trace_norm
 
 MAX_HORIZON = 3
 
@@ -65,7 +59,7 @@ class Branch:
 
 def enumerate_transcripts(
     policy: PolicyConfig,
-    truth: DensityMatrix,
+    truth: np.ndarray,
     cfg: FamilyConfig,
     null_set: HypothesisSet,
     alt_set: HypothesisSet,
@@ -82,25 +76,22 @@ def enumerate_transcripts(
         raise HorizonTooLarge(f"horizon must be in 1..{MAX_HORIZON}, got {horizon}")
     rng = _HalfDraw()
     est_povm = select_estimation_povm(policy.estimation_povm)
-    powers: dict[int, DensityMatrix] = {}
+    joint_power = tensor_power(truth, policy.n_joint)
     out: list[Branch] = []
 
     def walk(state: SlrState, prob: float, depth: int):
         if depth == horizon:
             out.append(Branch(records=state.rounds, probability=prob, log_slr=state.log_slr))
             return
-        povm, copies, desc = next_measurement(policy, state, cfg, rng)
-        power = powers.get(copies)
-        if power is None:
-            power = tensor_power(truth, copies)
-            powers[copies] = power
-        dist = born_distribution(power, povm)
+        estimating = policy.is_estimation_round(len(state.rounds))
+        povm, desc = next_measurement(policy, state, cfg, rng)
+        dist = born_distribution(truth if estimating else joint_power, povm)
         for label, p in zip(dist.labels, dist.probs):
             if p == 0.0:
                 continue
-            row = outcome_row(cfg, povm, copies, label)
+            row = outcome_row(cfg, povm, label)
             child = record_round(
-                state, cfg, povm, desc, copies, label, row, est_povm, policy.initial_alt_angle
+                state, cfg, povm, desc, label, row, est_povm, policy.initial_alt_angle
             )
             walk(child, prob * float(p), depth + 1)
 
@@ -110,7 +101,7 @@ def enumerate_transcripts(
 
 def eprocess_expectation(
     policy: PolicyConfig,
-    truth: DensityMatrix,
+    truth: np.ndarray,
     cfg: FamilyConfig,
     null_set: HypothesisSet,
     alt_set: HypothesisSet,
@@ -161,45 +152,45 @@ def recompute_slr(
     match the policy that produced the transcript.
     """
     est_povm = select_estimation_povm(estimation_povm)
-    rows = [outcome_coeffs(cfg, r.povm.element(r.outcome), r.copies) for r in records]
+    rows = [outcome_coeffs(cfg, r.povm.element(r.outcome)) for r in records]
     logs = np.empty(len(records))
     for t in range(1, len(records) + 1):
         frozen = 0.0
         for i in range(t):
             galt = build_grid(alt_set, resolution)
-            for row, r in zip(rows[:i], records):
-                galt = accumulate(galt, row, r.copies)
+            for row in rows[:i]:
+                galt = accumulate(galt, row)
             w = predictable_estimate(galt, cfg, est_povm, initial_alt_angle)
-            frozen += numerator_log_term(rows[i], records[i].copies, w)
+            frozen += numerator_log_term(rows[i], w)
         gnull = build_grid(null_set, resolution)
-        for row, r in zip(rows[:t], records):
-            gnull = accumulate(gnull, row, r.copies)
+        for row in rows[:t]:
+            gnull = accumulate(gnull, row)
         logs[t - 1] = frozen - mle(gnull).loglik
     return logs
 
 
 def helstrom_bound(
-    null_state: DensityMatrix,
-    alt_state: DensityMatrix,
+    null_state: np.ndarray,
+    alt_state: np.ndarray,
     weight: float,
     copies: int = 1,
 ) -> float:
     """Minimum weighted error (1-w) alpha + w beta over all measurements."""
-    p0 = tensor_power(null_state, copies).mat
-    p1 = tensor_power(alt_state, copies).mat
+    p0 = tensor_power(null_state, copies)
+    p1 = tensor_power(alt_state, copies)
     return 0.5 * (1.0 - trace_norm((1.0 - weight) * p0 - weight * p1))
 
 
 def helstrom_error(
-    null_state: DensityMatrix,
-    alt_state: DensityMatrix,
+    null_state: np.ndarray,
+    alt_state: np.ndarray,
     weight: float,
     copies: int = 1,
 ) -> float:
     """Weighted error the two-outcome eigenspace measurement realizes."""
     pow0 = tensor_power(null_state, copies)
     pow1 = tensor_power(alt_state, copies)
-    povm = helstrom_povm(pow0.mat, pow1.mat, weight)
+    povm = helstrom_povm(pow0, pow1, weight)
     alpha = born_distribution(pow0, povm).probs[1]
     beta = born_distribution(pow1, povm).probs[0]
     return (1.0 - weight) * alpha + weight * beta
@@ -217,7 +208,7 @@ def small_sets() -> tuple[HypothesisSet, HypothesisSet]:
 
 def sample_transcript(
     policy: PolicyConfig,
-    truth: DensityMatrix,
+    truth: np.ndarray,
     cfg: FamilyConfig,
     null_set: HypothesisSet,
     alt_set: HypothesisSet,
@@ -233,17 +224,14 @@ def sample_transcript(
     state = new_slr_state(null_set, alt_set, resolution)
     est_povm = select_estimation_povm(policy.estimation_povm)
     logs = np.empty(n_rounds)
-    powers: dict[int, DensityMatrix] = {}
+    joint_power = tensor_power(truth, policy.n_joint)
     for t in range(n_rounds):
-        povm, copies, desc = next_measurement(policy, state, cfg, rng)
-        power = powers.get(copies)
-        if power is None:
-            power = tensor_power(truth, copies)
-            powers[copies] = power
+        power = truth if policy.is_estimation_round(t) else joint_power
+        povm, desc = next_measurement(policy, state, cfg, rng)
         outcome = sample_outcome(born_distribution(power, povm), rng)
-        row = outcome_row(cfg, povm, copies, outcome)
+        row = outcome_row(cfg, povm, outcome)
         state = record_round(
-            state, cfg, povm, desc, copies, outcome, row, est_povm, policy.initial_alt_angle
+            state, cfg, povm, desc, outcome, row, est_povm, policy.initial_alt_angle
         )
         logs[t] = state.log_slr
     return state.rounds, logs

@@ -2,7 +2,9 @@
 
 Conventions used throughout the package:
 
-* States are density matrices: Hermitian, trace one, positive semidefinite.
+* States are density matrices held as plain read-only complex arrays:
+  Hermitian, trace one, positive semidefinite. validate_density checks
+  those invariants on outside input; tensor_power raises a state to n copies.
 * Measurements are POVMs: tuples of Hermitian PSD elements summing to the
   identity, with at least two outcomes.
 * Multi-qubit bases are labeled by bit strings with qubit 1 as the most
@@ -49,22 +51,8 @@ def _hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """A validated density matrix. Construct through validate_density."""
-
-    mat: np.ndarray
-
-    def __post_init__(self):
-        self.mat.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-
-def validate_density(mat: np.ndarray) -> DensityMatrix:
-    """Check the density matrix invariants and wrap the array.
+def validate_density(mat: np.ndarray) -> np.ndarray:
+    """Check the density matrix invariants; return a read-only complex copy.
 
     Raises NotHermitian, TraceNotOne, or NotPSD naming the offending
     magnitude; each check uses its own tolerance constant.
@@ -79,19 +67,27 @@ def validate_density(mat: np.ndarray) -> DensityMatrix:
     low = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2.0)))
     if low < -PSD_TOL:
         raise NotPSD(f"minimum eigenvalue {low:.3e} below -{PSD_TOL:.0e}")
-    return DensityMatrix(mat=m.copy())
+    out = m.copy()
+    out.setflags(write=False)
+    return out
 
 
-def tensor_power(rho: DensityMatrix, n: int, max_dim: int = MAX_TENSOR_DIM) -> DensityMatrix:
-    """n-fold Kronecker power rho^(x)n, capped at max_dim total dimension."""
+def tensor_power(rho: np.ndarray, n: int, max_dim: int = MAX_TENSOR_DIM) -> np.ndarray:
+    """n-fold Kronecker power rho^(x)n, capped at max_dim total dimension.
+
+    n = 1 returns rho itself; larger n a new read-only array.
+    """
     if n < 1:
         raise ValueError(f"tensor power needs n >= 1, got {n}")
-    if rho.dim**n > max_dim:
-        raise DimensionOverflow(f"dim {rho.dim}^{n} = {rho.dim ** n} exceeds cap {max_dim}")
-    out = rho.mat
+    d = rho.shape[0]
+    if d**n > max_dim:
+        raise DimensionOverflow(f"dim {d}^{n} = {d ** n} exceeds cap {max_dim}")
+    out = rho
     for _ in range(n - 1):
-        out = np.kron(out, rho.mat)
-    return DensityMatrix(mat=out)
+        out = np.kron(out, rho)
+    if n > 1:
+        out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -173,15 +169,15 @@ class OutcomeDistribution:
         return np.cumsum(self.probs)
 
 
-def born_distribution(rho: DensityMatrix, povm: Povm) -> OutcomeDistribution:
+def born_distribution(rho: np.ndarray, povm: Povm) -> OutcomeDistribution:
     """Outcome distribution p(x) = Tr(rho M_x).
 
     Negative traces above -PROB_CLAMP are rounding noise and clamp to zero;
     larger violations indicate a broken state or POVM and raise.
     """
-    if rho.dim != povm.dim:
-        raise DimensionMismatch(f"state dim {rho.dim} vs POVM dim {povm.dim}")
-    probs = np.einsum("ij,xji->x", rho.mat, povm._stack).real
+    if rho.shape[0] != povm.dim:
+        raise DimensionMismatch(f"state dim {rho.shape[0]} vs POVM dim {povm.dim}")
+    probs = np.einsum("ij,xji->x", rho, povm._stack).real
     low = float(probs.min())
     if low < -PROB_CLAMP:
         raise InvariantViolation(f"Born probability {low:.3e} below -{PROB_CLAMP:.0e}")

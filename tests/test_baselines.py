@@ -81,17 +81,17 @@ def test_helstrom_calibration_exact_size_and_optimality():
     rho1 = state_from_angle(CFG, 90.0)
     pow0 = tensor_power(rho0, 4)
     pow1 = tensor_power(rho1, 4)
-    w, alpha, power = helstrom_calibration(pow0.mat, pow1.mat, eps0, grid_size)
+    w, alpha, power = helstrom_calibration(pow0, pow1, eps0, grid_size)
     assert alpha <= eps0 + SIZE_SLACK
 
     # independent recomputation of size and power through the Born rule
-    povm = helstrom_povm(pow0.mat, pow1.mat, w)
+    povm = helstrom_povm(pow0, pow1, w)
     assert abs(born_distribution(pow0, povm).probs[1] - alpha) < 1e-10
     assert abs(born_distribution(pow1, povm).probs[1] - power) < 1e-10
 
     for k in range(1, grid_size + 1):
         cand = k / (grid_size + 1)
-        p = helstrom_povm(pow0.mat, pow1.mat, cand)
+        p = helstrom_povm(pow0, pow1, cand)
         a_k = float(born_distribution(pow0, p).probs[1])
         if a_k <= eps0 + SIZE_SLACK:
             assert float(born_distribution(pow1, p).probs[1]) <= power + 1e-10
@@ -100,8 +100,8 @@ def test_helstrom_calibration_exact_size_and_optimality():
 def test_blocked_calibration_sizes_the_majority_tail():
     rho0 = state_from_angle(CFG, 45.0)
     rho1 = state_from_angle(CFG, 90.0)
-    pow0 = tensor_power(rho0, 4).mat
-    pow1 = tensor_power(rho1, 4).mat
+    pow0 = tensor_power(rho0, 4)
+    pow1 = tensor_power(rho1, 4)
     for blocks in (3, 5):
         w, alpha, _ = helstrom_calibration(pow0, pow1, 0.05, 99, blocks=blocks)
         overall = binom.sf(_majority(blocks) - 1, blocks, alpha)
@@ -131,7 +131,7 @@ def test_infeasible_calibration_raises_and_run_falls_back():
     rho0 = state_from_angle(CFG, 45.0)
     rho1 = state_from_angle(CFG, 60.0)
     with pytest.raises(InfeasibleCalibration):
-        helstrom_calibration(rho0.mat, rho1.mat, 1e-12, 9, blocks=1)
+        helstrom_calibration(rho0, rho1, 1e-12, 9, blocks=1)
     # the runners swallow the failure and report a non-rejection
     fcfg = FixedTestConfig(5, blocks=1, joint_copies=1, eps0=1e-12, lambda_grid_size=9)
     out = run_lht(fcfg, rho1, CFG, 45.0, ALT_UPPER, np.random.default_rng(1))

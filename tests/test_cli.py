@@ -131,6 +131,18 @@ def test_single_rejects_a_method_the_config_cannot_run(tmp_path, capsys):
     assert "single-point null" in capsys.readouterr().err
 
 
+def test_a_budget_below_the_first_round_fails_cleanly(tmp_path, capsys):
+    # with n_ic = 0 the first aLHT+ round measures n_joint = 4 copies
+    path = tmp_path / "no_estimation.cfg"
+    text = CONFIG_TEXT.replace("aLHT+,LHT", "aLHT+") + "n_ic = 0\n"
+    path.write_text(text.replace("budgets = 10,14", "budgets = 3,8"))
+    assert main(["sweep", str(path), "-o", str(tmp_path / "out.csv")]) == 2
+    assert "below minimum 4" in capsys.readouterr().err
+    path.write_text(text.replace("budgets = 10,14", "budgets = 8"))
+    assert main(["single", str(path), "--method", "aLHT+", "--budget", "3"]) == 2
+    assert "below minimum 4" in capsys.readouterr().err
+
+
 ALL_METHODS_TEXT = CONFIG_TEXT.replace("aLHT+,LHT", ",".join(METHOD_IDS)).replace(
     "budgets = 10,14", "budgets = 10,20"
 ).replace("runs = 2", "runs = 1")

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhtest import engine, family, oracle
 from qhtest.engine import (
@@ -36,6 +38,7 @@ from qhtest.family import (
 )
 from qhtest.harness import ExperimentConfig, run_sweep
 from qhtest.quantum import (
+    Povm,
     born_distribution,
     computational_basis_povm,
     sample_outcome,
@@ -50,7 +53,7 @@ ALT_UPPER = parse_hypothesis_set("(45,180]")
 
 def row(outcome):
     """Coefficient row of a single-copy computational-basis outcome."""
-    return outcome_coeffs(CFG, computational_basis_povm(1).element(outcome), 1)
+    return outcome_coeffs(CFG, computational_basis_povm(1).element(outcome))
 
 
 def test_single_round_log_ratio_arithmetic():
@@ -62,7 +65,6 @@ def test_single_round_log_ratio_arithmetic():
     rec = RoundRecord(
         povm=computational_basis_povm(1),
         descriptor="computational(n=1)",
-        copies=1,
         outcome="0",
         coeffs=row("0"),
         log_numerator_term=math.log(0.9),
@@ -78,7 +80,6 @@ def test_slr_update_rejects_positive_numerator_term():
     rec = RoundRecord(
         povm=computational_basis_povm(1),
         descriptor="computational(n=1)",
-        copies=1,
         outcome="0",
         coeffs=row("0"),
         log_numerator_term=0.1,
@@ -89,9 +90,9 @@ def test_slr_update_rejects_positive_numerator_term():
 
 def test_numerator_term_clamps_at_floor():
     # rho(180) is orthogonal to the |0><0| element, so the raw log diverges
-    term = numerator_log_term(row("0"), 1, 180.0)
+    term = numerator_log_term(row("0"), 180.0)
     assert term == math.log(NUMERATOR_FLOOR)
-    mild = numerator_log_term(row("0"), 1, 90.0)
+    mild = numerator_log_term(row("0"), 90.0)
     assert abs(mild - math.log(0.5)) < 1e-12
 
 
@@ -111,7 +112,7 @@ def test_predictable_estimate_override_snaps_to_grid():
     povm = computational_basis_povm(1)
     assert predictable_estimate(grid, CFG, povm, override_angle=46.2) == 46.0
     # the override applies only before data; afterwards the fit wins
-    seen = accumulate(grid, row("1"), 1)
+    seen = accumulate(grid, row("1"))
     fit = predictable_estimate(seen, CFG, povm)
     assert predictable_estimate(seen, CFG, povm, override_angle=46.2) == fit
     assert fit > 112.5
@@ -122,13 +123,13 @@ def test_regularized_estimate_avoids_zero_probability_angles():
     angle that predicts probability exactly zero for the next '0'. The
     regularized estimate must keep every estimation outcome possible."""
     povm = computational_basis_povm(1)
-    grid = accumulate(build_grid(ALT_UPPER), row("1"), 1)
+    grid = accumulate(build_grid(ALT_UPPER), row("1"))
     raw = float(grid.angles[np.argmax(grid.per_angle_loglik)])
     assert raw == 180.0
     reg = predictable_estimate(grid, CFG, povm)
     assert reg < 180.0
-    p0 = math.exp(numerator_log_term(row("0"), 1, reg))
-    p1 = math.exp(numerator_log_term(row("1"), 1, reg))
+    p0 = math.exp(numerator_log_term(row("0"), reg))
+    p1 = math.exp(numerator_log_term(row("1"), reg))
     assert min(p0, p1) > 1e-6
     # the data still dominates: the estimate stays in the upper half
     assert reg > 112.5
@@ -204,6 +205,45 @@ def test_block_structure_and_budget_exhaustion():
             assert row.descriptor == "computational(n=1)"
         else:
             assert row.descriptor.startswith("helstrom(")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(("aLHT", "aLHT+", "aLVT")),
+    n_ic=st.integers(0, 3),
+    n_joint=st.integers(1, 3),
+    budget=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+    two_sided=st.booleans(),
+)
+def test_budget_accounting(kind, n_ic, n_joint, budget, seed, two_sided):
+    """Copies are tallied per round off each round's measurement and never pass the budget."""
+    policy = PolicyConfig(
+        kind=kind, n_ic=n_ic, n_joint=n_joint, lambda_grid_size=9, theta_grid_size=36
+    )
+    out = run_sequential_test(
+        policy,
+        state_from_angle(CFG, 100.0),
+        CFG,
+        NULL_POINT,
+        ALT_UPPER,
+        eps0=0.05,
+        budget=budget,
+        rng=np.random.default_rng(seed),
+        eps1=0.05 if two_sided else None,
+    )
+
+    def block_copies(t):
+        return 1 if t % (n_ic + 1) < n_ic else n_joint
+
+    assert out.copies_used <= budget
+    assert out.copies_used == sum(r.copies for r in out.rounds)
+    for t, r in enumerate(out.rounds):
+        assert r.copies == block_copies(t)
+        assert 2**r.copies == r.povm.dim
+        assert len(r.coeffs) == 2 * r.copies + 1
+    if out.decision == BUDGET_EXHAUSTED:
+        assert out.copies_used + block_copies(out.rounds_used) > budget
 
 
 @pytest.mark.parametrize(
@@ -423,13 +463,15 @@ def test_joint_rounds_reuse_the_refined_null_mle(monkeypatch, two_sided):
 
 
 def test_record_round_rejects_wrong_dimension():
+    """A POVM acts on whole qubits: a 3-dimensional one has no copy count."""
+    qutrit = Povm(labels=(0, 1, 2), elements=tuple(np.diag(np.eye(3)[k]) for k in range(3)))
     with pytest.raises(InconsistentTranscript):
-        engine.outcome_row(CFG, computational_basis_povm(2), 1, "00")
+        engine.outcome_row(CFG, qutrit, 0)
 
 
 def test_record_round_rejects_unknown_outcome():
     with pytest.raises(InconsistentTranscript):
-        engine.outcome_row(CFG, computational_basis_povm(1), 1, "2")
+        engine.outcome_row(CFG, computational_basis_povm(1), "2")
 
 
 @pytest.mark.parametrize("kind", ["aLHT", "aLHT+", "aLVT"])
@@ -459,17 +501,19 @@ def test_record_round_reduces_each_outcome_once(monkeypatch, kind):
     truth = state_from_angle(CFG, 100.0)
     rng = np.random.default_rng(5)
     for t in range(1, 10):
-        povm, copies, desc = engine.next_measurement(policy, state, CFG, rng)
+        copies = policy.n_joint if t % 3 == 0 else 1
+        povm, desc = engine.next_measurement(policy, state, CFG, rng)
         outcome = sample_outcome(born_distribution(tensor_power(truth, copies), povm), rng)
         w = predictable_estimate(state.alt_grid, CFG, est)
-        coeffs = engine.outcome_row(CFG, povm, copies, outcome)
-        state = engine.record_round(state, CFG, povm, desc, copies, outcome, coeffs, est)
+        coeffs = engine.outcome_row(CFG, povm, outcome)
+        state = engine.record_round(state, CFG, povm, desc, outcome, coeffs, est)
         assert len(calls) == t
         rec = state.rounds[-1]
         assert rec.coeffs is coeffs
-        assert state.null_grid.rounds[-1][1] is rec.coeffs
-        assert state.alt_grid.rounds[-1][1] is rec.coeffs
-        assert rec.log_numerator_term == numerator_log_term(rec.coeffs, copies, w)
+        assert rec.copies == copies
+        assert state.null_grid.rounds[-1] is rec.coeffs
+        assert state.alt_grid.rounds[-1] is rec.coeffs
+        assert rec.log_numerator_term == numerator_log_term(rec.coeffs, w)
 
     # Count only the engine's reductions: new grids also build their
     # estimate regularizer through family.outcome_coeffs.

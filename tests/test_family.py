@@ -41,15 +41,15 @@ from qhtest.quantum import (
 def direct_tensor_prob(cfg, omega, element, copies):
     """Tr(rho(omega)^(x)copies element) by explicit Kronecker products."""
     rho = state_from_angle(cfg, omega)
-    out = rho.mat
+    out = rho
     for _ in range(copies - 1):
-        out = np.kron(out, rho.mat)
+        out = np.kron(out, rho)
     return float(np.einsum("ab,ba->", out, element).real)
 
 
-def fold(grid, cfg, povm, copies, outcome):
+def fold(grid, cfg, povm, outcome):
     """accumulate one observed outcome through its coefficient row."""
-    return accumulate(grid, outcome_coeffs(cfg, povm.element(outcome), copies), copies)
+    return accumulate(grid, outcome_coeffs(cfg, povm.element(outcome)))
 
 
 # --- family states --------------------------------------------------------
@@ -57,18 +57,25 @@ def fold(grid, cfg, povm, copies, outcome):
 
 def test_state_from_angle_reference_points():
     cfg = FamilyConfig()
-    assert np.allclose(state_from_angle(cfg, 0.0).mat, np.diag([1.0, 0.0]))
-    assert np.allclose(state_from_angle(cfg, 90.0).mat, np.full((2, 2), 0.5))
-    assert np.allclose(state_from_angle(cfg, 180.0).mat, np.diag([0.0, 1.0]))
+    assert np.allclose(state_from_angle(cfg, 0.0), np.diag([1.0, 0.0]))
+    assert np.allclose(state_from_angle(cfg, 90.0), np.full((2, 2), 0.5))
+    assert np.allclose(state_from_angle(cfg, 180.0), np.diag([0.0, 1.0]))
+
+
+def test_state_from_angle_is_read_only():
+    rho = state_from_angle(FamilyConfig(), 30.0)
+    assert rho.dtype == complex
+    with pytest.raises(ValueError):
+        rho[0, 0] = 0.3
 
 
 def test_state_from_angle_is_always_a_state():
     cfg = FamilyConfig(r_z=0.9, r_x=0.6)
     for omega in np.arange(0.0, 360.0, 7.3):
         rho = state_from_angle(cfg, float(omega))
-        vals = np.linalg.eigvalsh(rho.mat)
+        vals = np.linalg.eigvalsh(rho)
         assert vals.min() >= -1e-12
-        assert abs(np.trace(rho.mat).real - 1.0) < 1e-12
+        assert abs(np.trace(rho).real - 1.0) < 1e-12
 
 
 def test_family_config_rejects_bloch_norm_above_one():
@@ -190,7 +197,8 @@ def test_outcome_coeffs_interpolate_exactly():
             dim = 2**copies
             a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             element = a + a.conj().T
-            coeffs = outcome_coeffs(cfg, element, copies)
+            coeffs = outcome_coeffs(cfg, element)
+            assert coeffs.shape == (2 * copies + 1,)
             for omega in rng.uniform(0.0, 360.0, size=12):
                 w = math.radians(omega)
                 val = coeffs[0]
@@ -208,7 +216,7 @@ def test_log_outcome_prob_matches_born_rule():
     dist = born_distribution(tensor_power(rho, 2), povm)
     for label, p in zip(dist.labels, dist.probs):
         if p > 0:
-            got = log_outcome_prob(outcome_coeffs(cfg, povm.element(label), 2), 2, 70.0)
+            got = log_outcome_prob(outcome_coeffs(cfg, povm.element(label)), 70.0)
             assert abs(got - math.log(p)) < 1e-12
 
 
@@ -219,8 +227,8 @@ def _engine_design(cfg, kind, copies, w0, w1, weight, theta):
     if kind == "sic":
         return sic_povm_qubit(), 1
     if kind == "helstrom":
-        pow0 = tensor_power(state_from_angle(cfg, w0), copies).mat
-        pow1 = tensor_power(state_from_angle(cfg, w1), copies).mat
+        pow0 = tensor_power(state_from_angle(cfg, w0), copies)
+        pow1 = tensor_power(state_from_angle(cfg, w1), copies)
         return helstrom_povm(pow0, pow1, weight), copies
     return variational_povm(theta, copies), copies
 
@@ -242,8 +250,8 @@ def test_log_outcome_prob_matches_the_kronecker_trace(
     cfg = FamilyConfig(*radii)
     povm, copies = _engine_design(cfg, kind, copies, w0, w1, weight, theta)
     for element in povm.elements:
-        row = outcome_coeffs(cfg, element, copies)
-        got = math.exp(log_outcome_prob(row, copies, omega))
+        row = outcome_coeffs(cfg, element)
+        got = math.exp(log_outcome_prob(row, omega))
         assert abs(got - direct_tensor_prob(cfg, omega, element, copies)) < 1e-12
 
 
@@ -254,8 +262,8 @@ def test_accumulate_adds_log_probabilities():
     cfg = FamilyConfig()
     grid = build_grid(parse_hypothesis_set("[0,180]"), resolution=1.0)
     povm = computational_basis_povm(1)
-    g1 = fold(grid, cfg, povm, 1, "0")
-    g2 = fold(g1, cfg, povm, 1, "1")
+    g1 = fold(grid, cfg, povm, "0")
+    g2 = fold(g1, cfg, povm, "1")
     assert grid.per_angle_loglik.max() == 0.0
     # stay away from 0 and 180 where one outcome has exactly zero mass and
     # the clamped log is dominated by interpolation noise
@@ -273,7 +281,7 @@ def test_loglik_at_matches_grid_values():
     grid = build_grid(parse_hypothesis_set("[10,170]"), resolution=2.0)
     povm = computational_basis_povm(1)
     for _ in range(6):
-        grid = fold(grid, cfg, povm, 1, str(rng.integers(2)))
+        grid = fold(grid, cfg, povm, str(rng.integers(2)))
     for j in rng.integers(0, grid.angles.shape[0], size=10):
         assert abs(loglik_at(grid, float(grid.angles[j])) - grid.per_angle_loglik[j]) < 1e-10
 
@@ -282,7 +290,8 @@ def per_round_loglik_at(grid, omega):
     """Reference: one term per stored round, recomputing cos/sin each time."""
     total = 0.0
     w = math.radians(omega)
-    for copies, coeffs in grid.rounds:
+    for coeffs in grid.rounds:
+        copies = (len(coeffs) - 1) // 2
         val = coeffs[0]
         for k in range(1, copies + 1):
             val += coeffs[k] * math.cos(k * w) + coeffs[copies + k] * math.sin(k * w)
@@ -293,14 +302,14 @@ def per_round_loglik_at(grid, omega):
 def _round_povms():
     """Single-copy estimation POVMs plus 2- to 4-copy joint designs."""
     cfg = FamilyConfig()
-    out = [(computational_basis_povm(1), 1), (sic_povm_qubit(), 1)]
+    out = [computational_basis_povm(1), sic_povm_qubit()]
     for copies, (w0, w1, lam, theta) in zip(
         (2, 3, 4), ((10.0, 60.0, 0.4, 0.3), (30.0, 90.0, 0.7, 1.2), (45.0, 50.0, 0.5, 2.9))
     ):
-        pow0 = tensor_power(state_from_angle(cfg, w0), copies).mat
-        pow1 = tensor_power(state_from_angle(cfg, w1), copies).mat
-        out.append((helstrom_povm(pow0, pow1, lam), copies))
-        out.append((variational_povm(theta, copies), copies))
+        pow0 = tensor_power(state_from_angle(cfg, w0), copies)
+        pow1 = tensor_power(state_from_angle(cfg, w1), copies)
+        out.append(helstrom_povm(pow0, pow1, lam))
+        out.append(variational_povm(theta, copies))
     return out
 
 
@@ -320,8 +329,8 @@ def test_loglik_at_is_bit_exact_against_the_per_round_sum(piece, rounds, probes)
     cfg = FamilyConfig()
     grid = build_grid(parse_hypothesis_set(piece))
     for i, o in rounds:
-        povm, copies = ROUND_POVMS[i]
-        grid = fold(grid, cfg, povm, copies, povm.labels[o % len(povm.labels)])
+        povm = ROUND_POVMS[i]
+        grid = fold(grid, cfg, povm, povm.labels[o % len(povm.labels)])
     lo, hi = float(grid.angles[0]), float(grid.angles[-1])
     for u in probes:
         omega = lo + u * (hi - lo)
@@ -349,7 +358,7 @@ def test_mle_refine_improves_continuous_loglik():
     truth = state_from_angle(cfg, 62.0)
     for _ in range(40):
         out = born_and_sample(truth, povm, rng)
-        grid = fold(grid, cfg, povm, 1, out)
+        grid = fold(grid, cfg, povm, out)
     j = int(np.argmax(grid.per_angle_loglik))
     coarse_omega, coarse_loglik = grid.angles[j], grid.per_angle_loglik[j]
     fine = mle(grid)

@@ -111,6 +111,14 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             small_config(methods=("LHT",), budgets=(3, 20))
 
+    def test_sequential_methods_need_room_for_their_first_round(self):
+        # with no estimation rounds the first round is the n_joint = 4-copy joint round
+        with pytest.raises(ConfigError):
+            small_config(methods=("aLHT+",), n_ic=0, budgets=(3, 8))
+        small_config(methods=("aLHT+",), n_ic=0, budgets=(4, 8))
+        # otherwise the first round measures one estimation copy
+        small_config(methods=("aLHT+",), n_ic=1, budgets=(1, 8))
+
     def test_point_null_methods_need_a_point_null(self):
         two = parse_hypothesis_set("{45,135}")
         split = parse_hypothesis_set("(45,135) (135,180)")

@@ -14,11 +14,13 @@ from qhtest.errors import DimensionMismatch
 from qhtest.family import FamilyConfig, parse_hypothesis_set, state_from_angle
 from qhtest.measurements import (
     _binary_probs_on_weight_grid,
+    _rotated_basis_probs,
     _variational_unitaries,
     expected_log_increment,
     helstrom_povm,
     optimize_lambda,
     optimize_theta,
+    rotation_grid,
     variational_povm,
 )
 from qhtest.quantum import born_distribution, tensor_power, trace_norm, validate_density
@@ -47,7 +49,7 @@ def variational_unitary(theta, copies):
 
 def powers(rho0, rho1, copies):
     """The tensor-power matrices the design entry points take."""
-    return tensor_power(rho0, copies).mat, tensor_power(rho1, copies).mat
+    return tensor_power(rho0, copies), tensor_power(rho1, copies)
 
 
 def weighted_error(povm, rho0, rho1, weight, copies):
@@ -60,11 +62,11 @@ def weighted_error(povm, rho0, rho1, weight, copies):
 class TestHelstrom:
     def test_weight_and_shape_validation(self):
         with pytest.raises(ValueError):
-            helstrom_povm(KET0.mat, KET1.mat, 0.0)
+            helstrom_povm(KET0, KET1, 0.0)
         with pytest.raises(ValueError):
-            helstrom_povm(KET0.mat, KET1.mat, 1.0)
+            helstrom_povm(KET0, KET1, 1.0)
         with pytest.raises(DimensionMismatch):
-            helstrom_povm(KET0.mat, tensor_power(KET1, 2).mat, 0.5)
+            helstrom_povm(KET0, tensor_power(KET1, 2), 0.5)
 
     def test_orthogonal_states_zero_error(self):
         povm = helstrom_povm(*powers(KET0, KET1, 1), 0.5)
@@ -87,8 +89,8 @@ class TestHelstrom:
             povm = helstrom_povm(*powers(rho0, rho1, copies), w)
             err = weighted_error(povm, rho0, rho1, w, copies)
             gap = trace_norm(
-                (1.0 - w) * tensor_power(rho0, copies).mat
-                - w * tensor_power(rho1, copies).mat
+                (1.0 - w) * tensor_power(rho0, copies)
+                - w * tensor_power(rho1, copies)
             )
             assert abs(err - 0.5 * (1.0 - gap)) < 1e-9
 
@@ -96,7 +98,7 @@ class TestHelstrom:
         rng = np.random.default_rng(8)
         for _ in range(10):
             rho0, rho1 = random_qubit(rng), random_qubit(rng)
-            if trace_norm(rho0.mat - rho1.mat) < 1e-3:
+            if trace_norm(rho0 - rho1) < 1e-3:
                 continue
             povm = helstrom_povm(*powers(rho0, rho1, 1), 0.5)
             p_alt = born_distribution(rho1, povm).probs[1]
@@ -129,7 +131,7 @@ class TestVariational:
         rng = np.random.default_rng(14)
         rho = tensor_power(random_qubit(rng), 2)
         dist = born_distribution(rho, povm)
-        direct = np.diag(u @ rho.mat @ u.T.conj()).real
+        direct = np.diag(u @ rho @ u.T.conj()).real
         assert np.allclose(dist.probs, direct, atol=1e-12)
 
     def test_copies_must_be_positive(self):
@@ -163,6 +165,30 @@ def test_variational_tables_match_single_design_born(
             assert np.max(np.abs(pn[t, :, j] - ref.probs)) <= 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    radii=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    angles=st.lists(st.floats(0.0, 360.0), min_size=2, max_size=4),
+    copies=st.integers(1, 4),
+    grid_size=st.integers(1, 40),
+    weight=st.floats(0.01, 0.99),
+    theta=st.floats(0.0, 2.0 * math.pi),
+)
+def test_design_tables_are_probability_tables(radii, angles, copies, grid_size, weight, theta):
+    """Each batched rotated-basis column sums to one; the single designs pass Povm's checks.
+
+    The batched tables never go through Povm, so nothing else checks them.
+    """
+    cfg = FamilyConfig(*radii)
+    mats = np.stack([tensor_power(state_from_angle(cfg, w), copies) for w in angles])
+    _, u = rotation_grid(grid_size, copies)
+    p = _rotated_basis_probs(u, mats)
+    assert p.shape == (grid_size, 2**copies, len(angles))
+    assert np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-12
+    helstrom_povm(mats[0], mats[1], weight)
+    variational_povm(theta, copies)
+
+
 def test_weight_grid_table_matches_single_design_born():
     """Each weight's outcome-0 probabilities equal the Born rule on helstrom_povm."""
     rng = np.random.default_rng(41)
@@ -171,11 +197,11 @@ def test_weight_grid_table_matches_single_design_born():
         copies = int(rng.integers(1, 4))
         grid_size = int(rng.integers(1, 30))
         pow0, pow1 = tensor_power(rho0, copies), tensor_power(rho1, copies)
-        weights, p = _binary_probs_on_weight_grid(pow0.mat, pow1.mat, grid_size)
+        weights, p = _binary_probs_on_weight_grid(pow0, pow1, grid_size)
         assert p.shape == (grid_size, 2)
         for k, w in enumerate(weights):
             assert w == (k + 1) / (grid_size + 1)
-            povm = helstrom_povm(pow0.mat, pow1.mat, float(w))
+            povm = helstrom_povm(pow0, pow1, float(w))
             assert abs(p[k, 0] - born_distribution(pow0, povm).probs[0]) <= 1e-12
             assert abs(p[k, 1] - born_distribution(pow1, povm).probs[0]) <= 1e-12
 

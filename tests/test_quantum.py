@@ -38,14 +38,14 @@ def random_density(rng, dim=2):
 
 def test_validate_density_accepts_pure_state():
     rho = validate_density(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    assert rho.dim == 2
-    assert rho.mat.dtype == complex
+    assert rho.shape == (2, 2)
+    assert rho.dtype == complex
 
 
 def test_validated_matrix_is_read_only():
     rho = validate_density(np.eye(2) / 2.0)
     with pytest.raises(ValueError):
-        rho.mat[0, 0] = 0.3
+        rho[0, 0] = 0.3
 
 
 def test_validate_density_rejects_non_hermitian():
@@ -67,14 +67,23 @@ def test_tensor_power_matches_kron():
     rng = np.random.default_rng(7)
     rho = random_density(rng)
     r3 = tensor_power(rho, 3)
-    assert r3.dim == 8
-    expect = np.kron(np.kron(rho.mat, rho.mat), rho.mat)
-    assert np.allclose(r3.mat, expect)
+    assert r3.shape == (8, 8)
+    expect = np.kron(np.kron(rho, rho), rho)
+    assert np.allclose(r3, expect)
+
+
+def test_tensor_power_returns_one_copy_as_is_and_more_read_only():
+    rho = np.eye(2, dtype=complex) / 2.0
+    assert tensor_power(rho, 1) is rho
+    r2 = tensor_power(rho, 2)
+    with pytest.raises(ValueError):
+        r2[0, 0] = 0.3
+    assert rho.flags.writeable
 
 
 def test_tensor_power_respects_dimension_cap():
     rho = validate_density(np.eye(2) / 2.0)
-    assert tensor_power(rho, 12).dim == MAX_TENSOR_DIM
+    assert tensor_power(rho, 12).shape[0] == MAX_TENSOR_DIM
     with pytest.raises(DimensionOverflow):
         tensor_power(rho, 13)
     with pytest.raises(ValueError):
@@ -179,7 +188,7 @@ def test_positive_eigenprojector_is_projector():
 def test_trace_norm_of_pauli_z_difference():
     rho0 = validate_density(np.diag([1.0, 0.0]))
     rho1 = validate_density(np.diag([0.0, 1.0]))
-    assert abs(trace_norm(rho0.mat - rho1.mat) - 2.0) < 1e-12
+    assert abs(trace_norm(rho0 - rho1) - 2.0) < 1e-12
 
 
 def test_sic_povm_symmetry():
@@ -208,4 +217,4 @@ def test_sic_povm_reconstructs_bloch_vector():
         rebuilt = sum(
             (3.0 * p - 0.5) * 2.0 * e for p, e in zip(probs, povm.elements)
         )
-        assert np.allclose(rebuilt, rho.mat, atol=1e-10)
+        assert np.allclose(rebuilt, rho, atol=1e-10)
