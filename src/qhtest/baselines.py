@@ -19,6 +19,19 @@ then run a calibrated test built from that estimate:
 Majority votes reject on strictly more than half the blocks, so even-split
 ties accept. With b = 1 both majority variants reduce exactly to their
 single-block tests, including the random stream they consume.
+
+A calibrated block test depends on the run's data only through the fitted
+grid angle w1, so every runner takes an optional memo dict that maps
+(w1, blocks) to the decided block test: the truth's outcome distribution
+on one block's joint measurement and the outcomes that vote to reject, or
+None when no setting meets the size (the run then accepts without
+drawing). The variational runners also keep the null grid's rotated-basis
+table there, which does not depend on w1 at all. A memo serves one trial
+as built by harness.make_trial: one truth, family, hypothesis pair and
+set of design settings, with only the budget varying. Without a memo
+(the default) every run recalibrates. A hit draws the same blocks from
+the same distribution, so the random stream and every decision are those
+of a memo-less run.
 """
 
 from __future__ import annotations
@@ -47,7 +60,7 @@ from .measurements import (
     rotation_grid,
     variational_povm,
 )
-from .quantum import Povm, born_distribution, sample_outcome, tensor_power
+from .quantum import OutcomeDistribution, Povm, born_distribution, sample_outcome, tensor_power
 
 SIZE_SLACK = 1e-12
 
@@ -97,15 +110,19 @@ class FixedOutcome:
     decision: int
     copies_used: int
     rounds_used: int
+    # False when no setting met the size, so the run accepted without a test.
+    calibrated: bool = True
 
     @property
     def rejected(self) -> bool:
         return self.decision == 1
 
 
-def _fixed_outcome(fcfg: FixedTestConfig, decision: int) -> FixedOutcome:
+def _fixed_outcome(fcfg: FixedTestConfig, decision: int, calibrated: bool = True) -> FixedOutcome:
     """Every fixed-copy run spends its whole budget, in m + b rounds."""
-    return FixedOutcome(decision, fcfg.total_budget, fcfg.estimation_copies + fcfg.blocks)
+    return FixedOutcome(
+        decision, fcfg.total_budget, fcfg.estimation_copies + fcfg.blocks, calibrated
+    )
 
 
 def _majority(blocks: int) -> int:
@@ -142,17 +159,42 @@ def _fit_alternative(
     return float(grid.angles[int(np.argmax(counts @ log_rows))])
 
 
-def _block_vote(
-    fcfg: FixedTestConfig,
-    truth: np.ndarray,
-    povm: Povm,
-    rejects,
-    rng: np.random.Generator,
-) -> FixedOutcome:
-    """Majority vote of fcfg.blocks joint blocks; rejects(outcome) is one block's vote."""
+@dataclass(frozen=True)
+class _BlockTest:
+    """A calibrated joint block: the truth's outcome distribution and the rejecting labels."""
+
+    dist: OutcomeDistribution
+    rejecting: frozenset
+
+
+def _block_test(fcfg: FixedTestConfig, truth: np.ndarray, povm: Povm, rejects) -> _BlockTest:
+    """The block test measuring povm; rejects[i] is the vote of outcome povm.labels[i]."""
     dist = born_distribution(tensor_power(truth, fcfg.joint_copies), povm)
-    votes = sum(bool(rejects(sample_outcome(dist, rng))) for _ in range(fcfg.blocks))
+    return _BlockTest(dist, frozenset(x for x, r in zip(povm.labels, rejects) if r))
+
+
+def _block_vote(fcfg: FixedTestConfig, test: _BlockTest, rng: np.random.Generator) -> FixedOutcome:
+    """Majority vote of fcfg.blocks independent draws of the block test."""
+    votes = sum(sample_outcome(test.dist, rng) in test.rejecting for _ in range(fcfg.blocks))
     return _fixed_outcome(fcfg, int(votes >= _majority(fcfg.blocks)))
+
+
+def _memoized(memo: dict | None, key, build):
+    """memo[key], computed by build() on the first lookup; build() itself without a memo."""
+    if memo is None:
+        return build()
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
+def _decide(
+    fcfg: FixedTestConfig, test: _BlockTest | None, rng: np.random.Generator
+) -> FixedOutcome:
+    """Vote with the block test, or accept without drawing when none met the size."""
+    if test is None:
+        return _fixed_outcome(fcfg, 0, calibrated=False)
+    return _block_vote(fcfg, test, rng)
 
 
 def helstrom_calibration(
@@ -181,15 +223,9 @@ def helstrom_calibration(
     return float(weights[k]), float(alpha[k]), float(power[k])
 
 
-def _run_helstrom_family(
-    fcfg: FixedTestConfig,
-    truth: np.ndarray,
-    cfg: FamilyConfig,
-    omega0: float,
-    alt_set: HypothesisSet,
-    rng: np.random.Generator,
-) -> FixedOutcome:
-    w1 = _fit_alternative(fcfg, truth, cfg, alt_set, rng)
+def _helstrom_block_test(
+    fcfg: FixedTestConfig, truth: np.ndarray, cfg: FamilyConfig, omega0: float, w1: float
+) -> _BlockTest | None:
     pow0 = tensor_power(state_from_angle(cfg, omega0), fcfg.joint_copies)
     pow1 = tensor_power(state_from_angle(cfg, w1), fcfg.joint_copies)
     try:
@@ -197,8 +233,22 @@ def _run_helstrom_family(
             pow0, pow1, fcfg.eps0, fcfg.lambda_grid_size, fcfg.blocks
         )
     except InfeasibleCalibration:
-        return _fixed_outcome(fcfg, 0)
-    return _block_vote(fcfg, truth, helstrom_povm(pow0, pow1, lam), lambda x: x == 1, rng)
+        return None
+    return _block_test(fcfg, truth, helstrom_povm(pow0, pow1, lam), (False, True))
+
+
+def _run_helstrom_family(
+    fcfg: FixedTestConfig,
+    truth: np.ndarray,
+    cfg: FamilyConfig,
+    omega0: float,
+    alt_set: HypothesisSet,
+    rng: np.random.Generator,
+    memo: dict | None = None,
+) -> FixedOutcome:
+    w1 = _fit_alternative(fcfg, truth, cfg, alt_set, rng)
+    build = lambda: _helstrom_block_test(fcfg, truth, cfg, omega0, w1)
+    return _decide(fcfg, _memoized(memo, (w1, fcfg.blocks), build), rng)
 
 
 def run_lht(
@@ -208,11 +258,12 @@ def run_lht(
     omega0: float,
     alt_set: HypothesisSet,
     rng: np.random.Generator,
+    memo: dict | None = None,
 ) -> FixedOutcome:
     """Single calibrated Helstrom block after m estimation rounds."""
     if fcfg.blocks != 1:
         raise ConfigError(f"run_lht needs blocks == 1, got {fcfg.blocks}")
-    return _run_helstrom_family(fcfg, truth, cfg, omega0, alt_set, rng)
+    return _run_helstrom_family(fcfg, truth, cfg, omega0, alt_set, rng, memo)
 
 
 def run_blht(
@@ -222,9 +273,10 @@ def run_blht(
     omega0: float,
     alt_set: HypothesisSet,
     rng: np.random.Generator,
+    memo: dict | None = None,
 ) -> FixedOutcome:
     """Majority vote over b Helstrom blocks sharing one estimate."""
-    return _run_helstrom_family(fcfg, truth, cfg, omega0, alt_set, rng)
+    return _run_helstrom_family(fcfg, truth, cfg, omega0, alt_set, rng, memo)
 
 
 def variational_tables(
@@ -242,12 +294,22 @@ def variational_tables(
     state at alt_angle, and pn[t, x, j] the same under the state at
     null_angles[j].
     """
+    thetas, q = _state_probs(cfg, (alt_angle,), copies, grid_size)
+    return thetas, q[:, :, 0], _state_probs(cfg, null_angles, copies, grid_size)[1]
+
+
+def _state_probs(
+    cfg: FamilyConfig, angles, copies: int, grid_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rotation grid thetas and p[t, x, j] for the `copies`-copy states at angles[j].
+
+    Built apart, the alternative's column and the null grid's table equal
+    one stacked table bit for bit, so runs keep the null table and build
+    only the alternative's.
+    """
     thetas, u = rotation_grid(grid_size, copies)
-    mats = np.stack(
-        [tensor_power(state_from_angle(cfg, w), copies) for w in (alt_angle, *null_angles)]
-    )
-    p = _rotated_basis_probs(u, mats)
-    return thetas, p[:, :, 0], p[:, :, 1:]
+    mats = np.stack([tensor_power(state_from_angle(cfg, w), copies) for w in angles])
+    return thetas, _rotated_basis_probs(u, mats)
 
 
 def _calibrate_variational(
@@ -298,6 +360,20 @@ def variational_calibration(
     return t, float(power[t]), float(tau[t])
 
 
+def _variational_block_test(
+    fcfg: FixedTestConfig, truth: np.ndarray, cfg: FamilyConfig, w1: float, pn: np.ndarray
+) -> _BlockTest | None:
+    thetas, p = _state_probs(cfg, (w1,), fcfg.joint_copies, fcfg.theta_grid_size)
+    q = p[:, :, 0]
+    try:
+        t_best, _, threshold = variational_calibration(q, pn, fcfg.eps0, fcfg.blocks)
+    except InfeasibleCalibration:
+        return None
+    ratio_row = q[t_best] / np.maximum(pn[t_best].max(axis=1), P_FLOOR)
+    povm = variational_povm(float(thetas[t_best]), fcfg.joint_copies)
+    return _block_test(fcfg, truth, povm, ratio_row >= threshold)
+
+
 def _run_variational_family(
     fcfg: FixedTestConfig,
     truth: np.ndarray,
@@ -305,21 +381,19 @@ def _run_variational_family(
     null_set: HypothesisSet,
     alt_set: HypothesisSet,
     rng: np.random.Generator,
+    memo: dict | None = None,
 ) -> FixedOutcome:
     w1 = _fit_alternative(fcfg, truth, cfg, alt_set, rng)
-    null_angles = build_grid(null_set, fcfg.resolution).angles
-    thetas, q, pn = variational_tables(
-        cfg, w1, null_angles, fcfg.joint_copies, fcfg.theta_grid_size
+    null_probs = lambda: _state_probs(
+        cfg,
+        build_grid(null_set, fcfg.resolution).angles,
+        fcfg.joint_copies,
+        fcfg.theta_grid_size,
+    )[1]
+    build = lambda: _variational_block_test(
+        fcfg, truth, cfg, w1, _memoized(memo, "null_probs", null_probs)
     )
-    try:
-        t_best, _, threshold = variational_calibration(q, pn, fcfg.eps0, fcfg.blocks)
-    except InfeasibleCalibration:
-        return _fixed_outcome(fcfg, 0)
-    ratio_row = q[t_best] / np.maximum(pn[t_best].max(axis=1), P_FLOOR)
-    povm = variational_povm(float(thetas[t_best]), fcfg.joint_copies)
-    return _block_vote(
-        fcfg, truth, povm, lambda x: ratio_row[povm._index[x]] >= threshold, rng
-    )
+    return _decide(fcfg, _memoized(memo, (w1, fcfg.blocks), build), rng)
 
 
 def run_lvt(
@@ -329,11 +403,12 @@ def run_lvt(
     null_set: HypothesisSet,
     alt_set: HypothesisSet,
     rng: np.random.Generator,
+    memo: dict | None = None,
 ) -> FixedOutcome:
     """One calibrated variational ratio test after m estimation rounds."""
     if fcfg.blocks != 1:
         raise ConfigError(f"run_lvt needs blocks == 1, got {fcfg.blocks}")
-    return _run_variational_family(fcfg, truth, cfg, null_set, alt_set, rng)
+    return _run_variational_family(fcfg, truth, cfg, null_set, alt_set, rng, memo)
 
 
 def run_blvt(
@@ -343,6 +418,7 @@ def run_blvt(
     null_set: HypothesisSet,
     alt_set: HypothesisSet,
     rng: np.random.Generator,
+    memo: dict | None = None,
 ) -> FixedOutcome:
     """Majority vote over b variational blocks sharing one estimate."""
-    return _run_variational_family(fcfg, truth, cfg, null_set, alt_set, rng)
+    return _run_variational_family(fcfg, truth, cfg, null_set, alt_set, rng, memo)

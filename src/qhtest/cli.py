@@ -28,6 +28,14 @@ def _cmd_sweep(args) -> int:
         config = dataclasses.replace(config, master_seed=args.seed)
     rows = harness.run_sweep(config)
     harness.emit_results(rows, args.output)
+    for r in rows:
+        if r.uncalibrated_runs:
+            setting = "weight" if r.method in ("LHT", "bLHT") else "rotation"
+            print(
+                f"{r.method} budget {r.budget}: {r.uncalibrated_runs} of {r.runs} runs found "
+                f"no {setting} meeting eps0 {config.eps0:g} and accepted",
+                file=sys.stderr,
+            )
     print(f"wrote {len(rows)} rows to {args.output}")
     return 0
 

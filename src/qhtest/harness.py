@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import FixedTestConfig, run_blht, run_blvt, run_lht, run_lvt
+from .baselines import FixedOutcome, FixedTestConfig, run_blht, run_blvt, run_lht, run_lvt
 from .engine import PolicyConfig, check_design_settings, conservative_start, run_sequential_test
 from .errors import ConfigError, InvalidBlochVector, IoError, ParseError
 from .family import (
@@ -174,6 +174,8 @@ class ResultRow:
     avg_rounds: float
     runs: int
     master_seed: int
+    # Fixed-copy runs whose calibration met no setting and accepted; not in the CSV.
+    uncalibrated_runs: int = 0
 
 
 def _policy(config: ExperimentConfig, method: str) -> PolicyConfig:
@@ -223,6 +225,13 @@ def make_trial(config: ExperimentConfig, method: str):
     `rejected`, `copies_used` and `rounds_used`. Run functions are looked
     up as module globals on every call, so rebinding harness.run_lht and
     the others (a timing hook, say) intercepts every run.
+
+    A fixed-copy trial owns one memo dict, passed to every run it makes.
+    The runner keys it on the fitted grid angle and the block count and
+    keeps there the decided block test (or the fact that none met the
+    size), and for LVT/bLVT also the null grid's rotated-basis table, so
+    each calibration runs once per distinct (angle, blocks). The memo lives
+    as long as the trial, one method's sweep, and no two trials share one.
     """
     fam = config.family()
     truth = state_from_angle(fam, config.truth_omega)
@@ -245,10 +254,11 @@ def make_trial(config: ExperimentConfig, method: str):
         return trial
     runner = _FIXED_RUNNERS[method]
     null = config.point_null_angle() if method in POINT_NULL_METHODS else config.null_set
+    memo: dict = {}
 
     def trial(budget: int, rng: np.random.Generator):
         fcfg = _fixed_config(config, method, budget)
-        return globals()[runner](fcfg, truth, fam, null, config.alt_set, rng)
+        return globals()[runner](fcfg, truth, fam, null, config.alt_set, rng, memo=memo)
 
     return trial
 
@@ -259,12 +269,13 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRow]:
     for method in config.methods:
         trial = make_trial(config, method)
         for b_idx, budget in enumerate(config.budgets):
-            rejected = 0
+            rejected = uncalibrated = 0
             copies = np.empty(config.runs)
             rounds = np.empty(config.runs)
             for run in range(config.runs):
                 out = trial(budget, run_rng(config.master_seed, method, b_idx, run))
                 rejected += out.rejected
+                uncalibrated += isinstance(out, FixedOutcome) and not out.calibrated
                 copies[run] = out.copies_used
                 rounds[run] = out.rounds_used
             rows.append(
@@ -277,6 +288,7 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRow]:
                     avg_rounds=float(rounds.mean()),
                     runs=config.runs,
                     master_seed=config.master_seed,
+                    uncalibrated_runs=uncalibrated,
                 )
             )
     return rows

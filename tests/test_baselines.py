@@ -20,8 +20,14 @@ from qhtest.baselines import (
     variational_tables,
 )
 from qhtest.errors import ConfigError, InfeasibleCalibration
-from qhtest.family import FamilyConfig, parse_hypothesis_set, state_from_angle
-from qhtest.measurements import helstrom_povm
+from qhtest.family import (
+    DEFAULT_RESOLUTION,
+    FamilyConfig,
+    build_grid,
+    parse_hypothesis_set,
+    state_from_angle,
+)
+from qhtest.measurements import _rotated_basis_probs, helstrom_povm, rotation_grid
 from qhtest.quantum import born_distribution, tensor_power
 
 CFG = FamilyConfig()
@@ -137,6 +143,7 @@ def test_infeasible_calibration_raises_and_run_falls_back():
     out = run_lht(fcfg, rho1, CFG, 45.0, ALT_UPPER, np.random.default_rng(1))
     assert out.decision == 0
     assert out.copies_used == 5
+    assert not out.calibrated
 
 
 def test_infeasible_variational_calibration_raises_and_run_accepts(monkeypatch):
@@ -151,6 +158,7 @@ def test_infeasible_variational_calibration_raises_and_run_accepts(monkeypatch):
     out = run_lvt(fcfg, state_from_angle(mixed, 90.0), mixed, NULL_POINT, ALT_UPPER,
                   np.random.default_rng(1))
     assert (out.decision, out.copies_used, out.rounds_used) == (0, 10, 7)
+    assert not out.calibrated
 
 
 def test_lht_type_one_error_within_monte_carlo_band():
@@ -225,3 +233,22 @@ def test_blht_power_grows_with_budget():
         powers.append(hits / runs)
     assert powers[1] >= powers[0]
     assert powers[1] > 0.9
+
+
+@pytest.mark.parametrize("radii", [(1.0, 1.0), (0.9, 0.7)])
+@pytest.mark.parametrize("null_text", ["[0,45]", "{45,135}"])
+@pytest.mark.parametrize("copies", [1, 2, 3, 4])
+def test_alternative_and_null_tables_split_bit_for_bit(radii, null_text, copies):
+    """Building q and pn apart, as a memoized run does, equals one stacked table.
+
+    The runners keep pn for the whole trial and compute only q per fitted
+    angle; the sweep's bytes rest on that split changing no bit.
+    """
+    cfg = FamilyConfig(*radii)
+    null_angles = build_grid(parse_hypothesis_set(null_text), DEFAULT_RESOLUTION).angles
+    _, u = rotation_grid(360, copies)
+    mats = [tensor_power(state_from_angle(cfg, w), copies) for w in (100.0, *null_angles)]
+    stacked = _rotated_basis_probs(u, np.stack(mats))
+    _, q, pn = variational_tables(cfg, 100.0, null_angles, copies, 360)
+    assert np.array_equal(q, stacked[:, :, 0])
+    assert np.array_equal(pn, stacked[:, :, 1:])

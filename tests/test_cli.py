@@ -29,7 +29,9 @@ def config_path(tmp_path):
 def test_sweep_writes_csv(config_path, tmp_path, capsys):
     out = tmp_path / "rows.csv"
     assert main(["sweep", config_path, "-o", str(out)]) == 0
-    assert "wrote 4 rows" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "wrote 4 rows" in captured.out
+    assert captured.err == ""
     lines = out.read_text().splitlines()
     assert lines[0] == RESULT_HEADER
     assert len(lines) == 5
@@ -110,6 +112,30 @@ def test_calibrate_reports_an_infeasible_helstrom_size(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "LVT: blocks 1, no rotation meets size 1e-09, so the test always accepts" in out
     assert "LHT: blocks 1, no weight meets size 1e-09, so the test always accepts" in out
+
+
+def test_sweep_names_the_cells_whose_calibration_failed(tmp_path, capsys):
+    # No rotation, and no weight for some fitted angles, meets eps0 = 1e-9:
+    # the CSV stays as it was, and stderr says which runs accepted untested.
+    path = tmp_path / "infeasible.cfg"
+    path.write_text(
+        CONFIG_TEXT.replace("aLHT+,LHT", "LVT,LHT").replace("eps0 = 0.05", "eps0 = 1e-9")
+        + "r_z = 0.9\nr_x = 0.7\n"
+    )
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", str(path), "-o", str(out)]) == 0
+    assert out.read_text().splitlines()[1:] == [
+        "LVT,10,0,10,0,7,2,7",
+        "LVT,14,0,14,0,11,2,7",
+        "LHT,10,0,10,0,7,2,7",
+        "LHT,14,0,14,0,11,2,7",
+    ]
+    assert capsys.readouterr().err.splitlines() == [
+        "LVT budget 10: 2 of 2 runs found no rotation meeting eps0 1e-09 and accepted",
+        "LVT budget 14: 2 of 2 runs found no rotation meeting eps0 1e-09 and accepted",
+        "LHT budget 10: 1 of 2 runs found no weight meeting eps0 1e-09 and accepted",
+        "LHT budget 14: 1 of 2 runs found no weight meeting eps0 1e-09 and accepted",
+    ]
 
 
 def test_verify_self_checks_pass(capsys):

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from qhtest import harness
+from qhtest import baselines, harness
+from qhtest.baselines import FixedOutcome
 from qhtest.errors import ConfigError, IoError, ParseError
-from qhtest.family import parse_hypothesis_set
+from qhtest.family import parse_hypothesis_set, state_from_angle
 from qhtest.harness import (
     METHOD_IDS,
     RESULT_HEADER,
@@ -181,6 +182,111 @@ class TestRunSweep:
         (r1, r2) = run_sweep(cfg)
         assert r1.std_copies == 0.0
         assert r2.std_copies == 0.0
+
+
+class TestFixedCopyMemo:
+    """A trial's memo changes how often a calibration runs, never what a run returns."""
+
+    FIXED = ("LHT", "bLHT", "LVT", "bLVT")
+
+    @staticmethod
+    def memo_less(config, method, budget, rng):
+        fam = config.family()
+        point = method in harness.POINT_NULL_METHODS
+        null = config.point_null_angle() if point else config.null_set
+        runner = getattr(baselines, harness._FIXED_RUNNERS[method])
+        fcfg = harness._fixed_config(config, method, budget)
+        return runner(fcfg, state_from_angle(fam, config.truth_omega), fam, null,
+                      config.alt_set, rng)
+
+    def assert_trial_matches_memo_less_runs(self, config, monkeypatch):
+        calibrations = []
+        for name in ("helstrom_calibration", "_calibrate_variational"):
+            fn = getattr(baselines, name)
+            counted = lambda *a, fn=fn: calibrations.append(1) or fn(*a)
+            monkeypatch.setattr(baselines, name, counted)
+        outs, trial_calibrations = [], 0
+        for method in config.methods:
+            trial = harness.make_trial(config, method)
+            for b_idx, budget in enumerate(config.budgets):
+                for run in range(config.runs):
+                    rng = lambda: harness.run_rng(config.master_seed, method, b_idx, run)
+                    before = len(calibrations)
+                    outs.append(trial(budget, rng()))
+                    trial_calibrations += len(calibrations) - before
+                    want = self.memo_less(config, method, budget, rng())
+                    assert outs[-1] == want, (method, budget, run)
+        assert trial_calibrations < len(outs), "the memo never hit"
+        return outs
+
+    def test_point_null_all_fixed_methods_with_several_block_counts(self, monkeypatch):
+        # bLHT/bLVT run 1, 2 and 3 blocks at these budgets
+        cfg = small_config(methods=self.FIXED, budgets=(10, 20, 30), runs=4, theta_grid_size=36)
+        assert [harness._fixed_config(cfg, "bLVT", b).blocks for b in cfg.budgets] == [1, 2, 3]
+        outs = self.assert_trial_matches_memo_less_runs(cfg, monkeypatch)
+        assert all(o.calibrated for o in outs)
+
+    @pytest.mark.parametrize(
+        "null_text, alt_text",
+        [("[0,45]", "(45,180]"), ("{45,135}", "(45,135) (135,180)")],
+    )
+    def test_composite_nulls(self, null_text, alt_text, monkeypatch):
+        cfg = small_config(
+            null_set=parse_hypothesis_set(null_text),
+            alt_set=parse_hypothesis_set(alt_text),
+            methods=("LVT", "bLVT"),
+            budgets=(10, 20),
+            runs=4,
+            theta_grid_size=36,
+        )
+        self.assert_trial_matches_memo_less_runs(cfg, monkeypatch)
+
+    def test_infeasible_calibration(self, monkeypatch):
+        # For these mixed states no rotation, and for most fitted angles no
+        # weight, meets eps0 = 1e-9
+        cfg = small_config(
+            methods=("LHT", "LVT"), budgets=(10,), runs=8, eps0=1e-9, r_z=0.9, r_x=0.7,
+            theta_grid_size=36,
+        )
+        outs = self.assert_trial_matches_memo_less_runs(cfg, monkeypatch)
+        assert not any(o.rejected for o in outs if not o.calibrated)
+        uncalibrated = [sum(not o.calibrated for o in outs[i:i + 8]) for i in (0, 8)]
+        assert uncalibrated[0] > 0 and uncalibrated[1] == 8
+        assert [r.uncalibrated_runs for r in run_sweep(cfg)] == uncalibrated
+
+    def test_each_trial_owns_its_memo(self, monkeypatch):
+        memos = []
+
+        def spy(fcfg, *args, memo):
+            memos.append(memo)
+            return FixedOutcome(0, fcfg.total_budget, fcfg.estimation_copies + 1)
+
+        monkeypatch.setattr(harness, "run_lht", spy)
+        cfg = small_config(methods=("LHT",))
+        first, second = harness.make_trial(cfg, "LHT"), harness.make_trial(cfg, "LHT")
+        rng = np.random.default_rng(0)
+        first(10, rng)
+        first(14, rng)
+        second(10, rng)
+        assert memos[0] is memos[1]
+        assert memos[2] is not memos[0]
+
+    def test_a_sweep_grows_no_module_level_dict(self):
+        def sizes():
+            return {
+                (m.__name__, name): len(value)
+                for m in (baselines, harness)
+                for name, value in vars(m).items()
+                if isinstance(value, dict) and not name.startswith("__")
+            }
+
+        before = sizes()
+        run_sweep(small_config(methods=self.FIXED, budgets=(10, 20), runs=2, theta_grid_size=36))
+        after = sizes()
+        assert after.keys() == before.keys()
+        grown = {k for k in after if after[k] > before[k]}
+        # the rotation grids are shared by every caller, one per (grid size, copies)
+        assert grown <= {("qhtest.baselines", "_u_cache")}
 
 
 class TestEmitResults:
