@@ -22,6 +22,15 @@ from .family import build_grid, state_from_angle
 from .quantum import tensor_power
 
 
+def _report_uncalibrated(method: str, budget: int, runs: str, eps0: float) -> None:
+    """One stderr line for fixed-copy runs that found no setting meeting eps0."""
+    setting = "weight" if method in harness.POINT_NULL_METHODS else "rotation"
+    print(
+        f"{method} budget {budget}: {runs} found no {setting} meeting eps0 {eps0:g} and accepted",
+        file=sys.stderr,
+    )
+
+
 def _cmd_sweep(args) -> int:
     config = harness.parse_config(args.config)
     if args.seed is not None:
@@ -30,11 +39,8 @@ def _cmd_sweep(args) -> int:
     harness.emit_results(rows, args.output)
     for r in rows:
         if r.uncalibrated_runs:
-            setting = "weight" if r.method in ("LHT", "bLHT") else "rotation"
-            print(
-                f"{r.method} budget {r.budget}: {r.uncalibrated_runs} of {r.runs} runs found "
-                f"no {setting} meeting eps0 {config.eps0:g} and accepted",
-                file=sys.stderr,
+            _report_uncalibrated(
+                r.method, r.budget, f"{r.uncalibrated_runs} of {r.runs} runs", config.eps0
             )
     print(f"wrote {len(rows)} rows to {args.output}")
     return 0
@@ -167,7 +173,7 @@ def _cmd_calibrate(args) -> int:
         elif method == "aLVT":
             theta = measurements.optimize_theta(pow0, pow1, config.theta_grid_size)
             print(f"{method}: first-block rotation {theta:g} rad")
-        elif method in ("LHT", "bLHT"):
+        elif method in harness.POINT_NULL_METHODS:
             for blocks in _calibration_blocks(config, method):
                 try:
                     lam, alpha, power = baselines.helstrom_calibration(
@@ -225,6 +231,8 @@ def _cmd_single(args) -> int:
             f"{method} budget {budget}: {verdict}, {out.copies_used} copies, "
             f"{out.rounds_used} measurement rounds"
         )
+        if not out.calibrated:
+            _report_uncalibrated(method, budget, "the run", config.eps0)
         if args.trace:
             print("  (per-round traces exist for sequential methods only)")
     return 0

@@ -20,12 +20,14 @@ An SlrState owns one statistic and its transcript, and log SLR is read
 off it (SlrState.log_slr). A run reports the forward state's records and
 the statistic after each round (TestOutcome.rounds and log_slrs).
 
-Both sides read one likelihood: outcome_row reduces the observed outcome
-M_i to its Fourier coefficient row once (family.outcome_coeffs), the
-numerator term is that row evaluated at the predictable angle, and
-slr_update folds the same row into the null and the alternative grids.
-A two-sided run hands the one row to both statistics. The copy count n_i
-is never passed along: the POVM is 2^n_i-dimensional, the row 2 n_i + 1 long.
+A round is two steps, shared with the oracle's transcript generators.
+next_measurement plans it (a RoundPlan). observe_round reduces the observed
+outcome M_i to its Fourier coefficient row once (outcome_row), freezes the
+numerator term as that row at the predictable angle, and slr_update folds
+the same row into the null and the alternative grids, so both sides read
+one likelihood; a two-sided run hands the one row to both statistics. The
+copy count n_i is never passed along: the POVM is 2^n_i-dimensional, the
+row 2 n_i + 1 long.
 
 Numerator probabilities are additionally clamped at NUMERATOR_FLOOR, so a
 predicted-impossible outcome that still happens costs log(NUMERATOR_FLOOR)
@@ -77,6 +79,7 @@ from .family import (
 )
 from .measurements import helstrom_povm, optimize_lambda, optimize_theta, variational_povm
 from .quantum import (
+    OutcomeDistribution,
     Povm,
     born_distribution,
     computational_basis_povm,
@@ -249,36 +252,6 @@ def outcome_row(cfg: FamilyConfig, povm: Povm, outcome) -> np.ndarray:
     return outcome_coeffs(cfg, element)
 
 
-def record_round(
-    state: SlrState,
-    cfg: FamilyConfig,
-    povm: Povm,
-    descriptor: str,
-    outcome,
-    coeffs: np.ndarray,
-    est_povm: Povm,
-    override_angle: float | None = None,
-) -> SlrState:
-    """Record one observed round and fold it into the state.
-
-    coeffs is the outcome's row from outcome_row, computed once per round
-    however many statistics record it, and carries the round's copy count.
-    The numerator term is that row evaluated at the predictable estimate of
-    the rounds already in `state` (see predictable_estimate), before this
-    outcome counts toward any fit. Returns slr_update's new state, whose
-    log_slr counts this round.
-    """
-    w = predictable_estimate(state.alt_grid, cfg, est_povm, override_angle)
-    rec = RoundRecord(
-        povm=povm,
-        descriptor=descriptor,
-        outcome=outcome,
-        coeffs=coeffs,
-        log_numerator_term=numerator_log_term(coeffs, w),
-    )
-    return slr_update(state, rec)
-
-
 def _snap_to_grid(grid: ParamGrid, angle: float) -> float:
     j = int(np.argmin(np.abs(grid.angles - angle)))
     return float(grid.angles[j])
@@ -406,19 +379,71 @@ def _joint_design(
     return out
 
 
+@dataclass(frozen=True)
+class RoundPlan:
+    """One round before its outcome: the measurement, the truth's outcome
+    distribution under it, and the forward numerator angle (fitted on
+    earlier rounds only) that a joint round's design also reads.
+    """
+
+    povm: Povm
+    descriptor: str
+    dist: OutcomeDistribution
+    alt_angle: float
+
+
+def truth_laws(policy: PolicyConfig, truth: np.ndarray) -> tuple[OutcomeDistribution, np.ndarray]:
+    """The truth's estimation-round distribution and its n_joint-copy power, built once per run."""
+    est_dist = born_distribution(truth, estimation_povm(policy.estimation_povm))
+    return est_dist, tensor_power(truth, policy.n_joint)
+
+
 def next_measurement(
     policy: PolicyConfig,
     state: SlrState,
     cfg: FamilyConfig,
+    laws: tuple[OutcomeDistribution, np.ndarray],
     rng: np.random.Generator,
-) -> tuple[Povm, str]:
-    """POVM (of dimension 2^copies) and descriptor of the upcoming round given the transcript."""
+) -> RoundPlan:
+    """Plan the forward statistic's upcoming round; laws is truth_laws' pair.
+
+    The predictable angle is fitted once, for the numerator and the joint
+    design; aLHT's weight is drawn here, before the caller draws the outcome.
+    """
     est = estimation_povm(policy.estimation_povm)
-    if policy.is_estimation_round(len(state.rounds)):
-        return est, f"{policy.estimation_povm}(n=1)"
-    w0 = state.null_mle.omega if state.rounds else _default_angle(state.null_grid)
     w1 = predictable_estimate(state.alt_grid, cfg, est, policy.initial_alt_angle)
-    return _joint_design(policy, cfg, w0, w1, rng)
+    est_dist, joint_power = laws
+    if policy.is_estimation_round(len(state.rounds)):
+        return RoundPlan(est, f"{policy.estimation_povm}(n=1)", est_dist, w1)
+    w0 = state.null_mle.omega if state.rounds else _default_angle(state.null_grid)
+    povm, desc = _joint_design(policy, cfg, w0, w1, rng)
+    return RoundPlan(povm, desc, born_distribution(joint_power, povm), w1)
+
+
+def observe_round(
+    policy: PolicyConfig,
+    cfg: FamilyConfig,
+    plan: RoundPlan,
+    outcome,
+    s0: SlrState,
+    s1: SlrState | None,
+) -> tuple[SlrState, SlrState | None]:
+    """Fold one outcome of `plan` into the forward state s0 and the reversed state s1, if any.
+
+    Both read the one outcome_row. s0's numerator term is frozen at
+    plan.alt_angle; s1 fits its own angle, never from initial_alt_angle.
+    """
+    row = outcome_row(cfg, plan.povm, outcome)
+
+    def fold(state: SlrState, angle: float) -> SlrState:
+        term = numerator_log_term(row, angle)
+        return slr_update(state, RoundRecord(plan.povm, plan.descriptor, outcome, row, term))
+
+    s0 = fold(s0, plan.alt_angle)
+    if s1 is not None:
+        est = estimation_povm(policy.estimation_povm)
+        s1 = fold(s1, predictable_estimate(s1.alt_grid, cfg, est))
+    return s0, s1
 
 
 def one_sided_decision(log_slr: float, eps0: float) -> bool:
@@ -506,41 +531,24 @@ def run_sequential_test(
 
     s0 = new_slr_state(null_set, alt_set, resolution)
     s1 = new_slr_state(alt_set, null_set, resolution) if eps1 is not None else None
+    laws = truth_laws(policy, truth)
     log_slrs: list[float] = []
     copies_used = 0
-    decision = None
-    est_povm = estimation_povm(policy.estimation_povm)
-    est_dist = born_distribution(truth, est_povm)
-    joint_power = tensor_power(truth, policy.n_joint)
+    decision = "continue"
 
-    while True:
-        estimating = policy.is_estimation_round(len(s0.rounds))
-        copies = 1 if estimating else policy.n_joint
+    while decision == "continue":
+        copies = 1 if policy.is_estimation_round(len(s0.rounds)) else policy.n_joint
         if copies_used + copies > budget:
             decision = BUDGET_EXHAUSTED
             break
-        povm, desc = next_measurement(policy, s0, cfg, rng)
-        dist = est_dist if estimating else born_distribution(joint_power, povm)
-        outcome = sample_outcome(dist, rng)
+        plan = next_measurement(policy, s0, cfg, laws, rng)
+        s0, s1 = observe_round(policy, cfg, plan, sample_outcome(plan.dist, rng), s0, s1)
         copies_used += copies
-
-        coeffs = outcome_row(cfg, povm, outcome)
-        s0 = record_round(
-            s0, cfg, povm, desc, outcome, coeffs, est_povm, policy.initial_alt_angle
-        )
-        if s1 is not None:
-            s1 = record_round(s1, cfg, povm, desc, outcome, coeffs, est_povm)
         log_slrs.append(s0.log_slr)
-
         if s1 is None:
-            if one_sided_decision(log_slrs[-1], eps0):
-                decision = REJECT
-                break
+            decision = REJECT if one_sided_decision(s0.log_slr, eps0) else "continue"
         else:
-            verdict = two_sided_decision(log_slrs[-1], s1.log_slr, eps0, eps1)
-            if verdict != "continue":
-                decision = verdict
-                break
+            decision = two_sided_decision(s0.log_slr, s1.log_slr, eps0, eps1)
 
     return TestOutcome(
         decision=decision,

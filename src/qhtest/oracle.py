@@ -20,9 +20,9 @@ from .engine import (
     new_slr_state,
     next_measurement,
     numerator_log_term,
-    outcome_row,
+    observe_round,
     predictable_estimate,
-    record_round,
+    truth_laws,
 )
 from .errors import HorizonTooLarge
 from .family import (
@@ -70,29 +70,25 @@ def enumerate_transcripts(
 
     The policy is replayed deterministically (aLHT's random weight pinned
     to 0.5); every branch weight is the product of exact Born probabilities
-    under `truth`. Branch probabilities sum to one at every horizon.
+    under `truth`. Each node is planned once (next_measurement) and each
+    positive-probability outcome observed into its own child, in label
+    order. Branch probabilities sum to one at every horizon.
     """
     if not 1 <= horizon <= MAX_HORIZON:
         raise HorizonTooLarge(f"horizon must be in 1..{MAX_HORIZON}, got {horizon}")
     rng = _HalfDraw()
-    est_povm = select_estimation_povm(policy.estimation_povm)
-    joint_power = tensor_power(truth, policy.n_joint)
+    laws = truth_laws(policy, truth)
     out: list[Branch] = []
 
     def walk(state: SlrState, prob: float, depth: int):
         if depth == horizon:
             out.append(Branch(records=state.rounds, probability=prob, log_slr=state.log_slr))
             return
-        estimating = policy.is_estimation_round(len(state.rounds))
-        povm, desc = next_measurement(policy, state, cfg, rng)
-        dist = born_distribution(truth if estimating else joint_power, povm)
-        for label, p in zip(dist.labels, dist.probs):
+        plan = next_measurement(policy, state, cfg, laws, rng)
+        for label, p in zip(plan.dist.labels, plan.dist.probs):
             if p == 0.0:
                 continue
-            row = outcome_row(cfg, povm, label)
-            child = record_round(
-                state, cfg, povm, desc, label, row, est_povm, policy.initial_alt_angle
-            )
+            child, _ = observe_round(policy, cfg, plan, label, state, None)
             walk(child, prob * float(p), depth + 1)
 
     walk(new_slr_state(null_set, alt_set, resolution), 1.0, 0)
@@ -218,20 +214,15 @@ def sample_transcript(
 ) -> tuple[tuple, np.ndarray]:
     """Sample a fixed-length transcript; return records and engine log SLRs.
 
-    Unlike run_sequential_test this never stops early, which makes it the
-    right generator for engine-versus-recomputation comparisons.
+    Rounds take the engine's step, so they equal run_sequential_test's for
+    the same seed, but this never stops early, which makes it the right
+    generator for engine-versus-recomputation comparisons.
     """
     state = new_slr_state(null_set, alt_set, resolution)
-    est_povm = select_estimation_povm(policy.estimation_povm)
+    laws = truth_laws(policy, truth)
     logs = np.empty(n_rounds)
-    joint_power = tensor_power(truth, policy.n_joint)
     for t in range(n_rounds):
-        power = truth if policy.is_estimation_round(t) else joint_power
-        povm, desc = next_measurement(policy, state, cfg, rng)
-        outcome = sample_outcome(born_distribution(power, povm), rng)
-        row = outcome_row(cfg, povm, outcome)
-        state = record_round(
-            state, cfg, povm, desc, outcome, row, est_povm, policy.initial_alt_angle
-        )
+        plan = next_measurement(policy, state, cfg, laws, rng)
+        state, _ = observe_round(policy, cfg, plan, sample_outcome(plan.dist, rng), state, None)
         logs[t] = state.log_slr
     return state.rounds, logs

@@ -59,9 +59,10 @@ def test_single_sequential_with_trace(config_path, capsys):
 
 def test_single_fixed_method(config_path, capsys):
     assert main(["single", config_path, "--method", "LHT", "--budget", "14"]) == 0
-    out = capsys.readouterr().out
-    assert "LHT budget 14:" in out
-    assert "14 copies" in out
+    captured = capsys.readouterr()
+    assert "LHT budget 14:" in captured.out
+    assert "14 copies" in captured.out
+    assert captured.err == ""
 
 
 def test_single_unknown_method_fails_cleanly(config_path, capsys):
@@ -136,6 +137,22 @@ def test_sweep_names_the_cells_whose_calibration_failed(tmp_path, capsys):
         "LHT budget 10: 1 of 2 runs found no weight meeting eps0 1e-09 and accepted",
         "LHT budget 14: 1 of 2 runs found no weight meeting eps0 1e-09 and accepted",
     ]
+
+
+def test_single_says_when_its_run_found_no_calibration(tmp_path, capsys):
+    # Run 0 of the budget-10 cells in the sweep test above found no setting meeting eps0.
+    path = tmp_path / "infeasible.cfg"
+    path.write_text(
+        CONFIG_TEXT.replace("aLHT+,LHT", "LVT,LHT").replace("eps0 = 0.05", "eps0 = 1e-9")
+        + "r_z = 0.9\nr_x = 0.7\n"
+    )
+    for method, setting in (("LVT", "rotation"), ("LHT", "weight")):
+        assert main(["single", str(path), "--method", method, "--budget", "10"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"{method} budget 10: accept, 10 copies, 7 measurement rounds\n"
+        assert captured.err == (
+            f"{method} budget 10: the run found no {setting} meeting eps0 1e-09 and accepted\n"
+        )
 
 
 def test_verify_self_checks_pass(capsys):

@@ -39,7 +39,6 @@ from qhtest.family import (
 from qhtest.harness import ExperimentConfig, run_sweep
 from qhtest.quantum import (
     Povm,
-    born_distribution,
     computational_basis_povm,
     sample_outcome,
     sic_povm_qubit,
@@ -384,6 +383,33 @@ def test_two_sided_run_rejects_under_the_alternative():
     assert out.final_log_slr >= math.log(1.0 / 0.05)
 
 
+@pytest.mark.parametrize("kind, estimation", [("aLHT+", "computational"), ("aLVT", "sic")])
+@pytest.mark.parametrize(
+    "null, alt, truth",
+    [("[0,45]", "(45,180]", 60.0), ("{45,135}", "(45,135) (135,180)", 100.0)],
+)
+def test_reversed_statistic_replays_to_its_final_log_ratio(kind, estimation, null, alt, truth):
+    """A two-sided run's reversed statistic equals the from-scratch value with the sets swapped.
+
+    The policy's initial_alt_angle moves only the forward statistic's first
+    estimate; the reversed side starts from its own default angle.
+    """
+    policy = PolicyConfig(
+        kind=kind, n_ic=2, n_joint=2, estimation_povm=estimation, initial_alt_angle=130.0,
+        lambda_grid_size=19, theta_grid_size=36,
+    )
+    null_set, alt_set = parse_hypothesis_set(null), parse_hypothesis_set(alt)
+    out = run_sequential_test(
+        policy, state_from_angle(CFG, truth), CFG, null_set, alt_set, 1e-6, 20,
+        np.random.default_rng(31), eps1=1e-6,
+    )
+    assert out.rounds_used >= 6
+    redone = oracle.recompute_slr(
+        out.rounds, CFG, alt_set, null_set, estimation_povm=estimation
+    )
+    assert abs(out.final_log_slr_rev - redone[-1]) < 1e-9
+
+
 def test_sic_estimation_rounds():
     policy = PolicyConfig(kind="aLVT", n_ic=2, n_joint=2, estimation_povm="sic",
                           theta_grid_size=24)
@@ -423,30 +449,28 @@ def test_run_sequential_test_validates_inputs():
 
 @pytest.mark.parametrize("two_sided", [False, True])
 def test_joint_rounds_reuse_the_refined_null_mle(monkeypatch, two_sided):
-    """Every state carries the denominator's refined MLE; joint designs use it as w0."""
+    """Every state carries the denominator's refined MLE; joint designs use it as w0.
+
+    Only engine functions are patched. The oracle's generator takes the
+    engine's round step, so they see its rounds as well.
+    """
     null_set = parse_hypothesis_set("[0,45]")
     policy = PolicyConfig(kind="aLHT+", n_ic=2, n_joint=2, lambda_grid_size=9)
-    states, designs, current = [], [], []
-    real_next, real_design = engine.next_measurement, engine._joint_design
-    real_record = engine.record_round
+    states, designs = [], []
+    real_update, real_design = engine.slr_update, engine._joint_design
 
-    def next_measurement(policy, state, cfg, rng):
-        current[:] = [state]
-        return real_next(policy, state, cfg, rng)
+    def slr_update(state, rec):
+        states.append(real_update(state, rec))
+        return states[-1]
 
     def joint_design(policy, cfg, w0, w1, rng):
-        designs.append((current[0], w0))
+        # the forward statistic is the one whose null grid is [0,45]
+        forward = [s for s in states if s.null_grid.angles[-1] == 45.0]
+        designs.append((forward[-1], w0))
         return real_design(policy, cfg, w0, w1, rng)
 
-    def record_round(*args, **kwargs):
-        out = real_record(*args, **kwargs)
-        states.append(out)
-        return out
-
+    monkeypatch.setattr(engine, "slr_update", slr_update)
     monkeypatch.setattr(engine, "_joint_design", joint_design)
-    for module in (engine, oracle):
-        monkeypatch.setattr(module, "next_measurement", next_measurement)
-        monkeypatch.setattr(module, "record_round", record_round)
     truth = state_from_angle(CFG, 22.3)
     rng = np.random.default_rng(17)
     if two_sided:
@@ -459,6 +483,7 @@ def test_joint_rounds_reuse_the_refined_null_mle(monkeypatch, two_sided):
         assert state.null_mle.omega == again.omega
         assert state.null_mle.loglik == again.loglik
     for state, w0 in designs:
+        assert len(state.rounds) % 3 == 2
         assert w0 == state.null_mle.omega
 
 
@@ -478,8 +503,10 @@ def test_record_round_rejects_unknown_outcome():
 def test_record_round_reduces_each_outcome_once(monkeypatch, kind):
     """One outcome_coeffs call per observed round; the numerator and both grids read that row.
 
-    A two-sided run records every round in two statistics and still
-    reduces each outcome once.
+    Each statistic also fits its predictable angle once per round: the
+    forward one when the round is planned, for its joint design and its
+    numerator alike. A two-sided run records every round in two
+    statistics, fits two angles and still reduces each outcome once.
     """
     policy = PolicyConfig(
         kind=kind, n_ic=2, n_joint=3, estimation_povm="sic",
@@ -489,27 +516,34 @@ def test_record_round_reduces_each_outcome_once(monkeypatch, kind):
     state = new_slr_state(parse_hypothesis_set("[0,45]"), ALT_UPPER)
     # build the estimate regularizer now; every later grid shares its cache
     engine._pseudo_loglik(state.alt_grid, CFG, est)
-    calls = []
-    real = family.outcome_coeffs
+    calls, fits = [], []
+    real, real_fit = family.outcome_coeffs, engine.predictable_estimate
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
+    def counted_fit(*args):
+        fits.append(args)
+        return real_fit(*args)
+
     for module in (engine, family):
         monkeypatch.setattr(module, "outcome_coeffs", counted)
+    monkeypatch.setattr(engine, "predictable_estimate", counted_fit)
     truth = state_from_angle(CFG, 100.0)
+    laws = engine.truth_laws(policy, truth)
     rng = np.random.default_rng(5)
     for t in range(1, 10):
         copies = policy.n_joint if t % 3 == 0 else 1
-        povm, desc = engine.next_measurement(policy, state, CFG, rng)
-        outcome = sample_outcome(born_distribution(tensor_power(truth, copies), povm), rng)
-        w = predictable_estimate(state.alt_grid, CFG, est)
-        coeffs = engine.outcome_row(CFG, povm, outcome)
-        state = engine.record_round(state, CFG, povm, desc, outcome, coeffs, est)
+        w = real_fit(state.alt_grid, CFG, est)
+        plan = engine.next_measurement(policy, state, CFG, laws, rng)
+        assert plan.alt_angle == w
+        state, _ = engine.observe_round(
+            policy, CFG, plan, sample_outcome(plan.dist, rng), state, None
+        )
         assert len(calls) == t
+        assert len(fits) == t
         rec = state.rounds[-1]
-        assert rec.coeffs is coeffs
         assert rec.copies == copies
         assert state.null_grid.rounds[-1] is rec.coeffs
         assert state.alt_grid.rounds[-1] is rec.coeffs
@@ -519,11 +553,13 @@ def test_record_round_reduces_each_outcome_once(monkeypatch, kind):
     # estimate regularizer through family.outcome_coeffs.
     monkeypatch.setattr(family, "outcome_coeffs", real)
     calls.clear()
+    fits.clear()
     null_set = parse_hypothesis_set("[0,45]")
     rng = np.random.default_rng(5)
     out = run_sequential_test(policy, truth, CFG, null_set, ALT_UPPER, 0.05, 30, rng, eps1=0.05)
     assert out.rounds_used > 9
     assert len(calls) == out.rounds_used
+    assert len(fits) == 2 * out.rounds_used
 
 
 @pytest.mark.parametrize("truth", [22.3, 44.75])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhtest.engine import PolicyConfig
+from qhtest.engine import PolicyConfig, run_sequential_test
 from qhtest.errors import HorizonTooLarge
 from qhtest.family import FamilyConfig, parse_hypothesis_set, state_from_angle
 from qhtest.oracle import (
@@ -107,6 +107,32 @@ def test_sampled_transcripts_match_recompute():
         )
         worst = max(worst, float(np.max(np.abs(again - engine_logs))))
     assert worst <= 1e-9
+
+
+@pytest.mark.parametrize("kind", ["aLHT", "aLHT+", "aLVT"])
+def test_sampled_transcript_follows_the_engine_run(kind):
+    """With one seed, the oracle's generator and the engine give the same rounds.
+
+    Every round both ran has the same descriptor, outcome, numerator term
+    and log SLR.
+    """
+    cfg = FamilyConfig()
+    null_set, alt_set = small_sets()
+    policy = PolicyConfig(kind=kind, n_ic=2, n_joint=2, lambda_grid_size=19, theta_grid_size=36)
+    truth = state_from_angle(cfg, 80.0)
+    out = run_sequential_test(
+        policy, truth, cfg, null_set, alt_set, 1e-3, 40, np.random.default_rng(404)
+    )
+    records, logs = sample_transcript(
+        policy, truth, cfg, null_set, alt_set, 12, np.random.default_rng(404)
+    )
+    shared = min(out.rounds_used, len(records))
+    assert shared >= 9
+    for mine, theirs in zip(out.rounds[:shared], records[:shared]):
+        assert mine.descriptor == theirs.descriptor
+        assert mine.outcome == theirs.outcome
+        assert mine.log_numerator_term == theirs.log_numerator_term
+    assert list(out.log_slrs[:shared]) == list(logs[:shared])
 
 
 # (null set, alternative set) pairs: point, interval and two-point nulls
