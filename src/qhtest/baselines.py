@@ -21,17 +21,17 @@ ties accept. With b = 1 both majority variants reduce exactly to their
 single-block tests, including the random stream they consume.
 
 A calibrated block test depends on the run's data only through the fitted
-grid angle w1, so every runner takes an optional memo dict that maps
-(w1, blocks) to the decided block test: the truth's outcome distribution
-on one block's joint measurement and the outcomes that vote to reject, or
-None when no setting meets the size (the run then accepts without
-drawing). The variational runners also keep the null grid's rotated-basis
-table there, which does not depend on w1 at all. A memo serves one trial
-as built by harness.make_trial: one truth, family, hypothesis pair and
-set of design settings, with only the budget varying. Without a memo
-(the default) every run recalibrates. A hit draws the same blocks from
-the same distribution, so the random stream and every decision are those
-of a memo-less run.
+grid angle w1, so every runner takes a memo dict that maps (w1, blocks)
+to the decided block test: the truth's outcome distribution on one
+block's joint measurement, the outcomes that vote to reject and the
+calibrated setting in words, or None when no setting meets the size (the
+run then accepts without drawing). The variational block test also keeps
+the null grid's rotated-basis table there, which does not depend on w1 at
+all. A memo serves one trial as built by harness.make_trial: one truth,
+family, hypothesis pair and set of design settings, with only the budget
+varying; a fresh {} recalibrates. A hit draws the same blocks from the
+same distribution, so the random stream and every decision are those of
+a run that recalibrated.
 """
 
 from __future__ import annotations
@@ -161,16 +161,19 @@ def _fit_alternative(
 
 @dataclass(frozen=True)
 class _BlockTest:
-    """A calibrated joint block: the truth's outcome distribution and the rejecting labels."""
+    """A calibrated joint block: the truth's outcome law, rejecting labels, setting in words."""
 
     dist: OutcomeDistribution
     rejecting: frozenset
+    setting: str
 
 
-def _block_test(fcfg: FixedTestConfig, truth: np.ndarray, povm: Povm, rejects) -> _BlockTest:
+def _block_test(
+    fcfg: FixedTestConfig, truth: np.ndarray, povm: Povm, rejects, setting: str
+) -> _BlockTest:
     """The block test measuring povm; rejects[i] is the vote of outcome povm.labels[i]."""
     dist = born_distribution(tensor_power(truth, fcfg.joint_copies), povm)
-    return _BlockTest(dist, frozenset(x for x, r in zip(povm.labels, rejects) if r))
+    return _BlockTest(dist, frozenset(x for x, r in zip(povm.labels, rejects) if r), setting)
 
 
 def _block_vote(fcfg: FixedTestConfig, test: _BlockTest, rng: np.random.Generator) -> FixedOutcome:
@@ -179,10 +182,8 @@ def _block_vote(fcfg: FixedTestConfig, test: _BlockTest, rng: np.random.Generato
     return _fixed_outcome(fcfg, int(votes >= _majority(fcfg.blocks)))
 
 
-def _memoized(memo: dict | None, key, build):
-    """memo[key], computed by build() on the first lookup; build() itself without a memo."""
-    if memo is None:
-        return build()
+def _memoized(memo: dict, key, build):
+    """memo[key], computed by build() on the first lookup."""
     if key not in memo:
         memo[key] = build()
     return memo[key]
@@ -229,12 +230,13 @@ def _helstrom_block_test(
     pow0 = tensor_power(state_from_angle(cfg, omega0), fcfg.joint_copies)
     pow1 = tensor_power(state_from_angle(cfg, w1), fcfg.joint_copies)
     try:
-        lam, _, _ = helstrom_calibration(
+        lam, alpha, power = helstrom_calibration(
             pow0, pow1, fcfg.eps0, fcfg.lambda_grid_size, fcfg.blocks
         )
     except InfeasibleCalibration:
         return None
-    return _block_test(fcfg, truth, helstrom_povm(pow0, pow1, lam), (False, True))
+    setting = f"weight {lam:g}, block size {alpha:.4g}, block power {power:.4g}"
+    return _block_test(fcfg, truth, helstrom_povm(pow0, pow1, lam), (False, True), setting)
 
 
 def _run_helstrom_family(
@@ -244,7 +246,7 @@ def _run_helstrom_family(
     omega0: float,
     alt_set: HypothesisSet,
     rng: np.random.Generator,
-    memo: dict | None = None,
+    memo: dict,
 ) -> FixedOutcome:
     w1 = _fit_alternative(fcfg, truth, cfg, alt_set, rng)
     build = lambda: _helstrom_block_test(fcfg, truth, cfg, omega0, w1)
@@ -258,7 +260,7 @@ def run_lht(
     omega0: float,
     alt_set: HypothesisSet,
     rng: np.random.Generator,
-    memo: dict | None = None,
+    memo: dict,
 ) -> FixedOutcome:
     """Single calibrated Helstrom block after m estimation rounds."""
     if fcfg.blocks != 1:
@@ -273,29 +275,10 @@ def run_blht(
     omega0: float,
     alt_set: HypothesisSet,
     rng: np.random.Generator,
-    memo: dict | None = None,
+    memo: dict,
 ) -> FixedOutcome:
     """Majority vote over b Helstrom blocks sharing one estimate."""
     return _run_helstrom_family(fcfg, truth, cfg, omega0, alt_set, rng, memo)
-
-
-def variational_tables(
-    cfg: FamilyConfig,
-    alt_angle: float,
-    null_angles: np.ndarray,
-    copies: int,
-    grid_size: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rotation grid and outcome tables that _calibrate_variational sizes.
-
-    Returns (thetas, q, pn): thetas holds measurements.rotation_grid's
-    grid_size rotation angles in radians, q[t, x] the probability of
-    outcome x of the rotated basis at thetas[t] on `copies` copies of the
-    state at alt_angle, and pn[t, x, j] the same under the state at
-    null_angles[j].
-    """
-    thetas, q = _state_probs(cfg, (alt_angle,), copies, grid_size)
-    return thetas, q[:, :, 0], _state_probs(cfg, null_angles, copies, grid_size)[1]
 
 
 def _state_probs(
@@ -303,9 +286,11 @@ def _state_probs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rotation grid thetas and p[t, x, j] for the `copies`-copy states at angles[j].
 
-    Built apart, the alternative's column and the null grid's table equal
-    one stacked table bit for bit, so runs keep the null table and build
-    only the alternative's.
+    thetas holds measurements.rotation_grid's grid_size angles in radians,
+    and p[t, x, j] is the probability of outcome x of the rotated basis at
+    thetas[t]. Built apart, the alternative's column and the null grid's
+    table equal one stacked table bit for bit, so runs keep the null table
+    and build only the alternative's.
     """
     thetas, u = rotation_grid(grid_size, copies)
     mats = np.stack([tensor_power(state_from_angle(cfg, w), copies) for w in angles])
@@ -345,8 +330,9 @@ def _calibrate_variational(
 def variational_calibration(
     q: np.ndarray, pn: np.ndarray, eps0: float, blocks: int
 ) -> tuple[int, float, float]:
-    """Most powerful rotation of variational_tables' grid at exact size eps0.
+    """Most powerful rotation of _state_probs' grid at exact size eps0.
 
+    q[t, x] is the alternative's table and pn[t, x, j] the null grid's.
     Returns (index into thetas, per-block power, ratio threshold); ties
     break toward the smaller angle. Raises InfeasibleCalibration when no
     rotation has a finite threshold.
@@ -361,17 +347,32 @@ def variational_calibration(
 
 
 def _variational_block_test(
-    fcfg: FixedTestConfig, truth: np.ndarray, cfg: FamilyConfig, w1: float, pn: np.ndarray
+    fcfg: FixedTestConfig,
+    truth: np.ndarray,
+    cfg: FamilyConfig,
+    null_set: HypothesisSet,
+    w1: float,
+    memo: dict,
 ) -> _BlockTest | None:
+    """The block test calibrated at w1; the null grid's table is kept in memo."""
+    null_probs = lambda: _state_probs(
+        cfg,
+        build_grid(null_set, fcfg.resolution).angles,
+        fcfg.joint_copies,
+        fcfg.theta_grid_size,
+    )[1]
+    pn = _memoized(memo, "null_probs", null_probs)
     thetas, p = _state_probs(cfg, (w1,), fcfg.joint_copies, fcfg.theta_grid_size)
     q = p[:, :, 0]
     try:
-        t_best, _, threshold = variational_calibration(q, pn, fcfg.eps0, fcfg.blocks)
+        t_best, power, threshold = variational_calibration(q, pn, fcfg.eps0, fcfg.blocks)
     except InfeasibleCalibration:
         return None
     ratio_row = q[t_best] / np.maximum(pn[t_best].max(axis=1), P_FLOOR)
-    povm = variational_povm(float(thetas[t_best]), fcfg.joint_copies)
-    return _block_test(fcfg, truth, povm, ratio_row >= threshold)
+    theta = float(thetas[t_best])
+    setting = f"rotation {theta:g} rad, threshold {threshold:g}, block power {power:.4g}"
+    povm = variational_povm(theta, fcfg.joint_copies)
+    return _block_test(fcfg, truth, povm, ratio_row >= threshold, setting)
 
 
 def _run_variational_family(
@@ -381,18 +382,10 @@ def _run_variational_family(
     null_set: HypothesisSet,
     alt_set: HypothesisSet,
     rng: np.random.Generator,
-    memo: dict | None = None,
+    memo: dict,
 ) -> FixedOutcome:
     w1 = _fit_alternative(fcfg, truth, cfg, alt_set, rng)
-    null_probs = lambda: _state_probs(
-        cfg,
-        build_grid(null_set, fcfg.resolution).angles,
-        fcfg.joint_copies,
-        fcfg.theta_grid_size,
-    )[1]
-    build = lambda: _variational_block_test(
-        fcfg, truth, cfg, w1, _memoized(memo, "null_probs", null_probs)
-    )
+    build = lambda: _variational_block_test(fcfg, truth, cfg, null_set, w1, memo)
     return _decide(fcfg, _memoized(memo, (w1, fcfg.blocks), build), rng)
 
 
@@ -403,7 +396,7 @@ def run_lvt(
     null_set: HypothesisSet,
     alt_set: HypothesisSet,
     rng: np.random.Generator,
-    memo: dict | None = None,
+    memo: dict,
 ) -> FixedOutcome:
     """One calibrated variational ratio test after m estimation rounds."""
     if fcfg.blocks != 1:
@@ -418,7 +411,7 @@ def run_blvt(
     null_set: HypothesisSet,
     alt_set: HypothesisSet,
     rng: np.random.Generator,
-    memo: dict | None = None,
+    memo: dict,
 ) -> FixedOutcome:
     """Majority vote over b variational blocks sharing one estimate."""
     return _run_variational_family(fcfg, truth, cfg, null_set, alt_set, rng, memo)

@@ -2,9 +2,10 @@
 
 sweep runs a full Monte Carlo sweep from a config file and writes the CSV
 table. verify executes a quick self-check suite with one PASS/FAIL line
-per check. calibrate prints the measurement settings each configured
-method would choose before seeing any data. single executes one seeded
-trial, optionally dumping the per-round transcript.
+per check. calibrate prints, per configured method, the joint design
+the engine plans before any data or the fixed-copy runners' calibrated
+block test at the reference angles. single executes one seeded trial,
+optionally dumping the per-round transcript.
 """
 
 from __future__ import annotations
@@ -16,17 +17,21 @@ import sys
 
 import numpy as np
 
-from . import baselines, engine, harness, measurements, oracle
-from .errors import InfeasibleCalibration, QhtError
-from .family import build_grid, state_from_angle
-from .quantum import tensor_power
+from . import baselines, engine, harness, oracle
+from .errors import QhtError
+from .family import state_from_angle
+
+
+def _setting_word(method: str) -> str:
+    """What a fixed-copy method calibrates: a Helstrom weight or a rotation."""
+    return "weight" if method in harness.POINT_NULL_METHODS else "rotation"
 
 
 def _report_uncalibrated(method: str, budget: int, runs: str, eps0: float) -> None:
     """One stderr line for fixed-copy runs that found no setting meeting eps0."""
-    setting = "weight" if method in harness.POINT_NULL_METHODS else "rotation"
     print(
-        f"{method} budget {budget}: {runs} found no {setting} meeting eps0 {eps0:g} and accepted",
+        f"{method} budget {budget}: {runs} found no {_setting_word(method)} "
+        f"meeting eps0 {eps0:g} and accepted",
         file=sys.stderr,
     )
 
@@ -146,60 +151,44 @@ def _cmd_verify(args) -> int:
     return 0 if all(results) else 1
 
 
-def _calibration_blocks(config, method: str) -> list[int]:
-    """Distinct block counts a fixed-copy method runs with across the budgets."""
-    return sorted({harness._fixed_config(config, method, b).blocks for b in config.budgets})
-
-
 def _cmd_calibrate(args) -> int:
     config = harness.parse_config(args.config)
     fam = config.family()
-    alt_grid = build_grid(config.alt_set, config.grid_resolution)
-    null_grid = build_grid(config.null_set, config.grid_resolution)
+    truth = state_from_angle(fam, config.truth_omega)
+    state = engine.new_slr_state(config.null_set, config.alt_set, config.grid_resolution)
     est_povm = engine.estimation_povm(config.estimation_povm)
-    w1 = engine.predictable_estimate(alt_grid, fam, est_povm)
-    w0 = engine.predictable_estimate(null_grid, fam, est_povm)
+    w1 = engine.predictable_estimate(state.alt_grid, fam, est_povm)
+    w0 = engine.predictable_estimate(state.null_grid, fam, est_povm)
     print(f"reference null angle {w0:g}, reference alternative angle {w1:g}")
-    infeasible = f"meets size {config.eps0:g}, so the test always accepts"
-    # For a point null (LHT/bLHT) w0 is the null angle itself.
-    pow0 = tensor_power(state_from_angle(fam, w0), config.n_joint)
-    pow1 = tensor_power(state_from_angle(fam, w1), config.n_joint)
     for method in config.methods:
         if method == "aLHT":
             print(f"{method}: weight drawn uniformly at random each block")
-        elif method == "aLHT+":
-            lam = measurements.optimize_lambda(pow0, pow1, config.lambda_grid_size)
-            print(f"{method}: first-block weight {lam:g}")
-        elif method == "aLVT":
-            theta = measurements.optimize_theta(pow0, pow1, config.theta_grid_size)
-            print(f"{method}: first-block rotation {theta:g} rad")
-        elif method in harness.POINT_NULL_METHODS:
-            for blocks in _calibration_blocks(config, method):
-                try:
-                    lam, alpha, power = baselines.helstrom_calibration(
-                        pow0, pow1, config.eps0, config.lambda_grid_size, blocks
-                    )
-                except InfeasibleCalibration:
-                    setting = f"no weight {infeasible}"
-                else:
-                    setting = f"weight {lam:g}, block size {alpha:.4g}, block power {power:.4g}"
-                print(f"{method}: blocks {blocks}, {setting}")
+            continue
+        if method in engine.POLICY_KINDS:
+            # The joint round the engine plans before any data; aLHT+ and aLVT draw nothing.
+            policy = dataclasses.replace(harness._policy(config, method), n_ic=0)
+            laws = engine.truth_laws(policy, truth)
+            plan = engine.next_measurement(policy, state, fam, laws, rng=None)
+            print(f"{method}: pre-data joint round {plan.descriptor}")
+            continue
+        # The runners' own block test at the reference angles, once per block count.
+        if method in harness.POINT_NULL_METHODS:
+            block_test = lambda fcfg: baselines._helstrom_block_test(fcfg, truth, fam, w0, w1)
         else:
             print(f"{method}: threshold depends on the estimated alternative; "
                   f"reference angle {w1:g} shown")
-            thetas, q, pn = baselines.variational_tables(
-                fam, w1, null_grid.angles, config.n_joint, config.theta_grid_size
+            memo: dict = {}
+            block_test = lambda fcfg: baselines._variational_block_test(
+                fcfg, truth, fam, config.null_set, w1, memo
             )
-            for blocks in _calibration_blocks(config, method):
-                try:
-                    t, power, tau = baselines.variational_calibration(q, pn, config.eps0, blocks)
-                except InfeasibleCalibration:
-                    setting = f"no rotation {infeasible}"
-                else:
-                    setting = (
-                        f"rotation {thetas[t]:g} rad, threshold {tau:g}, block power {power:.4g}"
-                    )
-                print(f"{method}: blocks {blocks}, {setting}")
+        fcfgs = [harness._fixed_config(config, method, b) for b in config.budgets]
+        for fcfg in {f.blocks: f for f in fcfgs}.values():
+            test = block_test(fcfg)
+            setting = test.setting if test else (
+                f"no {_setting_word(method)} meets size {config.eps0:g}, "
+                "so the test always accepts"
+            )
+            print(f"{method}: blocks {fcfg.blocks}, {setting}")
     return 0
 
 
@@ -214,7 +203,7 @@ def _cmd_single(args) -> int:
     config = dataclasses.replace(config, methods=(method,), budgets=(budget,))
     rng = harness.run_rng(config.master_seed, method, b_idx, 0)
     out = harness.make_trial(config, method)(budget, rng)
-    if method in harness.SEQUENTIAL_METHODS:
+    if method in engine.POLICY_KINDS:
         print(
             f"{method} budget {budget}: {out.decision} after {out.rounds_used} rounds, "
             f"{out.copies_used} copies, final log ratio {out.final_log_slr:.6g}"

@@ -299,10 +299,10 @@ def _pseudo_loglik(grid: ParamGrid, cfg: FamilyConfig, povm: Povm) -> np.ndarray
     likelihood: angles that would predict probability zero for a possible
     estimation outcome (pure states aligned against a projector) score far
     below everything else, so the regularized argmax never lands on them.
-    Cached alongside the grid's basis matrices; the vector depends only on
-    the grid angles.
+    Cached alongside the grid's basis matrices; the vector depends on the
+    grid angles, the family and the POVM.
     """
-    key = ("pseudo", povm.labels)
+    key = ("pseudo", cfg, povm.labels)
     hit = grid.basis_cache.get(key)
     if hit is None:
         hit = PSEUDO_WEIGHT * np.mean(estimation_log_rows(grid, cfg, povm), axis=0)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -335,12 +335,17 @@ def estimation_log_rows(grid: ParamGrid, cfg: FamilyConfig, povm: Povm) -> np.nd
     )
 
 
+@lru_cache(maxsize=16)
 def build_grid(hset: HypothesisSet, resolution: float = DEFAULT_RESOLUTION) -> ParamGrid:
     """Uniform grid over a hypothesis set.
 
     Every interval is covered at the given spacing starting from its first
     included lattice point; closed endpoints are appended exactly when the
     lattice misses them, open endpoints are pushed inward by one step.
+
+    Grids are cached on (hset, resolution), so every run over one set
+    shares one grid and the basis matrices in its basis_cache; the grid
+    is read-only apart from that cache.
     """
     if resolution <= 0:
         raise ValueError(f"resolution must be positive, got {resolution}")

@@ -20,7 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import FixedOutcome, FixedTestConfig, run_blht, run_blvt, run_lht, run_lvt
-from .engine import PolicyConfig, check_design_settings, conservative_start, run_sequential_test
+from .engine import (
+    POLICY_KINDS,
+    PolicyConfig,
+    check_design_settings,
+    conservative_start,
+    run_sequential_test,
+)
 from .errors import ConfigError, InvalidBlochVector, IoError, ParseError
 from .family import (
     DEFAULT_RESOLUTION,
@@ -34,7 +40,6 @@ from .family import (
 from .quantum import MAX_TENSOR_DIM
 
 METHOD_IDS = {"aLHT": 0, "aLHT+": 1, "aLVT": 2, "LHT": 3, "bLHT": 4, "LVT": 5, "bLVT": 6}
-SEQUENTIAL_METHODS = ("aLHT", "aLHT+", "aLVT")
 POINT_NULL_METHODS = ("LHT", "bLHT")
 BLOCK_SCALED_METHODS = ("bLHT", "bLVT")
 # Names, not functions: make_trial resolves them when each run starts.
@@ -119,7 +124,7 @@ class ExperimentConfig:
         for m in self.methods:
             # The copies of the method's first measured round: a smaller
             # budget would report a cell that measured nothing.
-            if m in SEQUENTIAL_METHODS:
+            if m in POLICY_KINDS:
                 floor = 1 if self.n_ic else self.n_joint
             elif m in BLOCK_SCALED_METHODS:
                 floor = self.n_ic + self.n_joint
@@ -226,16 +231,17 @@ def make_trial(config: ExperimentConfig, method: str):
     up as module globals on every call, so rebinding harness.run_lht and
     the others (a timing hook, say) intercepts every run.
 
-    A fixed-copy trial owns one memo dict, passed to every run it makes.
-    The runner keys it on the fitted grid angle and the block count and
-    keeps there the decided block test (or the fact that none met the
-    size), and for LVT/bLVT also the null grid's rotated-basis table, so
-    each calibration runs once per distinct (angle, blocks). The memo lives
-    as long as the trial, one method's sweep, and no two trials share one.
+    A fixed-copy trial owns one memo dict, passed to every run it makes
+    (the runners require one). The runner keys it on the fitted grid angle
+    and the block count and keeps there the decided block test (or the
+    fact that none met the size), and for LVT/bLVT also the null grid's
+    rotated-basis table, so each calibration runs once per distinct
+    (angle, blocks). The memo lives as long as the trial, one method's
+    sweep, and no two trials share one.
     """
     fam = config.family()
     truth = state_from_angle(fam, config.truth_omega)
-    if method in SEQUENTIAL_METHODS:
+    if method in POLICY_KINDS:
         policy = _policy(config, method)
 
         def trial(budget: int, rng: np.random.Generator):

@@ -11,13 +11,13 @@ from qhtest.baselines import (
     FixedTestConfig,
     _majority,
     _majority_tail,
+    _state_probs,
     helstrom_calibration,
     run_blht,
     run_blvt,
     run_lht,
     run_lvt,
     variational_calibration,
-    variational_tables,
 )
 from qhtest.errors import ConfigError, InfeasibleCalibration
 from qhtest.family import (
@@ -140,7 +140,7 @@ def test_infeasible_calibration_raises_and_run_falls_back():
         helstrom_calibration(rho0, rho1, 1e-12, 9, blocks=1)
     # the runners swallow the failure and report a non-rejection
     fcfg = FixedTestConfig(5, blocks=1, joint_copies=1, eps0=1e-12, lambda_grid_size=9)
-    out = run_lht(fcfg, rho1, CFG, 45.0, ALT_UPPER, np.random.default_rng(1))
+    out = run_lht(fcfg, rho1, CFG, 45.0, ALT_UPPER, np.random.default_rng(1), memo={})
     assert out.decision == 0
     assert out.copies_used == 5
     assert not out.calibrated
@@ -149,14 +149,15 @@ def test_infeasible_calibration_raises_and_run_falls_back():
 def test_infeasible_variational_calibration_raises_and_run_accepts(monkeypatch):
     # Every 4-copy outcome has null probability above 1e-9 for these mixed states
     mixed = FamilyConfig(r_z=0.9, r_x=0.7)
-    _, q, pn = variational_tables(mixed, 112.5, np.array([45.0]), 4, 36)
+    _, q = _state_probs(mixed, (112.5,), 4, 36)
+    _, pn = _state_probs(mixed, (45.0,), 4, 36)
     with pytest.raises(InfeasibleCalibration):
-        variational_calibration(q, pn, 1e-9, 1)
+        variational_calibration(q[:, :, 0], pn, 1e-9, 1)
     # the run accepts without building a design or drawing a block
     monkeypatch.setattr(baselines, "_block_vote", None)
     fcfg = FixedTestConfig(10, eps0=1e-9, theta_grid_size=36)
     out = run_lvt(fcfg, state_from_angle(mixed, 90.0), mixed, NULL_POINT, ALT_UPPER,
-                  np.random.default_rng(1))
+                  np.random.default_rng(1), memo={})
     assert (out.decision, out.copies_used, out.rounds_used) == (0, 10, 7)
     assert not out.calibrated
 
@@ -168,7 +169,7 @@ def test_lht_type_one_error_within_monte_carlo_band():
     hits = 0
     for seed in range(runs):
         rng = np.random.default_rng([17, seed])
-        hits += run_lht(fcfg, truth, CFG, 45.0, ALT_UPPER, rng).decision
+        hits += run_lht(fcfg, truth, CFG, 45.0, ALT_UPPER, rng, memo={}).decision
     bound = 0.05 + 3.0 * np.sqrt(0.05 * 0.95 / runs)
     assert hits / runs <= bound
 
@@ -180,7 +181,7 @@ def test_lvt_type_one_error_within_monte_carlo_band():
     hits = 0
     for seed in range(runs):
         rng = np.random.default_rng([29, seed])
-        hits += run_lvt(fcfg, truth, CFG, TWO_POINT_NULL, SPLIT_ALT, rng).decision
+        hits += run_lvt(fcfg, truth, CFG, TWO_POINT_NULL, SPLIT_ALT, rng, memo={}).decision
     bound = 0.05 + 3.0 * np.sqrt(0.05 * 0.95 / runs)
     assert hits / runs <= bound
 
@@ -190,20 +191,20 @@ def test_single_block_majority_variants_reduce_exactly():
     truth = state_from_angle(CFG, 100.0)
     fcfg = FixedTestConfig(10, blocks=1, joint_copies=4, theta_grid_size=90)
     for seed in range(5):
-        a = run_lht(fcfg, truth, CFG, 45.0, ALT_UPPER, np.random.default_rng([3, seed]))
-        b = run_blht(fcfg, truth, CFG, 45.0, ALT_UPPER, np.random.default_rng([3, seed]))
+        a = run_lht(fcfg, truth, CFG, 45.0, ALT_UPPER, np.random.default_rng([3, seed]), memo={})
+        b = run_blht(fcfg, truth, CFG, 45.0, ALT_UPPER, np.random.default_rng([3, seed]), memo={})
         assert a == b
         c = run_lvt(fcfg, truth, CFG, TWO_POINT_NULL, SPLIT_ALT,
-                    np.random.default_rng([4, seed]))
+                    np.random.default_rng([4, seed]), memo={})
         d = run_blvt(fcfg, truth, CFG, TWO_POINT_NULL, SPLIT_ALT,
-                     np.random.default_rng([4, seed]))
+                     np.random.default_rng([4, seed]), memo={})
         assert c == d
 
 
 def test_copies_and_rounds_accounting():
     truth = state_from_angle(CFG, 90.0)
     fcfg = FixedTestConfig(20, blocks=2, joint_copies=4)
-    out = run_blht(fcfg, truth, CFG, 45.0, ALT_UPPER, np.random.default_rng(5))
+    out = run_blht(fcfg, truth, CFG, 45.0, ALT_UPPER, np.random.default_rng(5), memo={})
     assert out.copies_used == 20
     assert out.rounds_used == fcfg.estimation_copies + 2
     assert isinstance(out, FixedOutcome)
@@ -214,9 +215,9 @@ def test_plain_runners_refuse_multiple_blocks():
     truth = state_from_angle(CFG, 90.0)
     fcfg = FixedTestConfig(20, blocks=2, joint_copies=4)
     with pytest.raises(ConfigError):
-        run_lht(fcfg, truth, CFG, 45.0, ALT_UPPER, np.random.default_rng(0))
+        run_lht(fcfg, truth, CFG, 45.0, ALT_UPPER, np.random.default_rng(0), memo={})
     with pytest.raises(ConfigError):
-        run_lvt(fcfg, truth, CFG, TWO_POINT_NULL, SPLIT_ALT, np.random.default_rng(0))
+        run_lvt(fcfg, truth, CFG, TWO_POINT_NULL, SPLIT_ALT, np.random.default_rng(0), memo={})
 
 
 def test_blht_power_grows_with_budget():
@@ -229,7 +230,7 @@ def test_blht_power_grows_with_budget():
         hits = 0
         for seed in range(runs):
             rng = np.random.default_rng([7, budget, seed])
-            hits += run_blht(fcfg, truth, CFG, 45.0, ALT_UPPER, rng).decision
+            hits += run_blht(fcfg, truth, CFG, 45.0, ALT_UPPER, rng, memo={}).decision
         powers.append(hits / runs)
     assert powers[1] >= powers[0]
     assert powers[1] > 0.9
@@ -249,6 +250,7 @@ def test_alternative_and_null_tables_split_bit_for_bit(radii, null_text, copies)
     _, u = rotation_grid(360, copies)
     mats = [tensor_power(state_from_angle(cfg, w), copies) for w in (100.0, *null_angles)]
     stacked = _rotated_basis_probs(u, np.stack(mats))
-    _, q, pn = variational_tables(cfg, 100.0, null_angles, copies, 360)
-    assert np.array_equal(q, stacked[:, :, 0])
+    _, q = _state_probs(cfg, (100.0,), copies, 360)
+    _, pn = _state_probs(cfg, null_angles, copies, 360)
+    assert np.array_equal(q[:, :, 0], stacked[:, :, 0])
     assert np.array_equal(pn, stacked[:, :, 1:])

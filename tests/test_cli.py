@@ -92,13 +92,22 @@ def test_sweep_rejects_a_negative_seed_override(config_path, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_calibrate_prints_reference_settings(config_path, capsys):
+def test_calibrate_prints_reference_settings(config_path, tmp_path, capsys):
     assert main(["calibrate", config_path]) == 0
     out = capsys.readouterr().out
     assert "reference null angle 45" in out
     assert "reference alternative angle 112.5" in out
-    assert "aLHT+: first-block weight" in out
     assert "LHT: blocks 1, weight" in out
+    # With n_ic = 0 round 1 is a joint round, planned before any data
+    path = tmp_path / "joint_first.cfg"
+    path.write_text(CONFIG_TEXT.replace("aLHT+,LHT", "aLHT+,aLVT,LHT") + "n_ic = 0\n")
+    assert main(["calibrate", str(path)]) == 0
+    out = capsys.readouterr().out
+    designs = dict(re.findall(r"^(aLHT\+|aLVT): pre-data joint round (\S+)$", out, re.M))
+    for method in ("aLHT+", "aLVT"):
+        assert main(["single", str(path), "--method", method, "--budget", "10", "--trace"]) == 0
+        round_one = re.search(r"^  round   1  (\S+) ", capsys.readouterr().out, re.M)
+        assert designs.get(method) == round_one.group(1), method
 
 
 def test_calibrate_reports_an_infeasible_helstrom_size(tmp_path, capsys):

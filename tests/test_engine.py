@@ -134,6 +134,21 @@ def test_regularized_estimate_avoids_zero_probability_angles():
     assert reg > 112.5
 
 
+def test_pseudo_regularizer_follows_the_family():
+    """One grid read under two families gives each family its own regularizer.
+
+    Each vector equals the one a separately built grid, with an empty
+    cache, gives for that family.
+    """
+    povm = computational_basis_povm(1)
+    shared = build_grid(ALT_UPPER)
+    for cfg in (FamilyConfig(), FamilyConfig(0.3, 0.9)):
+        fresh = family.ParamGrid(shared.angles, np.zeros(len(shared.angles)), shared.segments)
+        assert np.array_equal(
+            engine._pseudo_loglik(shared, cfg, povm), engine._pseudo_loglik(fresh, cfg, povm)
+        )
+
+
 def test_conservative_start_picks_angle_facing_the_other_set():
     grid = build_grid(ALT_UPPER)
     assert conservative_start(grid, NULL_POINT) == 45.5

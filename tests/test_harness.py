@@ -190,16 +190,17 @@ class TestFixedCopyMemo:
     FIXED = ("LHT", "bLHT", "LVT", "bLVT")
 
     @staticmethod
-    def memo_less(config, method, budget, rng):
+    def recalibrating(config, method, budget, rng):
+        """The run a fresh memo makes: every calibration is computed anew."""
         fam = config.family()
         point = method in harness.POINT_NULL_METHODS
         null = config.point_null_angle() if point else config.null_set
         runner = getattr(baselines, harness._FIXED_RUNNERS[method])
         fcfg = harness._fixed_config(config, method, budget)
         return runner(fcfg, state_from_angle(fam, config.truth_omega), fam, null,
-                      config.alt_set, rng)
+                      config.alt_set, rng, memo={})
 
-    def assert_trial_matches_memo_less_runs(self, config, monkeypatch):
+    def assert_trial_matches_recalibrating_runs(self, config, monkeypatch):
         calibrations = []
         for name in ("helstrom_calibration", "_calibrate_variational"):
             fn = getattr(baselines, name)
@@ -214,7 +215,7 @@ class TestFixedCopyMemo:
                     before = len(calibrations)
                     outs.append(trial(budget, rng()))
                     trial_calibrations += len(calibrations) - before
-                    want = self.memo_less(config, method, budget, rng())
+                    want = self.recalibrating(config, method, budget, rng())
                     assert outs[-1] == want, (method, budget, run)
         assert trial_calibrations < len(outs), "the memo never hit"
         return outs
@@ -223,7 +224,7 @@ class TestFixedCopyMemo:
         # bLHT/bLVT run 1, 2 and 3 blocks at these budgets
         cfg = small_config(methods=self.FIXED, budgets=(10, 20, 30), runs=4, theta_grid_size=36)
         assert [harness._fixed_config(cfg, "bLVT", b).blocks for b in cfg.budgets] == [1, 2, 3]
-        outs = self.assert_trial_matches_memo_less_runs(cfg, monkeypatch)
+        outs = self.assert_trial_matches_recalibrating_runs(cfg, monkeypatch)
         assert all(o.calibrated for o in outs)
 
     @pytest.mark.parametrize(
@@ -239,7 +240,7 @@ class TestFixedCopyMemo:
             runs=4,
             theta_grid_size=36,
         )
-        self.assert_trial_matches_memo_less_runs(cfg, monkeypatch)
+        self.assert_trial_matches_recalibrating_runs(cfg, monkeypatch)
 
     def test_infeasible_calibration(self, monkeypatch):
         # For these mixed states no rotation, and for most fitted angles no
@@ -248,7 +249,7 @@ class TestFixedCopyMemo:
             methods=("LHT", "LVT"), budgets=(10,), runs=8, eps0=1e-9, r_z=0.9, r_x=0.7,
             theta_grid_size=36,
         )
-        outs = self.assert_trial_matches_memo_less_runs(cfg, monkeypatch)
+        outs = self.assert_trial_matches_recalibrating_runs(cfg, monkeypatch)
         assert not any(o.rejected for o in outs if not o.calibrated)
         uncalibrated = [sum(not o.calibrated for o in outs[i:i + 8]) for i in (0, 8)]
         assert uncalibrated[0] > 0 and uncalibrated[1] == 8

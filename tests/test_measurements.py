@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhtest import baselines, engine, measurements
-from qhtest.baselines import FixedTestConfig, run_lht, variational_tables
+from qhtest.baselines import FixedTestConfig, _state_probs, run_lht
 from qhtest.engine import PolicyConfig
 from qhtest.errors import DimensionMismatch
 from qhtest.family import FamilyConfig, parse_hypothesis_set, state_from_angle
@@ -152,7 +152,9 @@ def test_variational_tables_match_single_design_born(
 ):
     """Every cell of the batched tables equals the Born rule on variational_povm."""
     cfg = FamilyConfig(r_z=radii[0], r_x=radii[1])
-    thetas, q, pn = variational_tables(cfg, alt_angle, np.array(null_angles), copies, grid_size)
+    thetas, q = _state_probs(cfg, (alt_angle,), copies, grid_size)
+    q = q[:, :, 0]
+    pn = _state_probs(cfg, null_angles, copies, grid_size)[1]
     assert thetas.shape == (grid_size,) and q.shape == (grid_size, 2**copies)
     assert pn.shape == (grid_size, 2**copies, len(null_angles))
     for t, theta in enumerate(thetas):
@@ -300,7 +302,7 @@ def test_lht_run_raises_each_state_once(tensor_power_calls):
     cfg = FamilyConfig()
     out = run_lht(
         FixedTestConfig(12, joint_copies=3), state_from_angle(cfg, 90.0), cfg, 45.0,
-        parse_hypothesis_set("(45,180]"), np.random.default_rng(3),
+        parse_hypothesis_set("(45,180]"), np.random.default_rng(3), memo={},
     )
     assert out.copies_used == 12
     assert tensor_power_calls == [3, 3, 3]
