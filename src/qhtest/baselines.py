@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import check_design_settings, estimation_povm
+from .engine import _memoized, check_design_settings, estimation_povm
 from .errors import ConfigError, InfeasibleCalibration
 from .family import (
     DEFAULT_RESOLUTION,
@@ -54,10 +54,9 @@ from .family import (
 )
 from .measurements import (
     _binary_probs_on_weight_grid,
-    _rotated_basis_probs,
     _u_cache,  # noqa: F401  (perfbench/child.py reports len(baselines._u_cache))
     helstrom_povm,
-    rotation_grid,
+    rotated_basis_tables,
     variational_povm,
 )
 from .quantum import OutcomeDistribution, Povm, born_distribution, sample_outcome, tensor_power
@@ -182,13 +181,6 @@ def _block_vote(fcfg: FixedTestConfig, test: _BlockTest, rng: np.random.Generato
     return _fixed_outcome(fcfg, int(votes >= _majority(fcfg.blocks)))
 
 
-def _memoized(memo: dict, key, build):
-    """memo[key], computed by build() on the first lookup."""
-    if key not in memo:
-        memo[key] = build()
-    return memo[key]
-
-
 def _decide(
     fcfg: FixedTestConfig, test: _BlockTest | None, rng: np.random.Generator
 ) -> FixedOutcome:
@@ -281,22 +273,6 @@ def run_blht(
     return _run_helstrom_family(fcfg, truth, cfg, omega0, alt_set, rng, memo)
 
 
-def _state_probs(
-    cfg: FamilyConfig, angles, copies: int, grid_size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rotation grid thetas and p[t, x, j] for the `copies`-copy states at angles[j].
-
-    thetas holds measurements.rotation_grid's grid_size angles in radians,
-    and p[t, x, j] is the probability of outcome x of the rotated basis at
-    thetas[t]. Built apart, the alternative's column and the null grid's
-    table equal one stacked table bit for bit, so runs keep the null table
-    and build only the alternative's.
-    """
-    thetas, u = rotation_grid(grid_size, copies)
-    mats = np.stack([tensor_power(state_from_angle(cfg, w), copies) for w in angles])
-    return thetas, _rotated_basis_probs(u, mats)
-
-
 def _calibrate_variational(
     q: np.ndarray, pn: np.ndarray, eps0: float, blocks: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -330,7 +306,7 @@ def _calibrate_variational(
 def variational_calibration(
     q: np.ndarray, pn: np.ndarray, eps0: float, blocks: int
 ) -> tuple[int, float, float]:
-    """Most powerful rotation of _state_probs' grid at exact size eps0.
+    """Most powerful rotation of rotated_basis_tables' grid at exact size eps0.
 
     q[t, x] is the alternative's table and pn[t, x, j] the null grid's.
     Returns (index into thetas, per-block power, ratio threshold); ties
@@ -355,14 +331,14 @@ def _variational_block_test(
     memo: dict,
 ) -> _BlockTest | None:
     """The block test calibrated at w1; the null grid's table is kept in memo."""
-    null_probs = lambda: _state_probs(
+    null_probs = lambda: rotated_basis_tables(
         cfg,
         build_grid(null_set, fcfg.resolution).angles,
         fcfg.joint_copies,
         fcfg.theta_grid_size,
     )[1]
     pn = _memoized(memo, "null_probs", null_probs)
-    thetas, p = _state_probs(cfg, (w1,), fcfg.joint_copies, fcfg.theta_grid_size)
+    thetas, p = rotated_basis_tables(cfg, (w1,), fcfg.joint_copies, fcfg.theta_grid_size)
     q = p[:, :, 0]
     try:
         t_best, power, threshold = variational_calibration(q, pn, fcfg.eps0, fcfg.blocks)

@@ -167,8 +167,9 @@ def _cmd_calibrate(args) -> int:
         if method in engine.POLICY_KINDS:
             # The joint round the engine plans before any data; aLHT+ and aLVT draw nothing.
             policy = dataclasses.replace(harness._policy(config, method), n_ic=0)
-            laws = engine.truth_laws(policy, truth)
-            plan = engine.next_measurement(policy, state, fam, laws, rng=None)
+            memo: dict = {}
+            laws = engine.truth_laws(policy, truth, memo)
+            plan = engine.next_measurement(policy, state, fam, laws, None, memo)
             print(f"{method}: pre-data joint round {plan.descriptor}")
             continue
         # The runners' own block test at the reference angles, once per block count.

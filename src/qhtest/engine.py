@@ -29,6 +29,10 @@ one likelihood; a two-sided run hands the one row to both statistics. The
 copy count n_i is never passed along: the POVM is 2^n_i-dimensional, the
 row 2 n_i + 1 long.
 
+A trial's runs share one memo dict, so what recurs within a trial is
+computed once per trial, not once per round or run; "the trial memo"
+below says what it holds and keeps out. It never changes a run's result.
+
 Numerator probabilities are additionally clamped at NUMERATOR_FLOOR, so a
 predicted-impossible outcome that still happens costs log(NUMERATOR_FLOOR)
 rather than ending the run. The clamp can only raise the statistic by a
@@ -70,6 +74,7 @@ from .family import (
     accumulate,
     build_grid,
     estimation_log_rows,
+    grid_log_probs,
     log_outcome_prob,
     mle,
     outcome_coeffs,
@@ -77,7 +82,13 @@ from .family import (
     sets_disjoint,
     state_from_angle,
 )
-from .measurements import helstrom_povm, optimize_lambda, optimize_theta, variational_povm
+from .measurements import (
+    helstrom_povm,
+    optimize_lambda,
+    optimize_theta,
+    rotated_basis_tables,
+    variational_povm,
+)
 from .quantum import (
     OutcomeDistribution,
     Povm,
@@ -212,23 +223,30 @@ def new_slr_state(
     return SlrState(null_grid=build_grid(null_set, resolution), alt_grid=build_grid(alt_set, resolution))
 
 
-def slr_update(state: SlrState, rec: RoundRecord) -> SlrState:
+def slr_update(
+    state: SlrState,
+    rec: RoundRecord,
+    log_probs: tuple[np.ndarray, np.ndarray] | None = None,
+) -> SlrState:
     """Fold one round into the state; the new state's log_slr is the updated statistic.
 
     The record's numerator term must have been computed from the
     alternative MLE fitted on prior rounds only; this function just
     accumulates it, and folds the record's coefficient row into both
-    grids. The denominator is the refined null-grid maximum over
-    all rounds including this one; the new state keeps that MleResult as
-    null_mle, so next_measurement reads the null estimate of a joint round
-    from it instead of refining the same grid again.
+    grids. log_probs, when given, is the row's grid_log_probs on the
+    state's (null, alternative) grids, reduced earlier (observe_round
+    keeps them per trial). The denominator is the refined null-grid
+    maximum over all rounds including this one; the new state keeps that
+    MleResult as null_mle, so next_measurement reads the null estimate of
+    a joint round from it instead of refining the same grid again.
     """
     if rec.log_numerator_term > 1e-12:
         raise InvariantViolation(
             f"log numerator term {rec.log_numerator_term:.3e} is positive"
         )
-    alt = accumulate(state.alt_grid, rec.coeffs)
-    null = accumulate(state.null_grid, rec.coeffs)
+    null_log, alt_log = log_probs if log_probs is not None else (None, None)
+    alt = accumulate(state.alt_grid, rec.coeffs, alt_log)
+    null = accumulate(state.null_grid, rec.coeffs, null_log)
     return SlrState(
         null_grid=null,
         alt_grid=alt,
@@ -336,6 +354,81 @@ def predictable_estimate(
     return float(state_grid.angles[int(np.argmax(scores))])
 
 
+# --- the trial memo --------------------------------------------------------
+#
+# A memo dict serves one trial (harness.make_trial owns one per sequential
+# method): one family, policy, hypothesis pair and grid resolution, while
+# the budget, the run and even the truth vary. It keeps only what recurs
+# within a trial, each built once:
+#   "grid angles"             the trial's null- and alternative-grid angles
+#   ("power", w)              the n_joint-copy power of the state at grid angle w
+#   ("table", w)              its rotated-basis table (aLVT)
+#   ("outcome", id(M), x)     outcome x of a recurring POVM M, reduced (_Reduced)
+#   "truth"                   the TruthLaws of the last truth seen
+# A POVM recurs when it is the estimation POVM or comes from _design_cache,
+# i.e. every POVM but aLHT's, whose random weight makes each one new. What
+# does not recur (an aLHT design, a state at a refined off-grid null MLE)
+# is built and dropped, so the memo grows with the grid and the design
+# cache, not with the rounds. Every float read from the memo is the float
+# the build would give, so a memo changes how often work is done, never a
+# run's result.
+
+
+def _memoized(memo: dict, key, build):
+    """memo[key], computed by build() on the first lookup."""
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
+def _recurs(policy: PolicyConfig, t: int) -> bool:
+    """Whether round t measures a POVM that recurs within a trial."""
+    return policy.kind != "aLHT" or policy.is_estimation_round(t)
+
+
+def _grid_angles(memo: dict, state: SlrState) -> frozenset:
+    """The trial's grid angles: the only angles the memo keys on."""
+    build = lambda: frozenset(state.null_grid.angles.tolist() + state.alt_grid.angles.tolist())
+    return _memoized(memo, "grid angles", build)
+
+
+def _at_grid_angle(memo: dict, kind: str, omega: float, build):
+    """memo[(kind, omega)], built once, when omega is a grid angle; else build() and drop it."""
+    if omega not in memo.get("grid angles", ()):
+        return build()
+    return _memoized(memo, (kind, omega), build)
+
+
+class _Reduced:
+    """One outcome of one POVM reduced once: its coefficient row and, on
+    each grid lattice it is folded into, its grid_log_probs vector.
+
+    The POVM and each lattice's angles are held here, so their ids, the
+    keys, are never reused while this lives.
+    """
+
+    __slots__ = ("povm", "row", "_logs")
+
+    def __init__(self, povm: Povm, row: np.ndarray):
+        self.povm = povm
+        self.row = row
+        self._logs: dict = {}
+
+    def on(self, grid: ParamGrid) -> np.ndarray:
+        hit = self._logs.get(id(grid.angles))
+        if hit is None:
+            vec = grid_log_probs(grid, self.row)
+            vec.setflags(write=False)
+            hit = self._logs[id(grid.angles)] = (grid.angles, vec)
+        return hit[1]
+
+
+def _reduced(memo: dict, cfg: FamilyConfig, povm: Povm, outcome, recurs: bool) -> _Reduced:
+    """The observed outcome's _Reduced: kept in the memo when its POVM recurs."""
+    build = lambda: _Reduced(povm, outcome_row(cfg, povm, outcome))
+    return _memoized(memo, ("outcome", id(povm), outcome), build) if recurs else build()
+
+
 _design_cache: dict = {}
 
 
@@ -345,14 +438,17 @@ def _joint_design(
     w0: float,
     w1: float,
     rng: np.random.Generator,
+    memo: dict,
 ) -> tuple[Povm, str]:
     """POVM for a joint round given the current estimates.
 
     Optimized designs are memoized on (kind, family, angles, sizes); the
     optimizers are pure so this only saves recomputation when the MLEs
-    revisit an angle pair. The tensor powers of the two family states are
-    built once per design, after the lookup, so a hit builds none. aLHT
-    consumes one uniform draw here and is never memoized.
+    revisit an angle pair. aLHT consumes one uniform draw here and is
+    never memoized. A design reads each state's n_joint-copy power
+    (Helstrom) or rotated-basis table (variational), built after the
+    lookup, so a hit builds none; the trial memo keeps those of grid
+    angles.
     """
     key = None
     if policy.kind == "aLHT":
@@ -365,14 +461,23 @@ def _joint_design(
         hit = _design_cache.get(key)
         if hit is not None:
             return hit
-    pow0 = tensor_power(state_from_angle(cfg, w0), policy.n_joint)
-    pow1 = tensor_power(state_from_angle(cfg, w1), policy.n_joint)
-    if policy.kind == "aLHT+":
-        lam = optimize_lambda(pow0, pow1, policy.lambda_grid_size)
     if policy.kind == "aLVT":
-        theta = optimize_theta(pow0, pow1, policy.theta_grid_size)
+        def table(w):
+            build = lambda: rotated_basis_tables(
+                cfg, (w,), policy.n_joint, policy.theta_grid_size
+            )[1][:, :, 0]
+            return _at_grid_angle(memo, "table", w, build)
+
+        theta = optimize_theta(table(w0), table(w1))
         out = (variational_povm(theta, policy.n_joint), f"variational(theta={theta:.8f})")
     else:
+        def power(w):
+            build = lambda: tensor_power(state_from_angle(cfg, w), policy.n_joint)
+            return _at_grid_angle(memo, "power", w, build)
+
+        pow0, pow1 = power(w0), power(w1)
+        if policy.kind == "aLHT+":
+            lam = optimize_lambda(pow0, pow1, policy.lambda_grid_size)
         out = (helstrom_povm(pow0, pow1, lam), f"helstrom(w0={w0:g},w1={w1:g},lam={lam:.6f})")
     if key is not None:
         _design_cache[key] = out
@@ -392,32 +497,60 @@ class RoundPlan:
     alt_angle: float
 
 
-def truth_laws(policy: PolicyConfig, truth: np.ndarray) -> tuple[OutcomeDistribution, np.ndarray]:
-    """The truth's estimation-round distribution and its n_joint-copy power, built once per run."""
-    est_dist = born_distribution(truth, estimation_povm(policy.estimation_povm))
-    return est_dist, tensor_power(truth, policy.n_joint)
+class TruthLaws:
+    """The truth's estimation-round distribution, its n_joint-copy power,
+    and its distribution under each recurring joint POVM measured so far
+    (keyed on the POVM's id, with the POVM held so the id stays unique).
+    """
+
+    __slots__ = ("truth", "est_dist", "joint_power", "_joint")
+
+    def __init__(self, truth: np.ndarray, est_dist: OutcomeDistribution, joint_power: np.ndarray):
+        self.truth = truth
+        self.est_dist = est_dist
+        self.joint_power = joint_power
+        self._joint: dict = {}
+
+    def joint_dist(self, povm: Povm, recurs: bool) -> OutcomeDistribution:
+        build = lambda: (povm, born_distribution(self.joint_power, povm))
+        return (_memoized(self._joint, id(povm), build) if recurs else build())[1]
+
+
+def truth_laws(policy: PolicyConfig, truth: np.ndarray, memo: dict) -> TruthLaws:
+    """The truth's TruthLaws, built once per trial.
+
+    The memo keeps those of the last truth it saw and rebuilds them when a
+    run brings another truth.
+    """
+    laws = memo.get("truth")
+    if laws is None or not np.array_equal(laws.truth, truth):
+        est_dist = born_distribution(truth, estimation_povm(policy.estimation_povm))
+        laws = memo["truth"] = TruthLaws(truth, est_dist, tensor_power(truth, policy.n_joint))
+    return laws
 
 
 def next_measurement(
     policy: PolicyConfig,
     state: SlrState,
     cfg: FamilyConfig,
-    laws: tuple[OutcomeDistribution, np.ndarray],
+    laws: TruthLaws,
     rng: np.random.Generator,
+    memo: dict,
 ) -> RoundPlan:
-    """Plan the forward statistic's upcoming round; laws is truth_laws' pair.
+    """Plan the forward statistic's upcoming round; laws is truth_laws' for this memo.
 
     The predictable angle is fitted once, for the numerator and the joint
     design; aLHT's weight is drawn here, before the caller draws the outcome.
     """
     est = estimation_povm(policy.estimation_povm)
     w1 = predictable_estimate(state.alt_grid, cfg, est, policy.initial_alt_angle)
-    est_dist, joint_power = laws
-    if policy.is_estimation_round(len(state.rounds)):
-        return RoundPlan(est, f"{policy.estimation_povm}(n=1)", est_dist, w1)
+    t = len(state.rounds)
+    if policy.is_estimation_round(t):
+        return RoundPlan(est, f"{policy.estimation_povm}(n=1)", laws.est_dist, w1)
     w0 = state.null_mle.omega if state.rounds else _default_angle(state.null_grid)
-    povm, desc = _joint_design(policy, cfg, w0, w1, rng)
-    return RoundPlan(povm, desc, born_distribution(joint_power, povm), w1)
+    _grid_angles(memo, state)
+    povm, desc = _joint_design(policy, cfg, w0, w1, rng, memo)
+    return RoundPlan(povm, desc, laws.joint_dist(povm, _recurs(policy, t)), w1)
 
 
 def observe_round(
@@ -427,17 +560,20 @@ def observe_round(
     outcome,
     s0: SlrState,
     s1: SlrState | None,
+    memo: dict,
 ) -> tuple[SlrState, SlrState | None]:
     """Fold one outcome of `plan` into the forward state s0 and the reversed state s1, if any.
 
-    Both read the one outcome_row. s0's numerator term is frozen at
-    plan.alt_angle; s1 fits its own angle, never from initial_alt_angle.
+    Both read the one reduced outcome (its row and its grid vectors).
+    s0's numerator term is frozen at plan.alt_angle; s1 fits its own
+    angle, never from initial_alt_angle.
     """
-    row = outcome_row(cfg, plan.povm, outcome)
+    red = _reduced(memo, cfg, plan.povm, outcome, _recurs(policy, len(s0.rounds)))
 
     def fold(state: SlrState, angle: float) -> SlrState:
-        term = numerator_log_term(row, angle)
-        return slr_update(state, RoundRecord(plan.povm, plan.descriptor, outcome, row, term))
+        term = numerator_log_term(red.row, angle)
+        rec = RoundRecord(plan.povm, plan.descriptor, outcome, red.row, term)
+        return slr_update(state, rec, (red.on(state.null_grid), red.on(state.alt_grid)))
 
     s0 = fold(s0, plan.alt_angle)
     if s1 is not None:
@@ -510,13 +646,16 @@ def run_sequential_test(
     rng: np.random.Generator,
     eps1: float | None = None,
     resolution: float = DEFAULT_RESOLUTION,
+    memo: dict | None = None,
 ) -> TestOutcome:
     """Run one sequential test on copies of `truth` until stop or budget.
 
     The loop stops before any round whose copies would push the total past
     the budget, so copies_used <= budget always holds. With eps1 set the
     reversed statistic runs in lockstep and the test may accept. truth is
-    a 2x2 density matrix, raised to n_joint copies once per run.
+    a 2x2 density matrix, raised to n_joint copies once per memo. memo is
+    the trial's memo (see the trial memo above); without one the run
+    keeps its own, and the result is the same.
     """
     if not 0.0 < eps0 < 1.0:
         raise ConfigError(f"eps0 must lie in (0,1), got {eps0}")
@@ -529,9 +668,10 @@ def run_sequential_test(
     if not sets_disjoint(null_set, alt_set):
         raise ConfigError(f"hypothesis sets overlap: {null_set} vs {alt_set}")
 
+    memo = {} if memo is None else memo
     s0 = new_slr_state(null_set, alt_set, resolution)
     s1 = new_slr_state(alt_set, null_set, resolution) if eps1 is not None else None
-    laws = truth_laws(policy, truth)
+    laws = truth_laws(policy, truth, memo)
     log_slrs: list[float] = []
     copies_used = 0
     decision = "continue"
@@ -541,8 +681,8 @@ def run_sequential_test(
         if copies_used + copies > budget:
             decision = BUDGET_EXHAUSTED
             break
-        plan = next_measurement(policy, s0, cfg, laws, rng)
-        s0, s1 = observe_round(policy, cfg, plan, sample_outcome(plan.dist, rng), s0, s1)
+        plan = next_measurement(policy, s0, cfg, laws, rng, memo)
+        s0, s1 = observe_round(policy, cfg, plan, sample_outcome(plan.dist, rng), s0, s1, memo)
         copies_used += copies
         log_slrs.append(s0.log_slr)
         if s1 is None:

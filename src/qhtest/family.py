@@ -276,6 +276,37 @@ def log_outcome_prob(coeffs: np.ndarray, omega: float) -> float:
 # --- parameter grids ------------------------------------------------------
 
 
+class _RowIndex:
+    """Distinct coefficient rows of one chain of accumulated grids, and each round's row index.
+
+    Rows are keyed by their exact bytes, so equal rows give equal terms.
+    The index grows in place as its chain's rounds are indexed. owner is
+    the id of the newest grid it was passed to, and only that grid passes
+    it on to the grid accumulate makes from it: a second grid accumulated
+    from the same one, as in the oracle's enumeration, starts its own.
+    """
+
+    __slots__ = ("rows", "order", "keys", "top", "owner")
+
+    def __init__(self, owner: int):
+        self.rows: list = []
+        self.order: list = []
+        self.keys: dict = {}
+        self.top = 0
+        self.owner = owner
+
+    def extend(self, rounds: tuple) -> None:
+        """Index the rounds past the ones already indexed; rounds extends the indexed prefix."""
+        for coeffs in rounds[len(self.order):]:
+            key = coeffs.tobytes()
+            i = self.keys.get(key)
+            if i is None:
+                i = self.keys[key] = len(self.rows)
+                self.rows.append(coeffs.tolist())
+                self.top = max(self.top, row_copies(coeffs))
+            self.order.append(i)
+
+
 @dataclass(frozen=True)
 class ParamGrid:
     """Grid angles, running log-likelihood sums, and each observed round's coefficient row."""
@@ -285,7 +316,7 @@ class ParamGrid:
     segments: np.ndarray
     rounds: tuple = ()
     basis_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _round_rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _index: _RowIndex | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.angles.setflags(write=False)
@@ -300,28 +331,26 @@ class ParamGrid:
             self.basis_cache[copies] = b
         return b
 
-    def round_rows(self) -> tuple:
+    def round_rows(self) -> tuple[list, list, int]:
         """Distinct coefficient rows (as lists), each round's row index, and the most copies.
 
-        Built on first use and kept on this grid only: accumulate returns a
-        new grid, so grids that are never evaluated off the lattice pay
-        nothing. Rows are keyed by their exact bytes, so equal rows give
-        equal terms.
+        The first len(self.rounds) indices are this grid's rounds. The
+        index is built on first use and carried forward by accumulate, so
+        each round is indexed once per chain, and grids that are never
+        evaluated off the lattice pay nothing.
         """
-        if self._round_rows is None:
-            index: dict = {}
-            rows: list = []
-            order: list = []
-            for coeffs in self.rounds:
-                key = coeffs.tobytes()
-                i = index.get(key)
-                if i is None:
-                    i = index[key] = len(rows)
-                    rows.append(coeffs.tolist())
-                order.append(i)
-            top = max(map(row_copies, rows), default=0)
-            object.__setattr__(self, "_round_rows", (tuple(rows), tuple(order), top))
-        return self._round_rows
+        index = self._index
+        if index is None:
+            index = _RowIndex(id(self))
+            object.__setattr__(self, "_index", index)
+        if len(index.order) < len(self.rounds):
+            index.extend(self.rounds)
+        return index.rows, index.order, index.top
+
+
+def grid_log_probs(grid: ParamGrid, coeffs: np.ndarray) -> np.ndarray:
+    """Floored log probability of one outcome_coeffs row at every grid angle."""
+    return np.log(np.maximum(grid.basis(row_copies(coeffs)) @ coeffs, P_FLOOR))
 
 
 def estimation_log_rows(grid: ParamGrid, cfg: FamilyConfig, povm: Povm) -> np.ndarray:
@@ -329,10 +358,7 @@ def estimation_log_rows(grid: ParamGrid, cfg: FamilyConfig, povm: Povm) -> np.nd
 
     Row i belongs to povm.elements[i]; columns follow grid.angles.
     """
-    basis = grid.basis(1)
-    return np.stack(
-        [np.log(np.maximum(basis @ outcome_coeffs(cfg, e), P_FLOOR)) for e in povm.elements]
-    )
+    return np.stack([grid_log_probs(grid, outcome_coeffs(cfg, e)) for e in povm.elements])
 
 
 @lru_cache(maxsize=16)
@@ -381,17 +407,29 @@ def build_grid(hset: HypothesisSet, resolution: float = DEFAULT_RESOLUTION) -> P
     )
 
 
-def accumulate(grid: ParamGrid, coeffs: np.ndarray) -> ParamGrid:
-    """Return a new grid with one observed round's outcome_coeffs row folded into the sums."""
-    probs = grid.basis(row_copies(coeffs)) @ coeffs
-    new_loglik = grid.per_angle_loglik + np.log(np.maximum(probs, P_FLOOR))
-    return ParamGrid(
+def accumulate(
+    grid: ParamGrid, coeffs: np.ndarray, log_probs: np.ndarray | None = None
+) -> ParamGrid:
+    """Return a new grid with one observed round's outcome_coeffs row folded into the sums.
+
+    log_probs, when given, is grid_log_probs(grid, coeffs) computed
+    earlier (the engine keeps it per trial); adding it gives the same
+    floats as computing it here.
+    """
+    if log_probs is None:
+        log_probs = grid_log_probs(grid, coeffs)
+    new = ParamGrid(
         angles=grid.angles,
-        per_angle_loglik=new_loglik,
+        per_angle_loglik=grid.per_angle_loglik + log_probs,
         segments=grid.segments,
         rounds=grid.rounds + (coeffs,),
         basis_cache=grid.basis_cache,
     )
+    index = grid._index
+    if index is not None and index.owner == id(grid):
+        index.owner = id(new)
+        object.__setattr__(new, "_index", index)
+    return new
 
 
 def loglik_at(grid: ParamGrid, omega: float) -> float:
@@ -406,8 +444,9 @@ def loglik_at(grid: ParamGrid, omega: float) -> float:
     cos = [math.cos(k * w) for k in range(top + 1)]
     sin = [math.sin(k * w) for k in range(top + 1)]
     terms = [_row_log(coeffs, cos, sin) for coeffs in rows]
+    n = len(grid.rounds)
     total = 0.0
-    for i in order:
+    for i in order if len(order) == n else order[:n]:
         total += terms[i]
     return total
 

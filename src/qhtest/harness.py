@@ -231,16 +231,21 @@ def make_trial(config: ExperimentConfig, method: str):
     up as module globals on every call, so rebinding harness.run_lht and
     the others (a timing hook, say) intercepts every run.
 
-    A fixed-copy trial owns one memo dict, passed to every run it makes
-    (the runners require one). The runner keys it on the fitted grid angle
-    and the block count and keeps there the decided block test (or the
-    fact that none met the size), and for LVT/bLVT also the null grid's
-    rotated-basis table, so each calibration runs once per distinct
-    (angle, blocks). The memo lives as long as the trial, one method's
-    sweep, and no two trials share one.
+    Every trial owns one memo dict, passed to every run it makes. The
+    memo lives as long as the trial, one method's sweep, and no two trials
+    share one. A sequential trial's memo (see the engine's trial memo)
+    keeps each recurring outcome's coefficient row and grid log vectors,
+    the state powers and aLVT rotated-basis tables at grid angles and the
+    truth's outcome laws, so each is computed once per trial instead of
+    once per round or run. A fixed-copy trial's runner (the runners
+    require a memo) keys it on the fitted grid angle and the block count
+    and keeps there the decided block test (or the fact that none met the
+    size), and for LVT/bLVT also the null grid's rotated-basis table, so
+    each calibration runs once per distinct (angle, blocks).
     """
     fam = config.family()
     truth = state_from_angle(fam, config.truth_omega)
+    memo: dict = {}
     if method in POLICY_KINDS:
         policy = _policy(config, method)
 
@@ -255,12 +260,12 @@ def make_trial(config: ExperimentConfig, method: str):
                 budget,
                 rng,
                 resolution=config.grid_resolution,
+                memo=memo,
             )
 
         return trial
     runner = _FIXED_RUNNERS[method]
     null = config.point_null_angle() if method in POINT_NULL_METHODS else config.null_set
-    memo: dict = {}
 
     def trial(budget: int, rng: np.random.Generator):
         fcfg = _fixed_config(config, method, budget)

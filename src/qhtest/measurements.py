@@ -21,9 +21,13 @@ increment under the current alternative estimate, and optimized by plain
 grid search with deterministic tie-breaking (toward w = 0.5 and then the
 smaller w; toward the smaller theta). Both design grids and their outcome
 tables are built here only, and `baselines` calibrates on the same tables.
-Every design entry point (helstrom_povm, optimize_lambda, optimize_theta and
-the table builders) takes the two tensor-power matrices rho_0^(x)n and
-rho_1^(x)n, so each caller raises its state pair once per design;
+The Helstrom entry points (helstrom_povm, optimize_lambda and
+_binary_probs_on_weight_grid) take the two tensor-power matrices
+rho_0^(x)n and rho_1^(x)n, so each caller raises its state pair once per
+design. The variational design is scored on one rotated-basis table per
+state (rotated_basis_tables): optimize_theta takes the null and the
+alternative state's tables, so a caller can build each state's table once
+and keep it, as the engine's trial memo and the fixed-copy runners do.
 expected_log_increment, the single-design reference, takes the states.
 The grid searches run on batched eigendecompositions / conjugations; unit
 tests pin their selections against exhaustive evaluation through the
@@ -37,7 +41,7 @@ from functools import cache
 import numpy as np
 
 from .errors import DimensionMismatch
-from .family import P_FLOOR
+from .family import P_FLOOR, FamilyConfig, state_from_angle
 from .quantum import Povm, positive_eigenprojector, tensor_power
 
 PROJECTOR_TOL = 1e-10
@@ -183,13 +187,28 @@ def _rotated_basis_probs(u: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return np.einsum("txa,jab,txb->txj", u, mats, u.conj()).real.clip(min=0.0)
 
 
-def optimize_theta(pow0: np.ndarray, pow1: np.ndarray, grid_size: int = 360) -> float:
+def rotated_basis_tables(
+    cfg: FamilyConfig, angles, copies: int, grid_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rotation grid thetas and p[t, x, j] for the `copies`-copy family states at angles[j].
+
+    thetas holds rotation_grid's grid_size angles in radians, and p[t, x, j]
+    is the probability of outcome x of the rotated basis at thetas[t].
+    Tables built apart equal one stacked table bit for bit, so a caller may
+    build each state's table once and keep it: the fixed-copy runners keep
+    the null grid's, the engine's trial memo each grid angle's.
+    """
+    thetas, u = rotation_grid(grid_size, copies)
+    mats = np.stack([tensor_power(state_from_angle(cfg, w), copies) for w in angles])
+    return thetas, _rotated_basis_probs(u, mats)
+
+
+def optimize_theta(q0: np.ndarray, q1: np.ndarray) -> float:
     """Variational angle maximizing the expected log increment.
 
-    Searches the rotation grid of rotation_grid on as many copies as the
-    2^copies-dimensional pow0 and pow1 span; ties break toward the smaller
-    angle.
+    q0 and q1 are the null and the alternative state's (T, X) tables of
+    rotated_basis_tables on one rotation grid of T angles; ties break
+    toward the smaller angle.
     """
-    thetas, u = rotation_grid(grid_size, pow0.shape[0].bit_length() - 1)
-    p = _rotated_basis_probs(u, np.stack([pow0, pow1]))
-    return float(thetas[int(np.argmax(_log_ratio_gain(p[:, :, 1], p[:, :, 0])))])
+    thetas, _ = rotation_grid(q0.shape[0], q0.shape[1].bit_length() - 1)
+    return float(thetas[int(np.argmax(_log_ratio_gain(q1, q0)))])

@@ -72,23 +72,25 @@ def enumerate_transcripts(
     to 0.5); every branch weight is the product of exact Born probabilities
     under `truth`. Each node is planned once (next_measurement) and each
     positive-probability outcome observed into its own child, in label
-    order. Branch probabilities sum to one at every horizon.
+    order; the whole tree shares one trial memo. Branch probabilities sum
+    to one at every horizon.
     """
     if not 1 <= horizon <= MAX_HORIZON:
         raise HorizonTooLarge(f"horizon must be in 1..{MAX_HORIZON}, got {horizon}")
     rng = _HalfDraw()
-    laws = truth_laws(policy, truth)
+    memo: dict = {}
+    laws = truth_laws(policy, truth, memo)
     out: list[Branch] = []
 
     def walk(state: SlrState, prob: float, depth: int):
         if depth == horizon:
             out.append(Branch(records=state.rounds, probability=prob, log_slr=state.log_slr))
             return
-        plan = next_measurement(policy, state, cfg, laws, rng)
+        plan = next_measurement(policy, state, cfg, laws, rng, memo)
         for label, p in zip(plan.dist.labels, plan.dist.probs):
             if p == 0.0:
                 continue
-            child, _ = observe_round(policy, cfg, plan, label, state, None)
+            child, _ = observe_round(policy, cfg, plan, label, state, None, memo)
             walk(child, prob * float(p), depth + 1)
 
     walk(new_slr_state(null_set, alt_set, resolution), 1.0, 0)
@@ -219,10 +221,13 @@ def sample_transcript(
     generator for engine-versus-recomputation comparisons.
     """
     state = new_slr_state(null_set, alt_set, resolution)
-    laws = truth_laws(policy, truth)
+    memo: dict = {}
+    laws = truth_laws(policy, truth, memo)
     logs = np.empty(n_rounds)
     for t in range(n_rounds):
-        plan = next_measurement(policy, state, cfg, laws, rng)
-        state, _ = observe_round(policy, cfg, plan, sample_outcome(plan.dist, rng), state, None)
+        plan = next_measurement(policy, state, cfg, laws, rng, memo)
+        state, _ = observe_round(
+            policy, cfg, plan, sample_outcome(plan.dist, rng), state, None, memo
+        )
         logs[t] = state.log_slr
     return state.rounds, logs

@@ -122,6 +122,9 @@ def test_criterion_3_no_simultaneous_crossing(capsys):
     n_runs = 10_000
     boundary = math.log(1.0 / 0.05)
     policies = {k: PolicyConfig(kind=k) for k in KINDS}
+    # one trial memo per policy, as a sweep keeps one per method; its runs
+    # are those of memo-less calls, with the truth laws rebuilt per truth
+    memos = {k: {} for k in KINDS}
     angles = np.random.default_rng(31415).uniform(0.0, 180.0, size=n_runs)
     bad = 0
     blowup = None
@@ -137,6 +140,7 @@ def test_criterion_3_no_simultaneous_crossing(capsys):
                 budget=40,
                 rng=np.random.default_rng([271828, k]),
                 eps1=0.05,
+                memo=memos[KINDS[k % 3]],
             )
             if out.final_log_slr >= boundary and out.final_log_slr_rev >= boundary:
                 bad += 1

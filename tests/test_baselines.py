@@ -11,7 +11,6 @@ from qhtest.baselines import (
     FixedTestConfig,
     _majority,
     _majority_tail,
-    _state_probs,
     helstrom_calibration,
     run_blht,
     run_blvt,
@@ -27,7 +26,12 @@ from qhtest.family import (
     parse_hypothesis_set,
     state_from_angle,
 )
-from qhtest.measurements import _rotated_basis_probs, helstrom_povm, rotation_grid
+from qhtest.measurements import (
+    _rotated_basis_probs,
+    helstrom_povm,
+    rotated_basis_tables,
+    rotation_grid,
+)
 from qhtest.quantum import born_distribution, tensor_power
 
 CFG = FamilyConfig()
@@ -149,8 +153,8 @@ def test_infeasible_calibration_raises_and_run_falls_back():
 def test_infeasible_variational_calibration_raises_and_run_accepts(monkeypatch):
     # Every 4-copy outcome has null probability above 1e-9 for these mixed states
     mixed = FamilyConfig(r_z=0.9, r_x=0.7)
-    _, q = _state_probs(mixed, (112.5,), 4, 36)
-    _, pn = _state_probs(mixed, (45.0,), 4, 36)
+    _, q = rotated_basis_tables(mixed, (112.5,), 4, 36)
+    _, pn = rotated_basis_tables(mixed, (45.0,), 4, 36)
     with pytest.raises(InfeasibleCalibration):
         variational_calibration(q[:, :, 0], pn, 1e-9, 1)
     # the run accepts without building a design or drawing a block
@@ -250,7 +254,7 @@ def test_alternative_and_null_tables_split_bit_for_bit(radii, null_text, copies)
     _, u = rotation_grid(360, copies)
     mats = [tensor_power(state_from_angle(cfg, w), copies) for w in (100.0, *null_angles)]
     stacked = _rotated_basis_probs(u, np.stack(mats))
-    _, q = _state_probs(cfg, (100.0,), copies, 360)
-    _, pn = _state_probs(cfg, null_angles, copies, 360)
+    _, q = rotated_basis_tables(cfg, (100.0,), copies, 360)
+    _, pn = rotated_basis_tables(cfg, null_angles, copies, 360)
     assert np.array_equal(q[:, :, 0], stacked[:, :, 0])
     assert np.array_equal(pn, stacked[:, :, 1:])

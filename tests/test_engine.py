@@ -474,15 +474,15 @@ def test_joint_rounds_reuse_the_refined_null_mle(monkeypatch, two_sided):
     states, designs = [], []
     real_update, real_design = engine.slr_update, engine._joint_design
 
-    def slr_update(state, rec):
-        states.append(real_update(state, rec))
+    def slr_update(state, rec, log_probs=None):
+        states.append(real_update(state, rec, log_probs))
         return states[-1]
 
-    def joint_design(policy, cfg, w0, w1, rng):
+    def joint_design(policy, cfg, w0, w1, rng, memo):
         # the forward statistic is the one whose null grid is [0,45]
         forward = [s for s in states if s.null_grid.angles[-1] == 45.0]
         designs.append((forward[-1], w0))
-        return real_design(policy, cfg, w0, w1, rng)
+        return real_design(policy, cfg, w0, w1, rng, memo)
 
     monkeypatch.setattr(engine, "slr_update", slr_update)
     monkeypatch.setattr(engine, "_joint_design", joint_design)
@@ -516,12 +516,15 @@ def test_record_round_rejects_unknown_outcome():
 
 @pytest.mark.parametrize("kind", ["aLHT", "aLHT+", "aLVT"])
 def test_record_round_reduces_each_outcome_once(monkeypatch, kind):
-    """One outcome_coeffs call per observed round; the numerator and both grids read that row.
+    """At most one outcome_coeffs call per observed round, and one per distinct
+    (POVM, outcome) in a trial; the numerator and both grids read that row.
 
     Each statistic also fits its predictable angle once per round: the
     forward one when the round is planned, for its joint design and its
     numerator alike. A two-sided run records every round in two
-    statistics, fits two angles and still reduces each outcome once.
+    statistics, fits two angles and still reduces each outcome once. A
+    later run sharing the trial's memo reduces only aLHT's joint outcomes,
+    whose POVMs never recur.
     """
     policy = PolicyConfig(
         kind=kind, n_ic=2, n_joint=3, estimation_povm="sic",
@@ -542,27 +545,33 @@ def test_record_round_reduces_each_outcome_once(monkeypatch, kind):
         fits.append(args)
         return real_fit(*args)
 
+    def distinct_outcomes(rounds):
+        # records hold their POVMs, so no two of them share an id
+        return len({(id(rec.povm), rec.outcome) for rec in rounds})
+
     for module in (engine, family):
         monkeypatch.setattr(module, "outcome_coeffs", counted)
     monkeypatch.setattr(engine, "predictable_estimate", counted_fit)
     truth = state_from_angle(CFG, 100.0)
-    laws = engine.truth_laws(policy, truth)
+    memo = {}
+    laws = engine.truth_laws(policy, truth, memo)
     rng = np.random.default_rng(5)
     for t in range(1, 10):
         copies = policy.n_joint if t % 3 == 0 else 1
         w = real_fit(state.alt_grid, CFG, est)
-        plan = engine.next_measurement(policy, state, CFG, laws, rng)
+        plan = engine.next_measurement(policy, state, CFG, laws, rng, memo)
         assert plan.alt_angle == w
         state, _ = engine.observe_round(
-            policy, CFG, plan, sample_outcome(plan.dist, rng), state, None
+            policy, CFG, plan, sample_outcome(plan.dist, rng), state, None, memo
         )
-        assert len(calls) == t
+        assert len(calls) == distinct_outcomes(state.rounds) <= t
         assert len(fits) == t
         rec = state.rounds[-1]
         assert rec.copies == copies
         assert state.null_grid.rounds[-1] is rec.coeffs
         assert state.alt_grid.rounds[-1] is rec.coeffs
         assert rec.log_numerator_term == numerator_log_term(rec.coeffs, w)
+    assert len(calls) < 9
 
     # Count only the engine's reductions: new grids also build their
     # estimate regularizer through family.outcome_coeffs.
@@ -570,11 +579,22 @@ def test_record_round_reduces_each_outcome_once(monkeypatch, kind):
     calls.clear()
     fits.clear()
     null_set = parse_hypothesis_set("[0,45]")
+    memo = {}
     rng = np.random.default_rng(5)
-    out = run_sequential_test(policy, truth, CFG, null_set, ALT_UPPER, 0.05, 30, rng, eps1=0.05)
+    out = run_sequential_test(
+        policy, truth, CFG, null_set, ALT_UPPER, 0.05, 30, rng, eps1=0.05, memo=memo
+    )
     assert out.rounds_used > 9
-    assert len(calls) == out.rounds_used
+    assert len(calls) == distinct_outcomes(out.rounds) < out.rounds_used
     assert len(fits) == 2 * out.rounds_used
+    calls.clear()
+    rng = np.random.default_rng(5)
+    again = run_sequential_test(
+        policy, truth, CFG, null_set, ALT_UPPER, 0.05, 30, rng, eps1=0.05, memo=memo
+    )
+    assert [r.outcome for r in again.rounds] == [r.outcome for r in out.rounds]
+    fresh = [r for r in again.rounds if kind == "aLHT" and r.copies == policy.n_joint]
+    assert len(calls) == len(fresh)
 
 
 @pytest.mark.parametrize("truth", [22.3, 44.75])

@@ -337,6 +337,24 @@ def test_loglik_at_is_bit_exact_against_the_per_round_sum(piece, rounds, probes)
         assert loglik_at(grid, omega) == per_round_loglik_at(grid, omega)
 
 
+def test_row_index_follows_each_branch_of_accumulated_grids():
+    """Grids accumulated from one searched grid, as the oracle's enumeration
+    branches, each index their own rounds; an ancestor searched after its
+    descendants still reads only its own."""
+    cfg = FamilyConfig()
+    povm = ROUND_POVMS[1]
+    trunk = build_grid(parse_hypothesis_set("[10,170]"))
+    for label in (0, 1, 1):
+        trunk = fold(trunk, cfg, povm, label)
+    loglik_at(trunk, 50.0)
+    branches = [fold(fold(trunk, cfg, povm, label), cfg, ROUND_POVMS[5], "010")
+                for label in (2, 0, 2)]
+    for grid in (*branches, trunk):
+        for omega in (30.0, 91.3):
+            assert loglik_at(grid, omega) == per_round_loglik_at(grid, omega)
+    assert trunk.round_rows()[1][:3] == [0, 1, 1]
+
+
 def test_loglik_at_without_rounds_is_zero():
     grid = build_grid(parse_hypothesis_set("[0,45]"))
     assert loglik_at(grid, 22.3) == 0.0

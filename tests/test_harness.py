@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from qhtest import baselines, harness
+from qhtest import baselines, engine, family, harness, measurements, oracle, quantum
 from qhtest.baselines import FixedOutcome
+from qhtest.engine import run_sequential_test
 from qhtest.errors import ConfigError, IoError, ParseError
-from qhtest.family import parse_hypothesis_set, state_from_angle
+from qhtest.family import build_grid, parse_hypothesis_set, state_from_angle
 from qhtest.harness import (
     METHOD_IDS,
     RESULT_HEADER,
@@ -288,6 +289,165 @@ class TestFixedCopyMemo:
         grown = {k for k in after if after[k] > before[k]}
         # the rotation grids are shared by every caller, one per (grid size, copies)
         assert grown <= {("qhtest.baselines", "_u_cache")}
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def module_dict_sizes(modules) -> dict:
+    return {
+        (m.__name__, name): len(value)
+        for m in modules
+        for name, value in vars(m).items()
+        if isinstance(value, dict) and not name.startswith("__")
+    }
+
+
+class TestSequentialMemo:
+    """A sequential trial's memo changes how often work is done, never what a run returns."""
+
+    SETS = {
+        "point": ("{45}", "(45,180]"),
+        "interval": ("[0,45]", "(45,180]"),
+        "two points": ("{45,135}", "(45,135) (135,180)"),
+    }
+
+    @staticmethod
+    def config(kind, sets, estimation, radii):
+        return small_config(
+            null_set=parse_hypothesis_set(sets[0]),
+            alt_set=parse_hypothesis_set(sets[1]),
+            truth_omega=50.0,
+            methods=(kind,),
+            budgets=(12, 24),
+            runs=3,
+            n_ic=2,
+            n_joint=2,
+            estimation_povm=estimation,
+            r_z=radii[0],
+            r_x=radii[1],
+            lambda_grid_size=9,
+            theta_grid_size=36,
+        )
+
+    @staticmethod
+    def run(config, kind, budget, rng, memo, eps1=None, truth=None):
+        fam = config.family()
+        if truth is None:
+            truth = state_from_angle(fam, config.truth_omega)
+        return run_sequential_test(
+            harness._policy(config, kind), truth, fam, config.null_set, config.alt_set,
+            config.eps0, budget, rng, eps1=eps1, resolution=config.grid_resolution,
+            memo=memo,
+        )
+
+    @staticmethod
+    def assert_same_outcome(got, want):
+        """Equal bit for bit: decision, copies, each round and every statistic."""
+        assert (got.decision, got.copies_used) == (want.decision, want.copies_used)
+        assert len(got.rounds) == len(want.rounds)
+        for a, b in zip(got.rounds, want.rounds):
+            assert (a.descriptor, a.outcome) == (b.descriptor, b.outcome)
+            assert bits(a.coeffs) == bits(b.coeffs)
+            assert bits(a.log_numerator_term) == bits(b.log_numerator_term)
+        assert bits(got.log_slrs) == bits(want.log_slrs)
+        if want.final_log_slr_rev is None:
+            assert got.final_log_slr_rev is None
+        else:
+            assert bits(got.final_log_slr_rev) == bits(want.final_log_slr_rev)
+
+    @pytest.mark.parametrize("two_sided", [False, True])
+    @pytest.mark.parametrize("sets", ["point", "interval", "two points"])
+    @pytest.mark.parametrize("kind", ["aLHT", "aLHT+", "aLVT"])
+    def test_shared_memo_runs_equal_fresh_memo_runs(self, kind, sets, two_sided):
+        for estimation in ("computational", "sic"):
+            for radii in ((1.0, 1.0), (0.9, 0.7)):
+                config = self.config(kind, self.SETS[sets], estimation, radii)
+                eps1 = 0.05 if two_sided else None
+                # make_trial runs one-sided tests only; a two-sided trial shares a dict
+                shared = {}
+                trial = harness.make_trial(config, kind)
+                for b_idx, budget in enumerate(config.budgets):
+                    for run in range(config.runs):
+                        rng = lambda: harness.run_rng(config.master_seed, kind, b_idx, run)
+                        if two_sided:
+                            got = self.run(config, kind, budget, rng(), shared, eps1)
+                        else:
+                            got = trial(budget, rng())
+                        want = self.run(config, kind, budget, rng(), {}, eps1)
+                        self.assert_same_outcome(got, want)
+
+    def test_a_memo_shared_across_truths_rebuilds_the_truth_laws(self):
+        """As in criterion 3, one memo may serve runs of different truths."""
+        config = self.config("aLHT+", self.SETS["point"], "computational", (1.0, 1.0))
+        fam = config.family()
+        memo = {}
+        for k, angle in enumerate((50.0, 120.0, 50.0, 170.0)):
+            truth = state_from_angle(fam, angle)
+            rng = lambda: np.random.default_rng([7, k])
+            got = self.run(config, "aLHT+", 24, rng(), memo, 0.05, truth)
+            want = self.run(config, "aLHT+", 24, rng(), {}, 0.05, truth)
+            self.assert_same_outcome(got, want)
+            assert np.array_equal(memo["truth"].truth, truth)
+
+    def test_each_trial_owns_its_memo(self, monkeypatch):
+        memos = []
+
+        def spy(*args, memo, **kwargs):
+            memos.append(memo)
+            return run_sequential_test(*args, memo=memo, **kwargs)
+
+        monkeypatch.setattr(harness, "run_sequential_test", spy)
+        cfg = small_config(methods=("aLHT+",))
+        first, second = harness.make_trial(cfg, "aLHT+"), harness.make_trial(cfg, "aLHT+")
+        rng = np.random.default_rng(0)
+        first(10, rng)
+        first(14, rng)
+        second(10, rng)
+        assert memos[0] is memos[1]
+        assert memos[2] is not memos[0]
+
+    def test_a_sweep_grows_no_module_level_dict(self):
+        modules = (baselines, engine, family, harness, measurements, oracle, quantum)
+        before = module_dict_sizes(modules)
+        run_sweep(small_config(
+            null_set=parse_hypothesis_set("[0,45]"), truth_omega=22.3,
+            methods=("aLHT", "aLHT+", "aLVT"), budgets=(10, 20), runs=3, theta_grid_size=36,
+        ))
+        after = module_dict_sizes(modules)
+        assert after.keys() == before.keys()
+        grown = {k for k in after if after[k] > before[k]}
+        # the design cache stays module-level (the sweep benchmark counts its
+        # entries); the rotation grids (also bound as baselines._u_cache) and
+        # the interpolation nodes are one per copy count
+        assert grown <= {
+            ("qhtest.engine", "_design_cache"),
+            ("qhtest.measurements", "_u_cache"),
+            ("qhtest.baselines", "_u_cache"),
+            ("qhtest.family", "_node_cache"),
+        }
+
+    @pytest.mark.parametrize("kind", ["aLHT", "aLHT+", "aLVT"])
+    def test_the_memo_keys_only_grid_angles(self, kind, monkeypatch):
+        """Refined null MLEs fall between grid angles; their states are built and dropped."""
+        config = self.config(kind, self.SETS["interval"], "computational", (1.0, 1.0))
+        grid = set(build_grid(config.null_set).angles) | set(build_grid(config.alt_set).angles)
+        null_angles = []
+        real = engine._joint_design
+
+        def spy(policy, cfg, w0, w1, rng, memo):
+            null_angles.append(w0)
+            return real(policy, cfg, w0, w1, rng, memo)
+
+        monkeypatch.setattr(engine, "_joint_design", spy)
+        memo = {}
+        for run in range(4):
+            self.run(config, kind, 24, np.random.default_rng([3, run]), memo, 0.05)
+        assert any(w0 not in grid for w0 in null_angles)
+        angle_keys = [key[1] for key in memo if key[0] in ("power", "table")]
+        assert angle_keys
+        assert set(angle_keys) <= grid
 
 
 class TestEmitResults:

@@ -1,6 +1,7 @@
 """Tests for the joint measurement designs and their grid optimizers."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhtest import baselines, engine, measurements
-from qhtest.baselines import FixedTestConfig, _state_probs, run_lht
-from qhtest.engine import PolicyConfig
+from qhtest.baselines import FixedTestConfig, run_lht
+from qhtest.engine import PolicyConfig, new_slr_state
 from qhtest.errors import DimensionMismatch
 from qhtest.family import FamilyConfig, parse_hypothesis_set, state_from_angle
 from qhtest.measurements import (
@@ -20,6 +21,7 @@ from qhtest.measurements import (
     helstrom_povm,
     optimize_lambda,
     optimize_theta,
+    rotated_basis_tables,
     rotation_grid,
     variational_povm,
 )
@@ -50,6 +52,13 @@ def variational_unitary(theta, copies):
 def powers(rho0, rho1, copies):
     """The tensor-power matrices the design entry points take."""
     return tensor_power(rho0, copies), tensor_power(rho1, copies)
+
+
+def rotation_tables(rho0, rho1, copies, grid_size):
+    """The null and the alternative state's rotated-basis tables optimize_theta takes."""
+    _, u = rotation_grid(grid_size, copies)
+    p = _rotated_basis_probs(u, np.stack(powers(rho0, rho1, copies)))
+    return p[:, :, 0], p[:, :, 1]
 
 
 def weighted_error(povm, rho0, rho1, weight, copies):
@@ -152,9 +161,9 @@ def test_variational_tables_match_single_design_born(
 ):
     """Every cell of the batched tables equals the Born rule on variational_povm."""
     cfg = FamilyConfig(r_z=radii[0], r_x=radii[1])
-    thetas, q = _state_probs(cfg, (alt_angle,), copies, grid_size)
+    thetas, q = rotated_basis_tables(cfg, (alt_angle,), copies, grid_size)
     q = q[:, :, 0]
-    pn = _state_probs(cfg, null_angles, copies, grid_size)[1]
+    pn = rotated_basis_tables(cfg, null_angles, copies, grid_size)[1]
     assert thetas.shape == (grid_size,) and q.shape == (grid_size, 2**copies)
     assert pn.shape == (grid_size, 2**copies, len(null_angles))
     for t, theta in enumerate(thetas):
@@ -256,7 +265,7 @@ class TestOptimizers:
         for _ in range(6):
             rho0, rho1 = random_qubit(rng), random_qubit(rng)
             copies = int(rng.integers(1, 3))
-            got = optimize_theta(*powers(rho0, rho1, copies), grid_size=grid_size)
+            got = optimize_theta(*rotation_tables(rho0, rho1, copies, grid_size))
             thetas = 2.0 * np.pi * np.arange(grid_size) / grid_size
             objs = np.array(
                 [
@@ -287,14 +296,28 @@ def tensor_power_calls(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["aLHT+", "aLVT"])
 def test_joint_design_raises_each_state_once(tensor_power_calls, monkeypatch, kind):
-    """A design-cache miss raises the null and the alternative state once each; a hit none."""
+    """A design-cache miss raises the null and the alternative state once each; a hit none.
+
+    The trial memo keeps each grid angle's power (aLHT+) or rotated-basis
+    table (aLVT), so a later miss raises only its new state; a state at an
+    off-grid angle, such as a refined null MLE, is raised and dropped.
+    """
     monkeypatch.setattr(engine, "_design_cache", {})
     policy = PolicyConfig(kind=kind, n_joint=3, theta_grid_size=24)
     rng = np.random.default_rng(0)
-    first = engine._joint_design(policy, FamilyConfig(), 45.0, 100.0, rng)
+    memo = {}
+    null, alt = parse_hypothesis_set("[0,45]"), parse_hypothesis_set("(45,180]")
+    engine._grid_angles(memo, new_slr_state(null, alt))
+    first = engine._joint_design(policy, FamilyConfig(), 45.0, 100.0, rng, memo)
     assert tensor_power_calls == [3, 3]
-    assert engine._joint_design(policy, FamilyConfig(), 45.0, 100.0, rng) is first
+    assert engine._joint_design(policy, FamilyConfig(), 45.0, 100.0, rng, memo) is first
     assert tensor_power_calls == [3, 3]
+    engine._joint_design(policy, FamilyConfig(), 45.0, 100.5, rng, memo)
+    assert tensor_power_calls == [3, 3, 3]
+    engine._joint_design(policy, FamilyConfig(), 22.3, 100.5, rng, memo)
+    engine._joint_design(policy, FamilyConfig(), 22.3, 100.0, rng, memo)
+    assert tensor_power_calls == [3] * 5
+    assert {key[1] for key in memo if isinstance(key, tuple)} == {45.0, 100.0, 100.5}
 
 
 def test_lht_run_raises_each_state_once(tensor_power_calls):
@@ -306,3 +329,27 @@ def test_lht_run_raises_each_state_once(tensor_power_calls):
     )
     assert out.copies_used == 12
     assert tensor_power_calls == [3, 3, 3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    copies=st.integers(1, 4),
+    radii=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    w0=st.floats(0.0, 360.0),
+    w1=st.floats(0.0, 360.0),
+    grid_size=st.sampled_from([24, 360]),
+)
+def test_per_state_rotation_tables_split_the_stacked_table(copies, radii, w0, w1, grid_size):
+    """Each state's table equals its column of the stacked table bit for bit, and the
+    engine's aLVT design, scored on per-state tables, picks optimize_theta's angle on
+    the stacked one."""
+    cfg = FamilyConfig(*radii)
+    _, stacked = rotated_basis_tables(cfg, (w0, w1), copies, grid_size)
+    for j, w in enumerate((w0, w1)):
+        _, alone = rotated_basis_tables(cfg, (w,), copies, grid_size)
+        assert alone[:, :, 0].tobytes() == stacked[:, :, j].tobytes()
+    want = optimize_theta(stacked[:, :, 0], stacked[:, :, 1])
+    policy = PolicyConfig(kind="aLVT", n_joint=copies, theta_grid_size=grid_size)
+    with mock.patch.dict(engine._design_cache, clear=True):
+        _, descriptor = engine._joint_design(policy, cfg, w0, w1, None, {})
+    assert descriptor == f"variational(theta={want:.8f})"
