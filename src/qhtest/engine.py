@@ -366,7 +366,8 @@ def predictable_estimate(
 #   ("outcome", id(M), x)     outcome x of a recurring POVM M, reduced (_Reduced)
 #   "truth"                   the TruthLaws of the last truth seen
 # A POVM recurs when it is the estimation POVM or comes from _design_cache,
-# i.e. every POVM but aLHT's, whose random weight makes each one new. What
+# i.e. every POVM but aLHT's, whose random weight makes each one new;
+# next_measurement decides it once per round (RoundPlan.recurs). What
 # does not recur (an aLHT design, a state at a refined off-grid null MLE)
 # is built and dropped, so the memo grows with the grid and the design
 # cache, not with the rounds. Every float read from the memo is the float
@@ -379,11 +380,6 @@ def _memoized(memo: dict, key, build):
     if key not in memo:
         memo[key] = build()
     return memo[key]
-
-
-def _recurs(policy: PolicyConfig, t: int) -> bool:
-    """Whether round t measures a POVM that recurs within a trial."""
-    return policy.kind != "aLHT" or policy.is_estimation_round(t)
 
 
 def _grid_angles(memo: dict, state: SlrState) -> frozenset:
@@ -487,14 +483,16 @@ def _joint_design(
 @dataclass(frozen=True)
 class RoundPlan:
     """One round before its outcome: the measurement, the truth's outcome
-    distribution under it, and the forward numerator angle (fitted on
-    earlier rounds only) that a joint round's design also reads.
+    distribution under it, the forward numerator angle (fitted on earlier
+    rounds only) that a joint round's design also reads, and whether the
+    measurement recurs within the trial (see the trial memo above).
     """
 
     povm: Povm
     descriptor: str
     dist: OutcomeDistribution
     alt_angle: float
+    recurs: bool
 
 
 class TruthLaws:
@@ -544,13 +542,13 @@ def next_measurement(
     """
     est = estimation_povm(policy.estimation_povm)
     w1 = predictable_estimate(state.alt_grid, cfg, est, policy.initial_alt_angle)
-    t = len(state.rounds)
-    if policy.is_estimation_round(t):
-        return RoundPlan(est, f"{policy.estimation_povm}(n=1)", laws.est_dist, w1)
+    if policy.is_estimation_round(len(state.rounds)):
+        return RoundPlan(est, f"{policy.estimation_povm}(n=1)", laws.est_dist, w1, True)
     w0 = state.null_mle.omega if state.rounds else _default_angle(state.null_grid)
     _grid_angles(memo, state)
     povm, desc = _joint_design(policy, cfg, w0, w1, rng, memo)
-    return RoundPlan(povm, desc, laws.joint_dist(povm, _recurs(policy, t)), w1)
+    recurs = policy.kind != "aLHT"
+    return RoundPlan(povm, desc, laws.joint_dist(povm, recurs), w1, recurs)
 
 
 def observe_round(
@@ -568,7 +566,7 @@ def observe_round(
     s0's numerator term is frozen at plan.alt_angle; s1 fits its own
     angle, never from initial_alt_angle.
     """
-    red = _reduced(memo, cfg, plan.povm, outcome, _recurs(policy, len(s0.rounds)))
+    red = _reduced(memo, cfg, plan.povm, outcome, plan.recurs)
 
     def fold(state: SlrState, angle: float) -> SlrState:
         term = numerator_log_term(red.row, angle)

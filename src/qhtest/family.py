@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -276,47 +276,19 @@ def log_outcome_prob(coeffs: np.ndarray, omega: float) -> float:
 # --- parameter grids ------------------------------------------------------
 
 
-class _RowIndex:
-    """Distinct coefficient rows of one chain of accumulated grids, and each round's row index.
-
-    Rows are keyed by their exact bytes, so equal rows give equal terms.
-    The index grows in place as its chain's rounds are indexed. owner is
-    the id of the newest grid it was passed to, and only that grid passes
-    it on to the grid accumulate makes from it: a second grid accumulated
-    from the same one, as in the oracle's enumeration, starts its own.
-    """
-
-    __slots__ = ("rows", "order", "keys", "top", "owner")
-
-    def __init__(self, owner: int):
-        self.rows: list = []
-        self.order: list = []
-        self.keys: dict = {}
-        self.top = 0
-        self.owner = owner
-
-    def extend(self, rounds: tuple) -> None:
-        """Index the rounds past the ones already indexed; rounds extends the indexed prefix."""
-        for coeffs in rounds[len(self.order):]:
-            key = coeffs.tobytes()
-            i = self.keys.get(key)
-            if i is None:
-                i = self.keys[key] = len(self.rows)
-                self.rows.append(coeffs.tolist())
-                self.top = max(self.top, row_copies(coeffs))
-            self.order.append(i)
-
-
 @dataclass(frozen=True)
 class ParamGrid:
-    """Grid angles, running log-likelihood sums, and each observed round's coefficient row."""
+    """Grid angles, running log-likelihood sums, and each observed round's coefficient row.
+
+    A grid is read-only apart from basis_cache and round_rows, which are
+    computed from its own fields when first read.
+    """
 
     angles: np.ndarray
     per_angle_loglik: np.ndarray
     segments: np.ndarray
     rounds: tuple = ()
     basis_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _index: _RowIndex | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.angles.setflags(write=False)
@@ -331,21 +303,23 @@ class ParamGrid:
             self.basis_cache[copies] = b
         return b
 
+    @cached_property
     def round_rows(self) -> tuple[list, list, int]:
         """Distinct coefficient rows (as lists), each round's row index, and the most copies.
 
-        The first len(self.rounds) indices are this grid's rounds. The
-        index is built on first use and carried forward by accumulate, so
-        each round is indexed once per chain, and grids that are never
-        evaluated off the lattice pay nothing.
+        Rows are keyed by their exact bytes, so equal rows give equal
+        terms. The index is built from this grid's rounds when first read
+        (only a refining mle reads it), so a grid never searched pays nothing.
         """
-        index = self._index
-        if index is None:
-            index = _RowIndex(id(self))
-            object.__setattr__(self, "_index", index)
-        if len(index.order) < len(self.rounds):
-            index.extend(self.rounds)
-        return index.rows, index.order, index.top
+        rows: list = []
+        order: list = []
+        keys: dict = {}
+        for coeffs in self.rounds:
+            i = keys.setdefault(coeffs.tobytes(), len(rows))
+            if i == len(rows):
+                rows.append(coeffs.tolist())
+            order.append(i)
+        return rows, order, max(map(row_copies, rows), default=0)
 
 
 def grid_log_probs(grid: ParamGrid, coeffs: np.ndarray) -> np.ndarray:
@@ -370,8 +344,7 @@ def build_grid(hset: HypothesisSet, resolution: float = DEFAULT_RESOLUTION) -> P
     lattice misses them, open endpoints are pushed inward by one step.
 
     Grids are cached on (hset, resolution), so every run over one set
-    shares one grid and the basis matrices in its basis_cache; the grid
-    is read-only apart from that cache.
+    shares one grid and the basis matrices in its basis_cache.
     """
     if resolution <= 0:
         raise ValueError(f"resolution must be positive, got {resolution}")
@@ -414,39 +387,34 @@ def accumulate(
 
     log_probs, when given, is grid_log_probs(grid, coeffs) computed
     earlier (the engine keeps it per trial); adding it gives the same
-    floats as computing it here.
+    floats as computing it here. The new grid shares grid's basis_cache
+    and builds its own round_rows.
     """
     if log_probs is None:
         log_probs = grid_log_probs(grid, coeffs)
-    new = ParamGrid(
+    return ParamGrid(
         angles=grid.angles,
         per_angle_loglik=grid.per_angle_loglik + log_probs,
         segments=grid.segments,
         rounds=grid.rounds + (coeffs,),
         basis_cache=grid.basis_cache,
     )
-    index = grid._index
-    if index is not None and index.owner == id(grid):
-        index.owner = id(new)
-        object.__setattr__(new, "_index", index)
-    return new
 
 
 def loglik_at(grid: ParamGrid, omega: float) -> float:
     """Continuous log-likelihood of the accumulated rounds at one angle.
 
-    Each distinct outcome row is evaluated once; the per-round terms are
-    then added in round order, so the sum is the same float as a walk over
-    every round.
+    Each distinct outcome row of grid.round_rows is evaluated once; the
+    per-round terms are then added in round order, so the sum is the same
+    float as a walk over every round.
     """
-    rows, order, top = grid.round_rows()
+    rows, order, top = grid.round_rows
     w = math.radians(omega)
     cos = [math.cos(k * w) for k in range(top + 1)]
     sin = [math.sin(k * w) for k in range(top + 1)]
     terms = [_row_log(coeffs, cos, sin) for coeffs in rows]
-    n = len(grid.rounds)
     total = 0.0
-    for i in order if len(order) == n else order[:n]:
+    for i in order:
         total += terms[i]
     return total
 

@@ -72,16 +72,16 @@ def validate_density(mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def tensor_power(rho: np.ndarray, n: int, max_dim: int = MAX_TENSOR_DIM) -> np.ndarray:
-    """n-fold Kronecker power rho^(x)n, capped at max_dim total dimension.
+def tensor_power(rho: np.ndarray, n: int) -> np.ndarray:
+    """n-fold Kronecker power rho^(x)n, capped at MAX_TENSOR_DIM total dimension.
 
     n = 1 returns rho itself; larger n a new read-only array.
     """
     if n < 1:
         raise ValueError(f"tensor power needs n >= 1, got {n}")
     d = rho.shape[0]
-    if d**n > max_dim:
-        raise DimensionOverflow(f"dim {d}^{n} = {d ** n} exceeds cap {max_dim}")
+    if d**n > MAX_TENSOR_DIM:
+        raise DimensionOverflow(f"dim {d}^{n} = {d ** n} exceeds cap {MAX_TENSOR_DIM}")
     out = rho
     for _ in range(n - 1):
         out = np.kron(out, rho)

@@ -337,10 +337,21 @@ def test_loglik_at_is_bit_exact_against_the_per_round_sum(piece, rounds, probes)
         assert loglik_at(grid, omega) == per_round_loglik_at(grid, omega)
 
 
+def assert_searches_own_rounds(grid, probes=(30.0, 91.3)):
+    """loglik_at equals the per-round sum bit for bit, and round_rows
+    indexes exactly the grid's own rounds."""
+    for omega in probes:
+        assert loglik_at(grid, omega) == per_round_loglik_at(grid, omega)
+    rows, order, top = grid.round_rows
+    assert [rows[i] for i in order] == [c.tolist() for c in grid.rounds]
+    assert len({np.array(r).tobytes() for r in rows}) == len(rows)
+    assert top == max(((len(c) - 1) // 2 for c in grid.rounds), default=0)
+
+
 def test_row_index_follows_each_branch_of_accumulated_grids():
     """Grids accumulated from one searched grid, as the oracle's enumeration
     branches, each index their own rounds; an ancestor searched after its
-    descendants still reads only its own."""
+    descendants still reads only its own, whatever the order of the searches."""
     cfg = FamilyConfig()
     povm = ROUND_POVMS[1]
     trunk = build_grid(parse_hypothesis_set("[10,170]"))
@@ -352,7 +363,35 @@ def test_row_index_follows_each_branch_of_accumulated_grids():
     for grid in (*branches, trunk):
         for omega in (30.0, 91.3):
             assert loglik_at(grid, omega) == per_round_loglik_at(grid, omega)
-    assert trunk.round_rows()[1][:3] == [0, 1, 1]
+    assert trunk.round_rows[1][:3] == [0, 1, 1]
+
+    # a searched grid forked into several continuations, each searched and forked again
+    forks = [fold(branches[0], cfg, povm, label) for label in (3, 0, 3, 1)]
+    for fork in forks:
+        assert_searches_own_rounds(fork)
+        for label in ("0011", "1111"):
+            assert_searches_own_rounds(fold(fork, cfg, ROUND_POVMS[7], label))
+    assert_searches_own_rounds(branches[0])
+
+    # a child searched before its parent, a parent after its grandchild
+    root = fold(build_grid(parse_hypothesis_set("[0,45]")), cfg, povm, 2)
+    child = fold(root, cfg, ROUND_POVMS[5], "001")
+    grandchild = fold(child, cfg, povm, 2)
+    for grid in (grandchild, child, root, fold(root, cfg, povm, 2)):
+        assert_searches_own_rounds(grid, probes=(7.0, 22.3, 44.5))
+
+    # trees of accumulated grids, searched in random orders
+    rng = np.random.default_rng(8)
+    for piece in ("[0,45]", "[10,170]", "(45,180]"):
+        tree = [build_grid(parse_hypothesis_set(piece))]
+        for _ in range(16):
+            parent = tree[int(rng.integers(len(tree)))]
+            p = ROUND_POVMS[int(rng.integers(len(ROUND_POVMS)))]
+            tree.append(fold(parent, cfg, p, p.labels[int(rng.integers(len(p.labels)))]))
+        lo, hi = float(tree[0].angles[0]), float(tree[0].angles[-1])
+        for _ in range(3):
+            for j in rng.permutation(len(tree)):
+                assert_searches_own_rounds(tree[j], probes=rng.uniform(lo, hi, size=2))
 
 
 def test_loglik_at_without_rounds_is_zero():
