@@ -32,6 +32,20 @@ expected_log_increment, the single-design reference, takes the states.
 The grid searches run on batched eigendecompositions / conjugations; unit
 tests pin their selections against exhaustive evaluation through the
 single-design operations.
+
+Both table kernels skip arithmetic that cannot change a float, and return
+the full complex contraction's floats bit for bit, sign bits included (a
+property test keeps that contraction as its reference):
+
+* _rotated_basis_probs contracts mats.real with the real unitaries. The
+  imaginary part of mats reaches the real part of a term only through a
+  product with an exact zero.
+* _binary_probs_on_weight_grid contracts only the kept eigenvectors
+  (eigenvalue > PROJECTOR_TOL); the full contraction multiplied the others
+  by a zero mask, adding only +-0. The einsum sums each kept vector's terms
+  in the same (i, k) order, and each weight's kept terms are added in
+  eigenvalue order starting from +0, as the masked sum did. A one-weight
+  grid takes the same path and matches as well.
 """
 
 from __future__ import annotations
@@ -124,10 +138,16 @@ def _binary_probs_on_weight_grid(
     a = (1.0 - weights)[:, None, None] * pow0 - weights[:, None, None] * pow1
     a = (a + a.conj().transpose(0, 2, 1)) / 2.0
     vals, vecs = np.linalg.eigh(a)
-    mask = (vals > PROJECTOR_TOL).astype(float)
-    states = np.stack([pow0, pow1])
-    quad = np.einsum("lij,sik,lkj->lsj", vecs.conj(), states, vecs).real
-    return weights, np.einsum("lsj,lj->ls", quad, mask).clip(0.0, 1.0)
+    # Only the kept eigenvectors enter the contraction; a zero mask on the
+    # others would add only +-0 to each weight's sum.
+    lk, jk = np.nonzero(vals > PROJECTOR_TOL)
+    kept = vecs[lk, :, jk]
+    quad = np.einsum("ki,sij,kj->ks", kept.conj(), np.stack([pow0, pow1]), kept).real
+    # A leading-axis reduce adds row after row, so each weight's kept terms
+    # are summed in eigenvalue order, as the masked sum over j did.
+    table = np.zeros((vals.shape[1], grid_size, 2))
+    table[jk, lk] = quad
+    return weights, np.add.reduce(table, axis=0).clip(0.0, 1.0)
 
 
 def _log_ratio_gain(q: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -183,8 +203,13 @@ def rotation_grid(grid_size: int, copies: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rotated_basis_probs(u: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """p[t, x, j] = Tr(mats[j] M_x) for the rotated-basis POVMs of the unitary stack u."""
-    return np.einsum("txa,jab,txb->txj", u, mats, u.conj()).real.clip(min=0.0)
+    """p[t, x, j] = Tr(mats[j] M_x) for the rotated-basis POVMs of the unitary stack u.
+
+    u is real, so the imaginary part of mats enters the real part of a term
+    only through a product with an exact zero: the real contraction equals
+    the real part of the complex one bit for bit.
+    """
+    return np.einsum("txa,jab,txb->txj", u, mats.real, u).clip(min=0.0)
 
 
 def rotated_basis_tables(

@@ -108,15 +108,21 @@ class Povm:
             raise ValueError("POVM labels must be distinct")
         elems = tuple(_as_complex_matrix(e) for e in self.elements)
         d = elems[0].shape[0]
-        for lab, e in zip(self.labels, elems):
-            if e.shape[0] != d:
-                raise DimensionMismatch(f"element {lab!r} has dim {e.shape[0]}, expected {d}")
-            defect = _hermiticity_defect(e)
+        same = next((i for i, e in enumerate(elems) if e.shape[0] != d), len(elems))
+        # One batched check of the elements before the first of another dim,
+        # raising for the first offender as an element-by-element loop would.
+        stack = np.stack(elems[:same])
+        adj = stack.conj().transpose(0, 2, 1)
+        defects = np.max(np.abs(stack - adj), axis=(1, 2))
+        lows = np.min(np.linalg.eigvalsh((stack + adj) / 2.0), axis=1)
+        for lab, defect, low in zip(self.labels, defects, lows):
             if defect > HERMITIAN_TOL:
                 raise NotHermitian(f"element {lab!r} hermiticity defect {defect:.3e}")
-            low = float(np.min(np.linalg.eigvalsh((e + e.conj().T) / 2.0)))
             if low < -PSD_TOL:
                 raise NotPSD(f"element {lab!r} eigenvalue {low:.3e} below -{PSD_TOL:.0e}")
+        if same < len(elems):
+            lab, dim = self.labels[same], elems[same].shape[0]
+            raise DimensionMismatch(f"element {lab!r} has dim {dim}, expected {d}")
         total = sum(elems[1:], start=elems[0].copy())
         dev = float(np.max(np.abs(total - np.eye(d))))
         if dev > SUM_TOL:

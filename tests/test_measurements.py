@@ -217,6 +217,67 @@ def test_weight_grid_table_matches_single_design_born():
             assert abs(p[k, 1] - born_distribution(pow1, povm).probs[0]) <= 1e-12
 
 
+def reference_rotated_basis_probs(u, mats):
+    """The rotated-basis table as the full complex contraction."""
+    return np.einsum("txa,jab,txb->txj", u, mats, u.conj()).real.clip(min=0.0)
+
+
+def reference_binary_probs(pow0, pow1, grid_size):
+    """The weight-grid table as the full complex contraction over every eigenvector."""
+    weights = np.arange(1, grid_size + 1) / (grid_size + 1)
+    a = (1.0 - weights)[:, None, None] * pow0 - weights[:, None, None] * pow1
+    a = (a + a.conj().transpose(0, 2, 1)) / 2.0
+    vals, vecs = np.linalg.eigh(a)
+    mask = (vals > measurements.PROJECTOR_TOL).astype(float)
+    states = np.stack([pow0, pow1])
+    quad = np.einsum("lij,sik,lkj->lsj", vecs.conj(), states, vecs).real
+    return weights, np.einsum("lsj,lj->ls", quad, mask).clip(0.0, 1.0)
+
+
+def assert_same_bits(got, want):
+    """Equal dtype, shape and floats, and equal sign bits, so -0.0 differs from 0.0."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+design_states = st.builds(
+    lambda kind, seed, radii, angles: (
+        [state_from_angle(FamilyConfig(*radii), w) for w in angles]
+        if kind == "family"
+        else [random_qubit(np.random.default_rng([seed, j])) for j in range(len(angles))]
+    ),
+    st.sampled_from(["family", "complex"]),
+    st.integers(0, 2**32 - 1),
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    st.lists(st.floats(0.0, 360.0), min_size=1, max_size=5),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(states=design_states, copies=st.integers(1, 5), grid_size=st.integers(1, 120))
+def test_weight_grid_kernel_matches_full_contraction(states, copies, grid_size):
+    """Contracting the kept eigenvectors only gives the full contraction's floats bit for bit.
+
+    A single drawn state is tested against itself, where no weight above 0.5
+    keeps an eigenvector.
+    """
+    pow0, pow1 = powers(states[0], states[-1], copies)
+    weights, got = _binary_probs_on_weight_grid(pow0, pow1, grid_size)
+    want_weights, want = reference_binary_probs(pow0, pow1, grid_size)
+    assert_same_bits(weights, want_weights)
+    assert_same_bits(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(states=design_states, copies=st.integers(1, 5), grid_size=st.integers(1, 400))
+def test_rotation_kernel_matches_complex_contraction(states, copies, grid_size):
+    """The real contraction on the real unitaries gives the complex one's floats bit for bit."""
+    _, u = rotation_grid(grid_size, copies)
+    mats = np.stack([tensor_power(rho, copies) for rho in states])
+    assert_same_bits(_rotated_basis_probs(u, mats), reference_rotated_basis_probs(u, mats))
+
+
 class TestExpectedLogIncrement:
     def test_zero_when_states_coincide(self):
         povm = helstrom_povm(*powers(KET0, PLUS, 1), 0.5)

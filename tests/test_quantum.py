@@ -109,6 +109,29 @@ def test_povm_rejects_non_psd_element():
         Povm(labels=(0, 1), elements=(e0, e1))
 
 
+NON_PSD = np.diag([1.5, -0.5])
+NON_HERMITIAN = np.array([[0.5, 0.2], [0.0, 0.5]])
+WIDE = np.eye(4) / 4.0
+
+
+@pytest.mark.parametrize(
+    "elements, error, label",
+    [
+        ((NON_PSD, NON_HERMITIAN, np.eye(2)), NotPSD, "a"),
+        ((NON_HERMITIAN, NON_PSD, np.eye(2)), NotHermitian, "a"),
+        ((np.eye(2) / 2, NON_PSD, NON_HERMITIAN), NotPSD, "b"),
+        ((np.eye(2) / 2, NON_HERMITIAN, WIDE), NotHermitian, "b"),
+        ((np.eye(2) / 2, NON_PSD, WIDE), NotPSD, "b"),
+        ((np.eye(2) / 2, WIDE, NON_PSD), DimensionMismatch, "b"),
+        ((np.eye(2) / 2, np.eye(2) / 2, WIDE), DimensionMismatch, "c"),
+    ],
+)
+def test_povm_names_its_first_offending_element(elements, error, label):
+    """With several bad elements, the error is the first one's, checked in label order."""
+    with pytest.raises(error, match=f"element '{label}'"):
+        Povm(labels=("a", "b", "c"), elements=elements)
+
+
 def test_povm_element_lookup_by_label():
     povm = computational_basis_povm(2)
     assert povm.labels == ("00", "01", "10", "11")
