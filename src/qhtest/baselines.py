@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _memoized, check_design_settings, estimation_povm
+from .engine import check_design_settings, estimation_povm
 from .errors import ConfigError, InfeasibleCalibration
 from .family import (
     DEFAULT_RESOLUTION,
@@ -59,7 +59,7 @@ from .measurements import (
     rotated_basis_tables,
     variational_povm,
 )
-from .quantum import OutcomeDistribution, Povm, born_distribution, sample_outcome, tensor_power
+from .quantum import OutcomeDistribution, Povm, born_distribution, memoized, sample_outcome, tensor_power
 
 SIZE_SLACK = 1e-12
 
@@ -93,8 +93,8 @@ class FixedTestConfig:
             )
         if not 0.0 < self.eps0 < 1.0:
             raise ConfigError(f"eps0 must lie in (0,1), got {self.eps0}")
-        if not self.resolution > 0.0:
-            raise ConfigError(f"resolution must be positive, got {self.resolution}")
+        if not 0.0 < self.resolution < math.inf:
+            raise ConfigError(f"resolution must be finite and positive, got {self.resolution}")
         check_design_settings(self.estimation_povm, self.lambda_grid_size, self.theta_grid_size)
 
     @property
@@ -241,8 +241,8 @@ def _run_helstrom_family(
     memo: dict,
 ) -> FixedOutcome:
     w1 = _fit_alternative(fcfg, truth, cfg, alt_set, rng)
-    build = lambda: _helstrom_block_test(fcfg, truth, cfg, omega0, w1)
-    return _decide(fcfg, _memoized(memo, (w1, fcfg.blocks), build), rng)
+    test = memoized(memo, (w1, fcfg.blocks), _helstrom_block_test, fcfg, truth, cfg, omega0, w1)
+    return _decide(fcfg, test, rng)
 
 
 def run_lht(
@@ -337,7 +337,7 @@ def _variational_block_test(
         fcfg.joint_copies,
         fcfg.theta_grid_size,
     )[1]
-    pn = _memoized(memo, "null_probs", null_probs)
+    pn = memoized(memo, "null_probs", null_probs)
     thetas, p = rotated_basis_tables(cfg, (w1,), fcfg.joint_copies, fcfg.theta_grid_size)
     q = p[:, :, 0]
     try:
@@ -361,8 +361,9 @@ def _run_variational_family(
     memo: dict,
 ) -> FixedOutcome:
     w1 = _fit_alternative(fcfg, truth, cfg, alt_set, rng)
-    build = lambda: _variational_block_test(fcfg, truth, cfg, null_set, w1, memo)
-    return _decide(fcfg, _memoized(memo, (w1, fcfg.blocks), build), rng)
+    key = (w1, fcfg.blocks)
+    test = memoized(memo, key, _variational_block_test, fcfg, truth, cfg, null_set, w1, memo)
+    return _decide(fcfg, test, rng)
 
 
 def run_lvt(

@@ -94,9 +94,11 @@ from .quantum import (
     Povm,
     born_distribution,
     computational_basis_povm,
+    memoized,
     sample_outcome,
     sic_povm_qubit,
     tensor_power,
+    validate_density,
 )
 
 POLICY_KINDS = ("aLHT", "aLHT+", "aLVT")
@@ -320,13 +322,12 @@ def _pseudo_loglik(grid: ParamGrid, cfg: FamilyConfig, povm: Povm) -> np.ndarray
     Cached alongside the grid's basis matrices; the vector depends on the
     grid angles, the family and the POVM.
     """
-    key = ("pseudo", cfg, povm.labels)
-    hit = grid.basis_cache.get(key)
-    if hit is None:
-        hit = PSEUDO_WEIGHT * np.mean(estimation_log_rows(grid, cfg, povm), axis=0)
-        hit.setflags(write=False)
-        grid.basis_cache[key] = hit
-    return hit
+    key = ("pseudo", cfg.r_z, cfg.r_x, povm.labels)
+    return memoized(grid.basis_cache, key, _pseudo_build, grid, cfg, povm)
+
+
+def _pseudo_build(grid: ParamGrid, cfg: FamilyConfig, povm: Povm) -> np.ndarray:
+    return PSEUDO_WEIGHT * np.mean(estimation_log_rows(grid, cfg, povm), axis=0)
 
 
 def predictable_estimate(
@@ -372,27 +373,21 @@ def predictable_estimate(
 # is built and dropped, so the memo grows with the grid and the design
 # cache, not with the rounds. Every float read from the memo is the float
 # the build would give, so a memo changes how often work is done, never a
-# run's result.
-
-
-def _memoized(memo: dict, key, build):
-    """memo[key], computed by build() on the first lookup."""
-    if key not in memo:
-        memo[key] = build()
-    return memo[key]
+# run's result. Entries are stored by quantum.memoized, which makes
+# their arrays read-only.
 
 
 def _grid_angles(memo: dict, state: SlrState) -> frozenset:
     """The trial's grid angles: the only angles the memo keys on."""
     build = lambda: frozenset(state.null_grid.angles.tolist() + state.alt_grid.angles.tolist())
-    return _memoized(memo, "grid angles", build)
+    return memoized(memo, "grid angles", build)
 
 
 def _at_grid_angle(memo: dict, kind: str, omega: float, build):
     """memo[(kind, omega)], built once, when omega is a grid angle; else build() and drop it."""
     if omega not in memo.get("grid angles", ()):
         return build()
-    return _memoized(memo, (kind, omega), build)
+    return memoized(memo, (kind, omega), build)
 
 
 class _Reduced:
@@ -411,18 +406,17 @@ class _Reduced:
         self._logs: dict = {}
 
     def on(self, grid: ParamGrid) -> np.ndarray:
-        hit = self._logs.get(id(grid.angles))
-        if hit is None:
-            vec = grid_log_probs(grid, self.row)
-            vec.setflags(write=False)
-            hit = self._logs[id(grid.angles)] = (grid.angles, vec)
-        return hit[1]
+        return memoized(self._logs, id(grid.angles), _log_probs_on, grid, self.row)[1]
+
+
+def _log_probs_on(grid: ParamGrid, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return grid.angles, grid_log_probs(grid, row)
 
 
 def _reduced(memo: dict, cfg: FamilyConfig, povm: Povm, outcome, recurs: bool) -> _Reduced:
     """The observed outcome's _Reduced: kept in the memo when its POVM recurs."""
     build = lambda: _Reduced(povm, outcome_row(cfg, povm, outcome))
-    return _memoized(memo, ("outcome", id(povm), outcome), build) if recurs else build()
+    return memoized(memo, ("outcome", id(povm), outcome), build) if recurs else build()
 
 
 _design_cache: dict = {}
@@ -440,44 +434,40 @@ def _joint_design(
 
     Optimized designs are memoized on (kind, family, angles, sizes); the
     optimizers are pure so this only saves recomputation when the MLEs
-    revisit an angle pair. aLHT consumes one uniform draw here and is
-    never memoized. A design reads each state's n_joint-copy power
-    (Helstrom) or rotated-basis table (variational), built after the
-    lookup, so a hit builds none; the trial memo keeps those of grid
-    angles.
+    revisit an angle pair. aLHT consumes one uniform draw here, before
+    any lookup, and is never memoized. A design reads each state's
+    n_joint-copy power (Helstrom) or rotated-basis table (variational),
+    built after the lookup, so a hit builds none; the trial memo keeps
+    those of grid angles.
     """
-    key = None
-    if policy.kind == "aLHT":
-        lam = rng.random()
-        while lam == 0.0:
-            lam = rng.random()
-    else:
-        key = (policy.kind, cfg.r_z, cfg.r_x, w0, w1, policy.n_joint,
-               policy.lambda_grid_size, policy.theta_grid_size)
-        hit = _design_cache.get(key)
-        if hit is not None:
-            return hit
-    if policy.kind == "aLVT":
-        def table(w):
-            build = lambda: rotated_basis_tables(
-                cfg, (w,), policy.n_joint, policy.theta_grid_size
-            )[1][:, :, 0]
-            return _at_grid_angle(memo, "table", w, build)
+    def design(lam=None):
+        if policy.kind == "aLVT":
+            def table(w):
+                build = lambda: rotated_basis_tables(
+                    cfg, (w,), policy.n_joint, policy.theta_grid_size
+                )[1][:, :, 0]
+                return _at_grid_angle(memo, "table", w, build)
 
-        theta = optimize_theta(table(w0), table(w1))
-        out = (variational_povm(theta, policy.n_joint), f"variational(theta={theta:.8f})")
-    else:
+            theta = optimize_theta(table(w0), table(w1))
+            return variational_povm(theta, policy.n_joint), f"variational(theta={theta:.8f})"
+
         def power(w):
             build = lambda: tensor_power(state_from_angle(cfg, w), policy.n_joint)
             return _at_grid_angle(memo, "power", w, build)
 
         pow0, pow1 = power(w0), power(w1)
-        if policy.kind == "aLHT+":
+        if lam is None:
             lam = optimize_lambda(pow0, pow1, policy.lambda_grid_size)
-        out = (helstrom_povm(pow0, pow1, lam), f"helstrom(w0={w0:g},w1={w1:g},lam={lam:.6f})")
-    if key is not None:
-        _design_cache[key] = out
-    return out
+        return helstrom_povm(pow0, pow1, lam), f"helstrom(w0={w0:g},w1={w1:g},lam={lam:.6f})"
+
+    if policy.kind == "aLHT":
+        lam = rng.random()
+        while lam == 0.0:
+            lam = rng.random()
+        return design(lam)
+    key = (policy.kind, cfg.r_z, cfg.r_x, w0, w1, policy.n_joint,
+           policy.lambda_grid_size, policy.theta_grid_size)
+    return memoized(_design_cache, key, design)
 
 
 @dataclass(frozen=True)
@@ -511,17 +501,19 @@ class TruthLaws:
 
     def joint_dist(self, povm: Povm, recurs: bool) -> OutcomeDistribution:
         build = lambda: (povm, born_distribution(self.joint_power, povm))
-        return (_memoized(self._joint, id(povm), build) if recurs else build())[1]
+        return (memoized(self._joint, id(povm), build) if recurs else build())[1]
 
 
 def truth_laws(policy: PolicyConfig, truth: np.ndarray, memo: dict) -> TruthLaws:
     """The truth's TruthLaws, built once per trial.
 
-    The memo keeps those of the last truth it saw and rebuilds them when a
-    run brings another truth.
+    The memo keeps those of the last truth it saw, on a read-only copy, and
+    rebuilds them when a run brings another truth, even one the caller
+    wrote into the array it passed before.
     """
     laws = memo.get("truth")
     if laws is None or not np.array_equal(laws.truth, truth):
+        truth = validate_density(truth)
         est_dist = born_distribution(truth, estimation_povm(policy.estimation_povm))
         laws = memo["truth"] = TruthLaws(truth, est_dist, tensor_power(truth, policy.n_joint))
     return laws

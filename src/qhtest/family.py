@@ -40,7 +40,7 @@ from .errors import (
     InvariantViolation,
     ParseError,
 )
-from .quantum import Povm, tensor_power
+from .quantum import Povm, memoized, tensor_power
 
 P_FLOOR = 1e-300
 DEFAULT_RESOLUTION = 0.5
@@ -201,20 +201,14 @@ _node_cache: dict = {}
 
 def _node_powers(cfg: FamilyConfig, copies: int) -> np.ndarray:
     """Stack of rho(node)^(x)copies at 2*copies+1 equispaced node angles."""
-    key = (cfg.r_z, cfg.r_x, copies)
-    hit = _node_cache.get(key)
-    if hit is not None:
-        return hit
     n_nodes = 2 * copies + 1
-    stacked = np.stack(
+    build = lambda: np.stack(
         [
             tensor_power(state_from_angle(cfg, 360.0 * j / n_nodes), copies)
             for j in range(n_nodes)
         ]
     )
-    stacked.setflags(write=False)
-    _node_cache[key] = stacked
-    return stacked
+    return memoized(_node_cache, (cfg.r_z, cfg.r_x, copies), build)
 
 
 @cache
@@ -249,10 +243,15 @@ def row_copies(row) -> int:
 
 
 def outcome_coeffs(cfg: FamilyConfig, element: np.ndarray) -> np.ndarray:
-    """Fourier coefficients of omega -> Tr(rho(omega)^(x)n element) for a 2^n-dim element."""
+    """Fourier coefficients of omega -> Tr(rho(omega)^(x)n element) for a 2^n-dim element.
+
+    The row is read-only: a trial memo, transcripts and grids share it.
+    """
     copies = element.shape[0].bit_length() - 1
     traces = np.einsum("nab,ba->n", _node_powers(cfg, copies), element).real
-    return _dft_matrix(copies) @ traces
+    row = _dft_matrix(copies) @ traces
+    row.setflags(write=False)
+    return row
 
 
 def _row_log(coeffs: list, cos: list, sin: list) -> float:
@@ -296,12 +295,7 @@ class ParamGrid:
         self.segments.setflags(write=False)
 
     def basis(self, copies: int) -> np.ndarray:
-        b = self.basis_cache.get(copies)
-        if b is None:
-            b = _fourier_basis(self.angles, copies)
-            b.setflags(write=False)
-            self.basis_cache[copies] = b
-        return b
+        return memoized(self.basis_cache, copies, _fourier_basis, self.angles, copies)
 
     @cached_property
     def round_rows(self) -> tuple[list, list, int]:
@@ -346,8 +340,8 @@ def build_grid(hset: HypothesisSet, resolution: float = DEFAULT_RESOLUTION) -> P
     Grids are cached on (hset, resolution), so every run over one set
     shares one grid and the basis matrices in its basis_cache.
     """
-    if resolution <= 0:
-        raise ValueError(f"resolution must be positive, got {resolution}")
+    if not 0.0 < resolution < math.inf:
+        raise ValueError(f"resolution must be finite and positive, got {resolution}")
     angles: list[float] = []
     segs: list[int] = []
     for idx, piece in enumerate(hset.pieces):

@@ -100,8 +100,10 @@ class ExperimentConfig:
             self.family()
         except InvalidBlochVector as exc:
             raise ConfigError(str(exc)) from None
-        if not self.grid_resolution > 0.0:
-            raise ConfigError(f"grid_resolution must be positive, got {self.grid_resolution}")
+        if not 0.0 < self.grid_resolution < math.inf:
+            raise ConfigError(
+                f"grid_resolution must be finite and positive, got {self.grid_resolution}"
+            )
         if self.n_ic < 0:
             raise ConfigError(f"n_ic must be >= 0, got {self.n_ic}")
         if self.n_joint < 1:
@@ -233,15 +235,10 @@ def make_trial(config: ExperimentConfig, method: str):
 
     Every trial owns one memo dict, passed to every run it makes. The
     memo lives as long as the trial, one method's sweep, and no two trials
-    share one. A sequential trial's memo (see the engine's trial memo)
-    keeps each recurring outcome's coefficient row and grid log vectors,
-    the state powers and aLVT rotated-basis tables at grid angles and the
-    truth's outcome laws, so each is computed once per trial instead of
-    once per round or run. A fixed-copy trial's runner (the runners
-    require a memo) keys it on the fitted grid angle and the block count
-    and keeps there the decided block test (or the fact that none met the
-    size), and for LVT/bLVT also the null grid's rotated-basis table, so
-    each calibration runs once per distinct (angle, blocks).
+    share one. What it keeps is set out by the engine's trial memo for a
+    sequential method and by the baselines module for a fixed-copy one;
+    like every cache it is filled by quantum.memoized, which stores values
+    read-only.
     """
     fam = config.family()
     truth = state_from_angle(fam, config.truth_omega)

@@ -56,7 +56,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .family import P_FLOOR, FamilyConfig, state_from_angle
-from .quantum import Povm, positive_eigenprojector, tensor_power
+from .quantum import Povm, memoized, positive_eigenprojector, tensor_power
 
 PROJECTOR_TOL = 1e-10
 
@@ -191,15 +191,11 @@ def rotation_grid(grid_size: int, copies: int) -> tuple[np.ndarray, np.ndarray]:
 
     Built once per (grid_size, copies) and shared by every caller.
     """
-    key = (grid_size, copies)
-    hit = _u_cache.get(key)
-    if hit is None:
+    def build():
         thetas = 2.0 * np.pi * np.arange(grid_size) / grid_size
-        u = _variational_unitaries(thetas, copies)
-        thetas.setflags(write=False)
-        u.setflags(write=False)
-        hit = _u_cache[key] = (thetas, u)
-    return hit
+        return thetas, _variational_unitaries(thetas, copies)
+
+    return memoized(_u_cache, (grid_size, copies), build)
 
 
 def _rotated_basis_probs(u: np.ndarray, mats: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ Conventions used throughout the package:
   those invariants on outside input; tensor_power raises a state to n copies.
 * Measurements are POVMs: tuples of Hermitian PSD elements summing to the
   identity, with at least two outcomes.
+* A value built once and shared is stored by memoized, which makes it read-only.
 * Multi-qubit bases are labeled by bit strings with qubit 1 as the most
   significant bit, so "10" means qubit 1 in state 1 and qubit 2 in state 0.
 
@@ -38,6 +39,27 @@ PSD_TOL = 1e-10
 SUM_TOL = 1e-10
 PROB_CLAMP = 1e-12
 MAX_TENSOR_DIM = 2**12
+
+
+_MISSING = object()
+
+
+def memoized(memo: dict, key, build, *args):
+    """memo[key], stored as build(*args) on the first lookup; a hit is one dict.get.
+
+    Every value built once into a cache dict goes through here, and what
+    is stored is read-only: an ndarray value, and each ndarray in a tuple
+    value, has its write flag cleared before it is stored, so no reader of
+    a cached value can change what the next reader gets. A stored None is
+    a hit like any other value.
+    """
+    hit = memo.get(key, _MISSING)
+    if hit is _MISSING:
+        hit = memo[key] = build(*args)
+        for item in hit if isinstance(hit, tuple) else (hit,):
+            if isinstance(item, np.ndarray):
+                item.setflags(write=False)
+    return hit
 
 
 def _as_complex_matrix(mat: np.ndarray) -> np.ndarray:
@@ -128,16 +150,13 @@ class Povm:
         if dev > SUM_TOL:
             raise InvariantViolation(f"POVM elements sum off identity by {dev:.3e}")
         object.__setattr__(self, "elements", elems)
-        for e in elems:
+        object.__setattr__(self, "_stack", stack)
+        for e in (stack, *elems):
             e.setflags(write=False)
 
     @property
     def dim(self) -> int:
         return self.elements[0].shape[0]
-
-    @cached_property
-    def _stack(self) -> np.ndarray:
-        return np.stack(self.elements)
 
     @cached_property
     def _index(self) -> dict:
@@ -167,12 +186,11 @@ class OutcomeDistribution:
         gap = abs(float(p.sum()) - 1.0)
         if gap > SUM_TOL:
             raise InvariantViolation(f"probabilities sum off 1 by {gap:.3e}")
+        cum = np.cumsum(p)
         object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "_cum", cum)
         p.setflags(write=False)
-
-    @cached_property
-    def _cum(self) -> np.ndarray:
-        return np.cumsum(self.probs)
+        cum.setflags(write=False)
 
 
 def born_distribution(rho: np.ndarray, povm: Povm) -> OutcomeDistribution:

@@ -62,6 +62,7 @@ def test_fixed_config_budget_arithmetic():
         {"resolution": 0.0},
         {"resolution": -0.5},
         {"resolution": float("nan")},
+        {"resolution": float("inf")},
         {"estimation_povm": "pauli"},
     ],
 )

@@ -71,6 +71,7 @@ class TestExperimentConfig:
             dict(lambda_grid_size=0),
             dict(theta_grid_size=0),
             dict(grid_resolution=0.0),
+            dict(grid_resolution=float("inf")),
             dict(estimation_povm="pauli"),
             dict(n_ic=-1, **fixed_only),
             dict(n_joint=0, **fixed_only),
@@ -379,14 +380,20 @@ class TestSequentialMemo:
                         self.assert_same_outcome(got, want)
 
     def test_a_memo_shared_across_truths_rebuilds_the_truth_laws(self):
-        """As in criterion 3, one memo may serve runs of different truths."""
+        """As in criterion 3, one memo may serve runs of different truths.
+
+        The caller here passes one array and rewrites it in place between
+        runs; the memo must notice the new truth all the same.
+        """
         config = self.config("aLHT+", self.SETS["point"], "computational", (1.0, 1.0))
         fam = config.family()
         memo = {}
+        passed = np.zeros((2, 2), dtype=complex)
         for k, angle in enumerate((50.0, 120.0, 50.0, 170.0)):
             truth = state_from_angle(fam, angle)
+            passed[...] = truth
             rng = lambda: np.random.default_rng([7, k])
-            got = self.run(config, "aLHT+", 24, rng(), memo, 0.05, truth)
+            got = self.run(config, "aLHT+", 24, rng(), memo, 0.05, passed)
             want = self.run(config, "aLHT+", 24, rng(), {}, 0.05, truth)
             self.assert_same_outcome(got, want)
             assert np.array_equal(memo["truth"].truth, truth)
@@ -428,6 +435,18 @@ class TestSequentialMemo:
             ("qhtest.family", "_node_cache"),
         }
 
+    def test_a_returned_row_cannot_change_the_next_run(self):
+        """A transcript's coefficient row is the one the trial memo keeps, so it is read-only."""
+        config = self.config("aLHT+", self.SETS["point"], "computational", (1.0, 1.0))
+        trial = harness.make_trial(config, "aLHT+")
+        rng = lambda: np.random.default_rng(5)
+        first = trial(24, rng())
+        with pytest.raises(ValueError):
+            first.rounds[0].coeffs[0] += 0.5
+        want = self.run(config, "aLHT+", 24, rng(), {})
+        self.assert_same_outcome(first, want)
+        self.assert_same_outcome(trial(24, rng()), want)
+
     @pytest.mark.parametrize("kind", ["aLHT", "aLHT+", "aLVT"])
     def test_the_memo_keys_only_grid_angles(self, kind, monkeypatch):
         """Refined null MLEs fall between grid angles; their states are built and dropped."""
@@ -448,6 +467,57 @@ class TestSequentialMemo:
         angle_keys = [key[1] for key in memo if key[0] in ("power", "table")]
         assert angle_keys
         assert set(angle_keys) <= grid
+
+
+def arrays_in(value, seen: set):
+    """Every ndarray reachable from value through containers and qhtest objects' attributes."""
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from arrays_in(key, seen)
+            yield from arrays_in(item, seen)
+    elif isinstance(value, (tuple, list, set, frozenset)):
+        for item in value:
+            yield from arrays_in(item, seen)
+    elif type(value).__module__.startswith("qhtest."):
+        slots = getattr(type(value), "__slots__", ())
+        attrs = [getattr(value, name) for name in slots]
+        for item in attrs + list(getattr(value, "__dict__", {}).values()):
+            yield from arrays_in(item, seen)
+
+
+def test_every_cached_array_is_read_only(monkeypatch):
+    """After a sweep of all seven methods, nothing a cache stores can be written into."""
+    memos = []
+    for name in ("run_sequential_test", "run_lht", "run_blht", "run_lvt", "run_blvt"):
+        real = getattr(harness, name)
+
+        def spy(*args, memo, real=real, **kwargs):
+            memos.append(memo)
+            return real(*args, memo=memo, **kwargs)
+
+        monkeypatch.setattr(harness, name, spy)
+    config = small_config(
+        methods=tuple(METHOD_IDS), budgets=(10, 20), runs=2, lambda_grid_size=9,
+        theta_grid_size=36,
+    )
+    run_sweep(config)
+    grids = [build_grid(s, config.grid_resolution) for s in (config.null_set, config.alt_set)]
+    caches = {
+        "trial memos": memos,
+        "node cache": family._node_cache,
+        "rotation grids": measurements._u_cache,
+        "design cache": engine._design_cache,
+        "grid bases": [g.basis_cache for g in grids],
+    }
+    for name, cache in caches.items():
+        arrays = list(arrays_in(cache, set()))
+        assert arrays, name
+        assert not any(a.flags.writeable for a in arrays), name
 
 
 class TestEmitResults:

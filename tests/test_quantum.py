@@ -17,6 +17,7 @@ from qhtest.quantum import (
     born_distribution,
     computational_basis_povm,
     hermitian_eig,
+    memoized,
     positive_eigenprojector,
     sample_outcome,
     sic_povm_qubit,
@@ -79,6 +80,26 @@ def test_tensor_power_returns_one_copy_as_is_and_more_read_only():
     with pytest.raises(ValueError):
         r2[0, 0] = 0.3
     assert rho.flags.writeable
+
+
+def test_memoized_builds_once_and_stores_read_only():
+    memo, builds = {}, []
+
+    def build(*args):
+        builds.append(args)
+        return args[0] if len(args) == 1 else (np.zeros(2), "label", np.ones(3))
+
+    arr = memoized(memo, "a", build, np.zeros(2))
+    pair = memoized(memo, "t", build, 1, 2)
+    assert memoized(memo, "a", build, None) is arr
+    assert memoized(memo, "t", build, None) is pair
+    # None is a stored value like any other, not a miss
+    assert memoized(memo, "n", build, None) is None
+    assert memoized(memo, "n", build, 0) is None
+    assert len(builds) == 3
+    for stored in (arr, pair[0], pair[2]):
+        with pytest.raises(ValueError):
+            stored[0] = 1.0
 
 
 def test_tensor_power_respects_dimension_cap():
