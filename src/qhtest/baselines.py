@@ -4,21 +4,23 @@ Each baseline splits a fixed budget of n copies into m = n - (joint copies
 per block) * b single-copy estimation rounds and b joint blocks. The
 estimation rounds fit the alternative angle by grid MLE (an empty
 estimation phase falls back to the grid tie-break angle); the joint blocks
-then run a calibrated test built from that estimate:
+then run a calibrated test built from that estimate. There is one runner
+per design, and the caller sets b:
 
-* run_lht / run_blht: weighted Helstrom measurement against a simple null
-  angle. The weight is chosen on a grid to maximize exact power subject to
-  the exact size constraint; with b blocks the constraint is applied to the
-  majority vote through the exact binomial tail.
-* run_lvt / run_blvt: a variational rotated-basis measurement scored by the
-  generalized likelihood ratio of the fitted alternative against the worst
-  null grid state, thresholded at the smallest realized ratio whose
-  rejection region passes the size constraint, with the rotation angle
-  chosen for power at that threshold.
+* _run_helstrom_family (LHT with b = 1, bLHT): weighted Helstrom
+  measurement against a simple null angle. The weight is chosen on a grid
+  to maximize exact power subject to the exact size constraint; with b
+  blocks the constraint is applied to the majority vote through the exact
+  binomial tail.
+* _run_variational_family (LVT with b = 1, bLVT): a variational
+  rotated-basis measurement scored by the generalized likelihood ratio of
+  the fitted alternative against the worst null grid state, thresholded at
+  the smallest realized ratio whose rejection region passes the size
+  constraint, with the rotation angle chosen for power at that threshold.
 
+run_lht / run_blht and run_lvt / run_blvt name these two runners.
 Majority votes reject on strictly more than half the blocks, so even-split
-ties accept. With b = 1 both majority variants reduce exactly to their
-single-block tests, including the random stream they consume.
+ties accept; with b = 1 the size rule and the vote are the single block's.
 
 A calibrated block test depends on the run's data only through the fitted
 grid angle w1, so every runner takes a memo dict that maps (w1, blocks)
@@ -240,37 +242,10 @@ def _run_helstrom_family(
     rng: np.random.Generator,
     memo: dict,
 ) -> FixedOutcome:
+    """LHT and bLHT: majority vote over b Helstrom blocks sharing one estimate (LHT: b = 1)."""
     w1 = _fit_alternative(fcfg, truth, cfg, alt_set, rng)
     test = memoized(memo, (w1, fcfg.blocks), _helstrom_block_test, fcfg, truth, cfg, omega0, w1)
     return _decide(fcfg, test, rng)
-
-
-def run_lht(
-    fcfg: FixedTestConfig,
-    truth: np.ndarray,
-    cfg: FamilyConfig,
-    omega0: float,
-    alt_set: HypothesisSet,
-    rng: np.random.Generator,
-    memo: dict,
-) -> FixedOutcome:
-    """Single calibrated Helstrom block after m estimation rounds."""
-    if fcfg.blocks != 1:
-        raise ConfigError(f"run_lht needs blocks == 1, got {fcfg.blocks}")
-    return _run_helstrom_family(fcfg, truth, cfg, omega0, alt_set, rng, memo)
-
-
-def run_blht(
-    fcfg: FixedTestConfig,
-    truth: np.ndarray,
-    cfg: FamilyConfig,
-    omega0: float,
-    alt_set: HypothesisSet,
-    rng: np.random.Generator,
-    memo: dict,
-) -> FixedOutcome:
-    """Majority vote over b Helstrom blocks sharing one estimate."""
-    return _run_helstrom_family(fcfg, truth, cfg, omega0, alt_set, rng, memo)
 
 
 def _calibrate_variational(
@@ -360,35 +335,16 @@ def _run_variational_family(
     rng: np.random.Generator,
     memo: dict,
 ) -> FixedOutcome:
+    """LVT and bLVT: majority vote over b variational blocks sharing one estimate (LVT: b = 1)."""
     w1 = _fit_alternative(fcfg, truth, cfg, alt_set, rng)
     key = (w1, fcfg.blocks)
     test = memoized(memo, key, _variational_block_test, fcfg, truth, cfg, null_set, w1, memo)
     return _decide(fcfg, test, rng)
 
 
-def run_lvt(
-    fcfg: FixedTestConfig,
-    truth: np.ndarray,
-    cfg: FamilyConfig,
-    null_set: HypothesisSet,
-    alt_set: HypothesisSet,
-    rng: np.random.Generator,
-    memo: dict,
-) -> FixedOutcome:
-    """One calibrated variational ratio test after m estimation rounds."""
-    if fcfg.blocks != 1:
-        raise ConfigError(f"run_lvt needs blocks == 1, got {fcfg.blocks}")
-    return _run_variational_family(fcfg, truth, cfg, null_set, alt_set, rng, memo)
-
-
-def run_blvt(
-    fcfg: FixedTestConfig,
-    truth: np.ndarray,
-    cfg: FamilyConfig,
-    null_set: HypothesisSet,
-    alt_set: HypothesisSet,
-    rng: np.random.Generator,
-    memo: dict,
-) -> FixedOutcome:
-    """Majority vote over b variational blocks sharing one estimate."""
-    return _run_variational_family(fcfg, truth, cfg, null_set, alt_set, rng, memo)
+# Four method names, two runners. harness.make_trial calls each method's runs
+# through its own name, so rebinding one harness name (as perfbench/child.py
+# does to time runs) intercepts that method alone; perfbench/tracer.py opens a
+# run at the runner itself.
+run_lht = run_blht = _run_helstrom_family
+run_lvt = run_blvt = _run_variational_family

@@ -22,15 +22,14 @@ from .errors import QhtError
 from .family import state_from_angle
 
 
-def _setting_word(method: str) -> str:
-    """What a fixed-copy method calibrates: a Helstrom weight or a rotation."""
-    return "weight" if method in harness.POINT_NULL_METHODS else "rotation"
+# What each fixed-copy design calibrates.
+_SETTING = {"helstrom": "weight", "variational": "rotation"}
 
 
 def _report_uncalibrated(method: str, budget: int, runs: str, eps0: float) -> None:
     """One stderr line for fixed-copy runs that found no setting meeting eps0."""
     print(
-        f"{method} budget {budget}: {runs} found no {_setting_word(method)} "
+        f"{method} budget {budget}: {runs} found no {_SETTING[harness.METHODS[method].design]} "
         f"meeting eps0 {eps0:g} and accepted",
         file=sys.stderr,
     )
@@ -161,10 +160,11 @@ def _cmd_calibrate(args) -> int:
     w0 = engine.predictable_estimate(state.null_grid, fam, est_povm)
     print(f"reference null angle {w0:g}, reference alternative angle {w1:g}")
     for method in config.methods:
+        design = harness.METHODS[method].design
         if method == "aLHT":
             print(f"{method}: weight drawn uniformly at random each block")
             continue
-        if method in engine.POLICY_KINDS:
+        if design == "sequential":
             # The joint round the engine plans before any data; aLHT+ and aLVT draw nothing.
             policy = dataclasses.replace(harness._policy(config, method), n_ic=0)
             memo: dict = {}
@@ -172,21 +172,22 @@ def _cmd_calibrate(args) -> int:
             plan = engine.next_measurement(policy, state, fam, laws, None, memo)
             print(f"{method}: pre-data joint round {plan.descriptor}")
             continue
-        # The runners' own block test at the reference angles, once per block count.
-        if method in harness.POINT_NULL_METHODS:
-            block_test = lambda fcfg: baselines._helstrom_block_test(fcfg, truth, fam, w0, w1)
+        # The runners' own block test at the reference alternative, once per block count.
+        null = harness._fixed_null(config, method)
+        if design == "helstrom":
+            block_test = lambda fcfg: baselines._helstrom_block_test(fcfg, truth, fam, null, w1)
         else:
             print(f"{method}: threshold depends on the estimated alternative; "
                   f"reference angle {w1:g} shown")
             memo: dict = {}
             block_test = lambda fcfg: baselines._variational_block_test(
-                fcfg, truth, fam, config.null_set, w1, memo
+                fcfg, truth, fam, null, w1, memo
             )
         fcfgs = [harness._fixed_config(config, method, b) for b in config.budgets]
         for fcfg in {f.blocks: f for f in fcfgs}.values():
             test = block_test(fcfg)
             setting = test.setting if test else (
-                f"no {_setting_word(method)} meets size {config.eps0:g}, "
+                f"no {_SETTING[design]} meets size {config.eps0:g}, "
                 "so the test always accepts"
             )
             print(f"{method}: blocks {fcfg.blocks}, {setting}")
@@ -204,7 +205,7 @@ def _cmd_single(args) -> int:
     config = dataclasses.replace(config, methods=(method,), budgets=(budget,))
     rng = harness.run_rng(config.master_seed, method, b_idx, 0)
     out = harness.make_trial(config, method)(budget, rng)
-    if method in engine.POLICY_KINDS:
+    if harness.METHODS[method].design == "sequential":
         print(
             f"{method} budget {budget}: {out.decision} after {out.rounds_used} rounds, "
             f"{out.copies_used} copies, final log ratio {out.final_log_slr:.6g}"

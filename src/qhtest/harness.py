@@ -6,9 +6,12 @@ trial draws its generator from the tuple (master_seed, method id, budget
 index, run index) with fixed per-method ids, so adding or removing a
 method never perturbs another method's results.
 
-Fixed-copy methods consume their whole budget; the majority-vote variants
-scale their block count as budget // (n_ic + n_joint), one joint block per
-full estimation-plus-joint cycle, while LHT and LVT always use one block.
+METHODS is the one place a method's traits live: its id, the entry point
+its runs call, its design and whether its block count grows with the
+budget. Fixed-copy methods consume their whole budget; the majority-vote
+variants scale their block count as budget // (n_ic + n_joint), one joint
+block per full estimation-plus-joint cycle, while LHT and LVT always use
+one block.
 """
 
 from __future__ import annotations
@@ -19,14 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
+# run_* are the entry points METHODS names; make_trial calls them by name.
 from .baselines import FixedOutcome, FixedTestConfig, run_blht, run_blvt, run_lht, run_lvt
-from .engine import (
-    POLICY_KINDS,
-    PolicyConfig,
-    check_design_settings,
-    conservative_start,
-    run_sequential_test,
-)
+from .engine import PolicyConfig, check_design_settings, conservative_start, run_sequential_test
 from .errors import ConfigError, InvalidBlochVector, IoError, ParseError
 from .family import (
     DEFAULT_RESOLUTION,
@@ -39,15 +37,31 @@ from .family import (
 )
 from .quantum import MAX_TENSOR_DIM
 
-METHOD_IDS = {"aLHT": 0, "aLHT+": 1, "aLVT": 2, "LHT": 3, "bLHT": 4, "LVT": 5, "bLVT": 6}
-POINT_NULL_METHODS = ("LHT", "bLHT")
-BLOCK_SCALED_METHODS = ("bLHT", "bLVT")
-# Names, not functions: make_trial resolves them when each run starts.
-_FIXED_RUNNERS = {"LHT": "run_lht", "bLHT": "run_blht", "LVT": "run_lvt", "bLVT": "run_blvt"}
+
+@dataclass(frozen=True)
+class Method:
+    """One method's traits, as validation, make_trial and the CLI read them."""
+
+    seed_id: int  # part of run_rng's seed, fixed so methods never perturb each other
+    entry: str  # the harness global each run calls, looked up when the run starts
+    design: str  # "sequential", "helstrom" (needs a point null) or "variational"
+    block_scaled: bool = False  # budget // (n_ic + n_joint) blocks instead of one
+
+
+METHODS = {
+    "aLHT": Method(0, "run_sequential_test", "sequential"),
+    "aLHT+": Method(1, "run_sequential_test", "sequential"),
+    "aLVT": Method(2, "run_sequential_test", "sequential"),
+    "LHT": Method(3, "run_lht", "helstrom"),
+    "bLHT": Method(4, "run_blht", "helstrom", block_scaled=True),
+    "LVT": Method(5, "run_lvt", "variational"),
+    "bLVT": Method(6, "run_blvt", "variational", block_scaled=True),
+}
 
 # Bloch-vector distance below which a null and an alternative grid angle
-# count as the same state.
+# count as the same state; they are compared this many null angles at a time.
 _SAME_STATE_TOL = 1e-9
+_SAME_STATE_ROWS = 64
 
 RESULT_HEADER = "method,budget,power,avg_copies,std_copies,avg_rounds,runs,master_seed"
 
@@ -77,8 +91,8 @@ class ExperimentConfig:
         if not self.methods:
             raise ConfigError("methods must be nonempty")
         for m in self.methods:
-            if m not in METHOD_IDS:
-                raise ConfigError(f"unknown method {m!r}; choose from {sorted(METHOD_IDS)}")
+            if m not in METHODS:
+                raise ConfigError(f"unknown method {m!r}; choose from {sorted(METHODS)}")
         if len(set(self.methods)) != len(self.methods):
             raise ConfigError(f"duplicate methods in {self.methods}")
         if not self.budgets:
@@ -126,9 +140,9 @@ class ExperimentConfig:
         for m in self.methods:
             # The copies of the method's first measured round: a smaller
             # budget would report a cell that measured nothing.
-            if m in POLICY_KINDS:
+            if METHODS[m].design == "sequential":
                 floor = 1 if self.n_ic else self.n_joint
-            elif m in BLOCK_SCALED_METHODS:
+            elif METHODS[m].block_scaled:
                 floor = self.n_ic + self.n_joint
             else:
                 floor = self.n_joint
@@ -137,7 +151,7 @@ class ExperimentConfig:
                 raise ConfigError(f"budgets {low} below minimum {floor} for method {m}")
         if self.point_null_angle() is None:
             for m in self.methods:
-                if m in POINT_NULL_METHODS:
+                if METHODS[m].design == "helstrom":
                     raise ConfigError(
                         f"method {m} needs a single-point null set, got {self.null_set}"
                     )
@@ -146,20 +160,21 @@ class ExperimentConfig:
         """First (null, alternative) grid-angle pair whose Bloch vectors coincide.
 
         Distinct angles can name one state: 0 and 360 always do, and with
-        r_x = 0 so do w and 360 - w. No data can tell such sets apart.
+        r_x = 0 so do w and 360 - w, and with r_z = 0 w and 180 - w. No data
+        can tell such sets apart. Blocks of null angles keep memory bounded.
         """
         a0 = build_grid(self.null_set, self.grid_resolution).angles
         a1 = build_grid(self.alt_set, self.grid_resolution).angles
         w0, w1 = np.radians(a0), np.radians(a1)
-        gap = np.hypot(
-            self.r_z * (np.cos(w0)[:, None] - np.cos(w1)[None, :]),
-            self.r_x * (np.sin(w0)[:, None] - np.sin(w1)[None, :]),
-        )
-        hits = np.argwhere(gap <= _SAME_STATE_TOL)
-        if hits.size == 0:
-            return None
-        i, j = hits[0]
-        return float(a0[i]), float(a1[j])
+        cos0, sin0, cos1, sin1 = np.cos(w0)[:, None], np.sin(w0)[:, None], np.cos(w1), np.sin(w1)
+        for lo in range(0, len(a0), _SAME_STATE_ROWS):
+            rows = slice(lo, lo + _SAME_STATE_ROWS)
+            gap = np.hypot(self.r_z * (cos0[rows] - cos1), self.r_x * (sin0[rows] - sin1))
+            hits = np.argwhere(gap <= _SAME_STATE_TOL)
+            if hits.size:
+                i, j = hits[0]
+                return float(a0[lo + i]), float(a1[j])
+        return None
 
     def point_null_angle(self) -> float | None:
         pieces = self.null_set.pieces
@@ -204,13 +219,9 @@ def _policy(config: ExperimentConfig, method: str) -> PolicyConfig:
 
 
 def _fixed_config(config: ExperimentConfig, method: str, budget: int) -> FixedTestConfig:
-    if method in BLOCK_SCALED_METHODS:
-        blocks = budget // (config.n_ic + config.n_joint)
-    else:
-        blocks = 1
     return FixedTestConfig(
         budget,
-        blocks=blocks,
+        blocks=budget // (config.n_ic + config.n_joint) if METHODS[method].block_scaled else 1,
         joint_copies=config.n_joint,
         eps0=config.eps0,
         resolution=config.grid_resolution,
@@ -222,16 +233,22 @@ def _fixed_config(config: ExperimentConfig, method: str, budget: int) -> FixedTe
 
 def run_rng(master_seed: int, method: str, budget_index: int, run: int) -> np.random.Generator:
     """Generator of one trial, derived from its place in the sweep."""
-    return np.random.default_rng([master_seed, METHOD_IDS[method], budget_index, run])
+    return np.random.default_rng([master_seed, METHODS[method].seed_id, budget_index, run])
+
+
+def _fixed_null(config: ExperimentConfig, method: str) -> float | HypothesisSet:
+    """The null a fixed-copy runner tests: a Helstrom design takes the point's angle."""
+    return config.point_null_angle() if METHODS[method].design == "helstrom" else config.null_set
 
 
 def make_trial(config: ExperimentConfig, method: str):
     """One Monte Carlo trial of `method` as a function of (budget, rng).
 
     The function returns a TestOutcome or a FixedOutcome; both have
-    `rejected`, `copies_used` and `rounds_used`. Run functions are looked
-    up as module globals on every call, so rebinding harness.run_lht and
-    the others (a timing hook, say) intercepts every run.
+    `rejected`, `copies_used` and `rounds_used`. Each run calls the
+    method's METHODS entry, looked up as a module global on every call, so
+    rebinding harness.run_lht or another entry (a timing hook, say)
+    intercepts every run of the methods that name it.
 
     Every trial owns one memo dict, passed to every run it makes. The
     memo lives as long as the trial, one method's sweep, and no two trials
@@ -243,11 +260,13 @@ def make_trial(config: ExperimentConfig, method: str):
     fam = config.family()
     truth = state_from_angle(fam, config.truth_omega)
     memo: dict = {}
-    if method in POLICY_KINDS:
+    spec = METHODS[method]
+    entry = spec.entry
+    if spec.design == "sequential":
         policy = _policy(config, method)
 
         def trial(budget: int, rng: np.random.Generator):
-            return run_sequential_test(
+            return globals()[entry](
                 policy,
                 truth,
                 fam,
@@ -261,12 +280,11 @@ def make_trial(config: ExperimentConfig, method: str):
             )
 
         return trial
-    runner = _FIXED_RUNNERS[method]
-    null = config.point_null_angle() if method in POINT_NULL_METHODS else config.null_set
+    null = _fixed_null(config, method)
 
     def trial(budget: int, rng: np.random.Generator):
         fcfg = _fixed_config(config, method, budget)
-        return globals()[runner](fcfg, truth, fam, null, config.alt_set, rng, memo=memo)
+        return globals()[entry](fcfg, truth, fam, null, config.alt_set, rng, memo=memo)
 
     return trial
 

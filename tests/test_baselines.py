@@ -216,15 +216,6 @@ def test_copies_and_rounds_accounting():
     assert out.rejected == (out.decision == 1)
 
 
-def test_plain_runners_refuse_multiple_blocks():
-    truth = state_from_angle(CFG, 90.0)
-    fcfg = FixedTestConfig(20, blocks=2, joint_copies=4)
-    with pytest.raises(ConfigError):
-        run_lht(fcfg, truth, CFG, 45.0, ALT_UPPER, np.random.default_rng(0), memo={})
-    with pytest.raises(ConfigError):
-        run_lvt(fcfg, truth, CFG, TWO_POINT_NULL, SPLIT_ALT, np.random.default_rng(0), memo={})
-
-
 def test_blht_power_grows_with_budget():
     """More blocks at the same size should not hurt a far alternative."""
     truth = state_from_angle(CFG, 135.0)

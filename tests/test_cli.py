@@ -5,7 +5,7 @@ import re
 import pytest
 
 from qhtest.cli import main
-from qhtest.harness import METHOD_IDS, RESULT_HEADER
+from qhtest.harness import METHODS, RESULT_HEADER
 
 CONFIG_TEXT = """\
 null_set = {45}
@@ -195,7 +195,7 @@ def test_a_budget_below_the_first_round_fails_cleanly(tmp_path, capsys):
     assert "below minimum 4" in capsys.readouterr().err
 
 
-ALL_METHODS_TEXT = CONFIG_TEXT.replace("aLHT+,LHT", ",".join(METHOD_IDS)).replace(
+ALL_METHODS_TEXT = CONFIG_TEXT.replace("aLHT+,LHT", ",".join(METHODS)).replace(
     "budgets = 10,14", "budgets = 10,20"
 ).replace("runs = 2", "runs = 1")
 
@@ -212,7 +212,7 @@ def test_single_replays_run_zero_of_the_sweep_cell(tmp_path, capsys):
     for line in csv.read_text().splitlines()[1:]:
         method, budget, power, copies, _, rounds, _, _ = line.split(",")
         cells[method, int(budget)] = (power == "1", float(copies), float(rounds))
-    assert len(cells) == 2 * len(METHOD_IDS)
+    assert len(cells) == 2 * len(METHODS)
     capsys.readouterr()
     for method, budget in cells:
         assert main(["single", str(cfg), "--method", method, "--budget", str(budget)]) == 0

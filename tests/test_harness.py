@@ -9,7 +9,7 @@ from qhtest.engine import run_sequential_test
 from qhtest.errors import ConfigError, IoError, ParseError
 from qhtest.family import build_grid, parse_hypothesis_set, state_from_angle
 from qhtest.harness import (
-    METHOD_IDS,
+    METHODS,
     RESULT_HEADER,
     ExperimentConfig,
     ResultRow,
@@ -104,6 +104,19 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             small_config(alt_set=parse_hypothesis_set("{315}"), r_x=0.0)
         small_config(alt_set=parse_hypothesis_set("{315}"))
+        # with r_z = 0 it folds the other way: w and 180 - w coincide
+        fold = dict(null_set=parse_hypothesis_set("{30}"), alt_set=parse_hypothesis_set("{150}"))
+        with pytest.raises(ConfigError, match="null angle 30 and alternative angle 150"):
+            small_config(**fold, r_z=0.0)
+        small_config(**fold)
+        # the first pair in row-major order, past the first block of null angles
+        far = dict(
+            null_set=parse_hypothesis_set("[0,40] [100,180]"),
+            alt_set=parse_hypothesis_set("(40,100)"),
+            methods=("aLHT+",),
+        )
+        with pytest.raises(ConfigError, match="null angle 100 and alternative angle 80 "):
+            small_config(**far, r_z=0.0)
 
     def test_fixed_methods_need_room_for_their_blocks(self):
         # bLHT scales blocks by n_ic + n_joint = 10 copies
@@ -172,7 +185,7 @@ class TestRunSweep:
 
         for name in ("run_sequential_test", "run_lht", "run_blht", "run_lvt", "run_blvt"):
             monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
-        cfg = small_config(methods=tuple(METHOD_IDS), budgets=(10, 14), runs=2)
+        cfg = small_config(methods=tuple(METHODS), budgets=(10, 14), runs=2)
         run_sweep(cfg)
         per_method = cfg.runs * len(cfg.budgets)
         assert calls == dict.fromkeys(
@@ -195,9 +208,8 @@ class TestFixedCopyMemo:
     def recalibrating(config, method, budget, rng):
         """The run a fresh memo makes: every calibration is computed anew."""
         fam = config.family()
-        point = method in harness.POINT_NULL_METHODS
-        null = config.point_null_angle() if point else config.null_set
-        runner = getattr(baselines, harness._FIXED_RUNNERS[method])
+        null = harness._fixed_null(config, method)
+        runner = getattr(baselines, harness.METHODS[method].entry)
         fcfg = harness._fixed_config(config, method, budget)
         return runner(fcfg, state_from_angle(fam, config.truth_omega), fam, null,
                       config.alt_set, rng, memo={})
@@ -226,6 +238,8 @@ class TestFixedCopyMemo:
         # bLHT/bLVT run 1, 2 and 3 blocks at these budgets
         cfg = small_config(methods=self.FIXED, budgets=(10, 20, 30), runs=4, theta_grid_size=36)
         assert [harness._fixed_config(cfg, "bLVT", b).blocks for b in cfg.budgets] == [1, 2, 3]
+        for method in ("LHT", "LVT"):
+            assert [harness._fixed_config(cfg, method, b).blocks for b in cfg.budgets] == [1, 1, 1]
         outs = self.assert_trial_matches_recalibrating_runs(cfg, monkeypatch)
         assert all(o.calibrated for o in outs)
 
@@ -502,7 +516,7 @@ def test_every_cached_array_is_read_only(monkeypatch):
 
         monkeypatch.setattr(harness, name, spy)
     config = small_config(
-        methods=tuple(METHOD_IDS), budgets=(10, 20), runs=2, lambda_grid_size=9,
+        methods=tuple(METHODS), budgets=(10, 20), runs=2, lambda_grid_size=9,
         theta_grid_size=36,
     )
     run_sweep(config)
