@@ -161,12 +161,12 @@ def _cmd_calibrate(args) -> int:
     print(f"reference null angle {w0:g}, reference alternative angle {w1:g}")
     for method in config.methods:
         design = harness.METHODS[method].design
-        if method == "aLHT":
-            print(f"{method}: weight drawn uniformly at random each block")
-            continue
         if design == "sequential":
-            # The joint round the engine plans before any data; aLHT+ and aLVT draw nothing.
+            # The joint round the engine plans before any data, unless it needs a draw.
             policy = dataclasses.replace(harness._policy(config, method), n_ic=0)
+            if policy.random_design:
+                print(f"{method}: weight drawn uniformly at random each block")
+                continue
             memo: dict = {}
             laws = engine.truth_laws(policy, truth, memo)
             plan = engine.next_measurement(policy, state, fam, laws, None, memo)

@@ -22,12 +22,12 @@ the statistic after each round (TestOutcome.rounds and log_slrs).
 
 A round is two steps, shared with the oracle's transcript generators.
 next_measurement plans it (a RoundPlan). observe_round reduces the observed
-outcome M_i to its Fourier coefficient row once (outcome_row), freezes the
-numerator term as that row at the predictable angle, and slr_update folds
-the same row into the null and the alternative grids, so both sides read
-one likelihood; a two-sided run hands the one row to both statistics. The
-copy count n_i is never passed along: the POVM is 2^n_i-dimensional, the
-row 2 n_i + 1 long.
+outcome M_i to its Fourier coefficient row once (outcome_row), folds it
+once into the forward null and alternative grids and freezes the numerator
+term as that row at the predictable angle, so both sides read one
+likelihood; a two-sided run's reversed statistic reads the same folded
+grids, swapped. The copy count n_i is never passed along: the POVM is
+2^n_i-dimensional, the row 2 n_i + 1 long.
 
 A trial's runs share one memo dict, so what recurs within a trial is
 computed once per trial, not once per round or run; "the trial memo"
@@ -173,6 +173,12 @@ class PolicyConfig:
         """Whether round t (0-based) is a single-copy estimation round, not a joint one."""
         return t % (self.n_ic + 1) < self.n_ic
 
+    @property
+    def random_design(self) -> bool:
+        """Whether each block draws its joint design's weight (aLHT): such a
+        design never recurs, and none can be planned without a generator."""
+        return self.kind == "aLHT"
+
 
 @dataclass(frozen=True)
 class RoundRecord:
@@ -225,19 +231,14 @@ def new_slr_state(
     return SlrState(null_grid=build_grid(null_set, resolution), alt_grid=build_grid(alt_set, resolution))
 
 
-def slr_update(
-    state: SlrState,
-    rec: RoundRecord,
-    log_probs: tuple[np.ndarray, np.ndarray] | None = None,
-) -> SlrState:
+def slr_update(state: SlrState, rec: RoundRecord, grids: tuple[ParamGrid, ParamGrid]) -> SlrState:
     """Fold one round into the state; the new state's log_slr is the updated statistic.
 
     The record's numerator term must have been computed from the
     alternative MLE fitted on prior rounds only; this function just
-    accumulates it, and folds the record's coefficient row into both
-    grids. log_probs, when given, is the row's grid_log_probs on the
-    state's (null, alternative) grids, reduced earlier (observe_round
-    keeps them per trial). The denominator is the refined null-grid
+    accumulates it. grids is the state's (null, alternative) grid pair
+    with the record's coefficient row already folded in (observe_round
+    folds it once per run). The denominator is the refined null-grid
     maximum over all rounds including this one; the new state keeps that
     MleResult as null_mle, so next_measurement reads the null estimate of
     a joint round from it instead of refining the same grid again.
@@ -246,9 +247,7 @@ def slr_update(
         raise InvariantViolation(
             f"log numerator term {rec.log_numerator_term:.3e} is positive"
         )
-    null_log, alt_log = log_probs if log_probs is not None else (None, None)
-    alt = accumulate(state.alt_grid, rec.coeffs, alt_log)
-    null = accumulate(state.null_grid, rec.coeffs, null_log)
+    null, alt = grids
     return SlrState(
         null_grid=null,
         alt_grid=alt,
@@ -364,7 +363,8 @@ def predictable_estimate(
 #   "grid angles"             the trial's null- and alternative-grid angles
 #   ("power", w)              the n_joint-copy power of the state at grid angle w
 #   ("table", w)              its rotated-basis table (aLVT)
-#   ("outcome", id(M), x)     outcome x of a recurring POVM M, reduced (_Reduced)
+#   ("outcome", id(M), x, id(A0), id(A1))  outcome x of a recurring POVM M:
+#                             its row and log vectors on lattices A0, A1 (_reduced)
 #   "truth"                   the TruthLaws of the last truth seen
 # A POVM recurs when it is the estimation POVM or comes from _design_cache,
 # i.e. every POVM but aLHT's, whose random weight makes each one new;
@@ -390,33 +390,21 @@ def _at_grid_angle(memo: dict, kind: str, omega: float, build):
     return memoized(memo, (kind, omega), build)
 
 
-class _Reduced:
-    """One outcome of one POVM reduced once: its coefficient row and, on
-    each grid lattice it is folded into, its grid_log_probs vector.
+def _reduced(memo: dict, cfg: FamilyConfig, plan: RoundPlan, outcome, state: SlrState) -> tuple:
+    """The outcome's row and its log vectors on state's (null, alternative)
+    grids, then the objects whose ids key it, so none is reused while the
+    memo keeps it (only when plan.recurs)."""
+    null, alt = state.null_grid, state.alt_grid
 
-    The POVM and each lattice's angles are held here, so their ids, the
-    keys, are never reused while this lives.
-    """
+    def build():
+        row = outcome_row(cfg, plan.povm, outcome)
+        return (row, grid_log_probs(null, row), grid_log_probs(alt, row),
+                plan.povm, null.angles, alt.angles)
 
-    __slots__ = ("povm", "row", "_logs")
-
-    def __init__(self, povm: Povm, row: np.ndarray):
-        self.povm = povm
-        self.row = row
-        self._logs: dict = {}
-
-    def on(self, grid: ParamGrid) -> np.ndarray:
-        return memoized(self._logs, id(grid.angles), _log_probs_on, grid, self.row)[1]
-
-
-def _log_probs_on(grid: ParamGrid, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return grid.angles, grid_log_probs(grid, row)
-
-
-def _reduced(memo: dict, cfg: FamilyConfig, povm: Povm, outcome, recurs: bool) -> _Reduced:
-    """The observed outcome's _Reduced: kept in the memo when its POVM recurs."""
-    build = lambda: _Reduced(povm, outcome_row(cfg, povm, outcome))
-    return memoized(memo, ("outcome", id(povm), outcome), build) if recurs else build()
+    if not plan.recurs:
+        return build()
+    key = ("outcome", id(plan.povm), outcome, id(null.angles), id(alt.angles))
+    return memoized(memo, key, build)
 
 
 _design_cache: dict = {}
@@ -460,7 +448,7 @@ def _joint_design(
             lam = optimize_lambda(pow0, pow1, policy.lambda_grid_size)
         return helstrom_povm(pow0, pow1, lam), f"helstrom(w0={w0:g},w1={w1:g},lam={lam:.6f})"
 
-    if policy.kind == "aLHT":
+    if policy.random_design:
         lam = rng.random()
         while lam == 0.0:
             lam = rng.random()
@@ -539,7 +527,7 @@ def next_measurement(
     w0 = state.null_mle.omega if state.rounds else _default_angle(state.null_grid)
     _grid_angles(memo, state)
     povm, desc = _joint_design(policy, cfg, w0, w1, rng, memo)
-    recurs = policy.kind != "aLHT"
+    recurs = not policy.random_design
     return RoundPlan(povm, desc, laws.joint_dist(povm, recurs), w1, recurs)
 
 
@@ -554,21 +542,23 @@ def observe_round(
 ) -> tuple[SlrState, SlrState | None]:
     """Fold one outcome of `plan` into the forward state s0 and the reversed state s1, if any.
 
-    Both read the one reduced outcome (its row and its grid vectors).
-    s0's numerator term is frozen at plan.alt_angle; s1 fits its own
-    angle, never from initial_alt_angle.
+    The outcome is folded once into s0's grids; s1 must hold them swapped
+    and reads the folded pair swapped. s0's numerator term is frozen at
+    plan.alt_angle; s1 fits its own angle, never from initial_alt_angle.
     """
-    red = _reduced(memo, cfg, plan.povm, outcome, plan.recurs)
+    if s1 is not None and (s1.null_grid is not s0.alt_grid or s1.alt_grid is not s0.null_grid):
+        raise InvariantViolation("the reversed state does not hold the forward grids swapped")
+    row, null_log, alt_log, *_ = _reduced(memo, cfg, plan, outcome, s0)
+    grids = (accumulate(s0.null_grid, row, null_log), accumulate(s0.alt_grid, row, alt_log))
 
-    def fold(state: SlrState, angle: float) -> SlrState:
-        term = numerator_log_term(red.row, angle)
-        rec = RoundRecord(plan.povm, plan.descriptor, outcome, red.row, term)
-        return slr_update(state, rec, (red.on(state.null_grid), red.on(state.alt_grid)))
+    def fold(state: SlrState, angle: float, pair: tuple) -> SlrState:
+        rec = RoundRecord(plan.povm, plan.descriptor, outcome, row, numerator_log_term(row, angle))
+        return slr_update(state, rec, pair)
 
-    s0 = fold(s0, plan.alt_angle)
+    s0 = fold(s0, plan.alt_angle, grids)
     if s1 is not None:
         est = estimation_povm(policy.estimation_povm)
-        s1 = fold(s1, predictable_estimate(s1.alt_grid, cfg, est))
+        s1 = fold(s1, predictable_estimate(s1.alt_grid, cfg, est), grids[::-1])
     return s0, s1
 
 
@@ -660,7 +650,7 @@ def run_sequential_test(
 
     memo = {} if memo is None else memo
     s0 = new_slr_state(null_set, alt_set, resolution)
-    s1 = new_slr_state(alt_set, null_set, resolution) if eps1 is not None else None
+    s1 = SlrState(null_grid=s0.alt_grid, alt_grid=s0.null_grid) if eps1 is not None else None
     laws = truth_laws(policy, truth, memo)
     log_slrs: list[float] = []
     copies_used = 0

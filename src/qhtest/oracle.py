@@ -114,8 +114,9 @@ def eprocess_expectation(
     one whenever every enumerated outcome has positive probability: the
     per-branch ratio is prod(numerators)/prob and the weighted sum
     telescopes through POVM completeness. With use_mle_denominator the
-    engine's own refined denominator replaces the true state and the
-    expectation can only drop.
+    engine's own refined denominator replaces the true state, and in exact
+    arithmetic the expectation can only drop. Each term is exp(log p +
+    log SLR); a term past the float range returns inf.
     """
     branches = enumerate_transcripts(
         policy, truth, cfg, null_set, alt_set, horizon, resolution
@@ -123,7 +124,10 @@ def eprocess_expectation(
     total = 0.0
     for br in branches:
         if use_mle_denominator:
-            total += br.probability * math.exp(br.log_slr)
+            try:
+                total += math.exp(math.log(br.probability) + br.log_slr)
+            except OverflowError:
+                return math.inf
         else:
             total += math.exp(sum(r.log_numerator_term for r in br.records))
     return total

@@ -68,7 +68,8 @@ def test_single_round_log_ratio_arithmetic():
         coeffs=row("0"),
         log_numerator_term=math.log(0.9),
     )
-    state = slr_update(state, rec)
+    grids = (accumulate(state.null_grid, rec.coeffs), accumulate(state.alt_grid, rec.coeffs))
+    state = slr_update(state, rec, grids)
     assert abs(state.log_slr - math.log(3.0)) < 1e-12
     assert state.frozen_log_numerator == math.log(0.9)
     assert len(state.rounds) == 1
@@ -84,7 +85,7 @@ def test_slr_update_rejects_positive_numerator_term():
         log_numerator_term=0.1,
     )
     with pytest.raises(InvariantViolation):
-        slr_update(state, rec)
+        slr_update(state, rec, (state.null_grid, state.alt_grid))
 
 
 def test_numerator_term_clamps_at_floor():
@@ -425,6 +426,87 @@ def test_reversed_statistic_replays_to_its_final_log_ratio(kind, estimation, nul
     assert abs(out.final_log_slr_rev - redone[-1]) < 1e-9
 
 
+@pytest.mark.parametrize("eps1", [None, 0.05])
+def test_each_round_is_folded_once_per_run(monkeypatch, eps1):
+    """Two accumulate calls per round, one per grid, one-sided or two-sided:
+    the reversed statistic reads the forward grids swapped."""
+    calls = []
+    real = engine.accumulate
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(engine, "accumulate", counted)
+    policy = PolicyConfig(kind="aLHT+", n_ic=2, n_joint=2, lambda_grid_size=9)
+    out = run_sequential_test(
+        policy, state_from_angle(CFG, 30.0), CFG, parse_hypothesis_set("[0,45]"), ALT_UPPER,
+        1e-6, 30, np.random.default_rng(3), eps1=eps1,
+    )
+    assert out.rounds_used >= 15
+    assert len(calls) == 2 * out.rounds_used
+
+
+def test_observe_round_refuses_a_reversed_state_with_other_grids():
+    policy = PolicyConfig(kind="aLHT+", n_ic=2, n_joint=2, lambda_grid_size=9)
+    s0 = new_slr_state(NULL_POINT, ALT_UPPER)
+    memo = {}
+    laws = engine.truth_laws(policy, state_from_angle(CFG, 90.0), memo)
+    plan = engine.next_measurement(policy, s0, CFG, laws, None, memo)
+    for s1 in (
+        new_slr_state(ALT_UPPER, parse_hypothesis_set("[0,45]")),
+        engine.SlrState(null_grid=s0.null_grid, alt_grid=s0.alt_grid),
+    ):
+        with pytest.raises(InvariantViolation):
+            engine.observe_round(policy, CFG, plan, "0", s0, s1, memo)
+    swapped = engine.SlrState(null_grid=s0.alt_grid, alt_grid=s0.null_grid)
+    _, s1 = engine.observe_round(policy, CFG, plan, "0", s0, swapped, memo)
+    assert len(s1.rounds) == 1
+
+
+@pytest.mark.parametrize("kind", ["aLHT", "aLHT+", "aLVT"])
+def test_a_memo_shared_across_hypothesis_pairs_changes_no_run(kind):
+    """Runs of several hypothesis pairs through one memo equal fresh-memo runs bit for bit.
+
+    The pairs share lattices in both roles: (45,180] is the alternative of
+    two pairs and the null of the reversed point pair, and {45} is the null
+    of two pairs. So a reduced outcome's log vectors must be keyed on both
+    lattices, in order.
+    """
+    cfg = FamilyConfig(r_z=0.9, r_x=0.7)
+    pairs = [
+        ("{45}", "(45,180]"),
+        ("[0,45]", "(45,180]"),
+        ("(45,180]", "{45}"),
+        ("{45,135}", "(45,135) (135,180)"),
+        ("{45}", "[90,180]"),
+    ]
+    policy = PolicyConfig(
+        kind=kind, n_ic=2, n_joint=2, lambda_grid_size=9, theta_grid_size=36
+    )
+    truth = state_from_angle(cfg, 100.0)
+
+    def transcript(out):
+        rounds = [(r.descriptor, r.outcome, r.coeffs.tobytes(), r.log_numerator_term)
+                  for r in out.rounds]
+        return out.decision, out.copies_used, rounds, out.log_slrs, out.final_log_slr_rev
+
+    shared = {}
+    for null, alt in pairs:
+        null_set, alt_set = parse_hypothesis_set(null), parse_hypothesis_set(alt)
+        for eps1 in (None, 0.05):
+            for seed in (1, 2):
+                runs = [
+                    transcript(run_sequential_test(
+                        policy, truth, cfg, null_set, alt_set, 1e-3, 24,
+                        np.random.default_rng([seed, len(null)]), eps1=eps1, memo=memo,
+                    ))
+                    for memo in (shared, {})
+                ]
+                assert runs[0] == runs[1], (null, alt, eps1, seed)
+    assert any(key[0] == "outcome" for key in shared if isinstance(key, tuple))
+
+
 def test_sic_estimation_rounds():
     policy = PolicyConfig(kind="aLVT", n_ic=2, n_joint=2, estimation_povm="sic",
                           theta_grid_size=24)
@@ -474,8 +556,8 @@ def test_joint_rounds_reuse_the_refined_null_mle(monkeypatch, two_sided):
     states, designs = [], []
     real_update, real_design = engine.slr_update, engine._joint_design
 
-    def slr_update(state, rec, log_probs=None):
-        states.append(real_update(state, rec, log_probs))
+    def slr_update(state, rec, grids):
+        states.append(real_update(state, rec, grids))
         return states[-1]
 
     def joint_design(policy, cfg, w0, w1, rng, memo):

@@ -70,6 +70,34 @@ def test_mle_denominator_can_only_shrink_the_expectation():
     assert val <= 1.0 + 1e-9
 
 
+def test_mle_denominator_expectation_survives_a_huge_branch_ratio():
+    """aLVT with pure states makes outcomes that are impossible under the null.
+
+    Their probabilities are float noise, so one branch pairs a log SLR past
+    709 with a probability near 1e-56. Their product is taken in log
+    space, and a term past the float range gives inf, not an OverflowError.
+    """
+    cfg = FamilyConfig()
+    null_set, alt_set = small_sets()
+    truth = state_from_angle(cfg, 45.0)
+    huge = max(
+        enumerate_transcripts(
+            PolicyConfig(kind="aLVT", n_ic=0, n_joint=3), truth, cfg, null_set, alt_set, 3
+        ),
+        key=lambda br: br.log_slr,
+    )
+    assert huge.log_slr > 709.8
+    vals = [
+        eprocess_expectation(
+            PolicyConfig(kind="aLVT", n_ic=n_ic, n_joint=3), truth, cfg, null_set, alt_set, 3,
+            use_mle_denominator=True,
+        )
+        for n_ic in (0, 1)
+    ]
+    assert vals[0] == math.inf
+    assert 1e279 < vals[1] < math.inf
+
+
 def test_branch_log_slr_matches_from_scratch_recompute():
     cfg, policy = small_policy()
     null_set, alt_set = small_sets()
