@@ -153,9 +153,8 @@ def _fit_alternative(
     grid = build_grid(alt_set, fcfg.resolution)
     povm = estimation_povm(fcfg.estimation_povm)
     dist = born_distribution(truth, povm)
-    counts = np.zeros(len(povm.labels))
-    for _ in range(fcfg.estimation_copies):
-        counts[povm._index[sample_outcome(dist, rng)]] += 1.0
+    idx = np.searchsorted(dist._cum, rng.random(fcfg.estimation_copies), side="right")
+    counts = np.bincount(np.minimum(idx, len(dist.labels) - 1), minlength=len(dist.labels))
     log_rows = estimation_log_rows(grid, cfg, povm)
     return float(grid.angles[int(np.argmax(counts @ log_rows))])
 

@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -204,22 +204,25 @@ class RoundRecord:
 class SlrState:
     """One statistic: its RoundRecords, the two accumulated grids and the frozen numerator.
 
-    null_mle is the refined null-grid MLE behind the current denominator
-    (None before any round); next_measurement reads a joint round's null
-    angle from it, and log_slr subtracts its loglik from the numerator.
+    The denominator is a function of the null grid alone: null_mle is
+    mle(null_grid), refined when first read and kept, as
+    ParamGrid.round_rows is, so a state nobody reads refines nothing.
+    next_measurement reads a joint round's null angle from it, and log_slr
+    subtracts its loglik from the numerator.
     """
 
     null_grid: ParamGrid
     alt_grid: ParamGrid
     frozen_log_numerator: float = 0.0
     rounds: tuple = ()
-    null_mle: MleResult | None = None
+
+    @cached_property
+    def null_mle(self) -> MleResult:
+        return mle(self.null_grid)
 
     @property
     def log_slr(self) -> float:
-        """Current log SLR; 0.0 before any round."""
-        if self.null_mle is None:
-            return 0.0
+        """Current log SLR; 0.0 before any round, where the null grid's sums are all 0.0."""
         return self.frozen_log_numerator - self.null_mle.loglik
 
 
@@ -238,10 +241,9 @@ def slr_update(state: SlrState, rec: RoundRecord, grids: tuple[ParamGrid, ParamG
     alternative MLE fitted on prior rounds only; this function just
     accumulates it. grids is the state's (null, alternative) grid pair
     with the record's coefficient row already folded in (observe_round
-    folds it once per run). The denominator is the refined null-grid
-    maximum over all rounds including this one; the new state keeps that
-    MleResult as null_mle, so next_measurement reads the null estimate of
-    a joint round from it instead of refining the same grid again.
+    folds it once per run). Nothing is refined here: the new state's
+    denominator, the refined null-grid maximum over all rounds including
+    this one, is its null_mle, computed by whoever reads it first.
     """
     if rec.log_numerator_term > 1e-12:
         raise InvariantViolation(
@@ -253,7 +255,6 @@ def slr_update(state: SlrState, rec: RoundRecord, grids: tuple[ParamGrid, ParamG
         alt_grid=alt,
         frozen_log_numerator=state.frozen_log_numerator + rec.log_numerator_term,
         rounds=state.rounds + (rec,),
-        null_mle=mle(null),
     )
 
 

@@ -191,7 +191,10 @@ def parse_hypothesis_set(text: str) -> HypothesisSet:
                 )
         except ValueError as exc:
             raise ParseError(f"bad hypothesis piece {tok!r}: {exc}") from exc
-    return HypothesisSet(pieces=tuple(pieces))
+    try:
+        return HypothesisSet(pieces=tuple(pieces))
+    except ValueError as exc:
+        raise ParseError(f"bad hypothesis set {text!r}: {exc}") from exc
 
 
 # --- trigonometric interpolation of outcome likelihoods ------------------

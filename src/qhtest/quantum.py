@@ -69,8 +69,13 @@ def _as_complex_matrix(mat: np.ndarray) -> np.ndarray:
     return m
 
 
-def _hermiticity_defect(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m - m.conj().T)))
+def _hermitian_parts(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """mat as a square complex m, and (m + m^dag)/2; NotHermitian beyond HERMITIAN_TOL."""
+    m = _as_complex_matrix(mat)
+    defect = float(np.max(np.abs(m - m.conj().T)))
+    if defect > HERMITIAN_TOL:
+        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL:.0e}")
+    return m, (m + m.conj().T) / 2.0
 
 
 def validate_density(mat: np.ndarray) -> np.ndarray:
@@ -79,14 +84,11 @@ def validate_density(mat: np.ndarray) -> np.ndarray:
     Raises NotHermitian, TraceNotOne, or NotPSD naming the offending
     magnitude; each check uses its own tolerance constant.
     """
-    m = _as_complex_matrix(mat)
-    defect = _hermiticity_defect(m)
-    if defect > HERMITIAN_TOL:
-        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL:.0e}")
+    m, h = _hermitian_parts(mat)
     tr = complex(np.trace(m))
     if abs(tr - 1.0) > TRACE_TOL:
         raise TraceNotOne(f"trace {tr:.12g} differs from 1 by {abs(tr - 1.0):.3e}")
-    low = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2.0)))
+    low = float(np.min(np.linalg.eigvalsh(h)))
     if low < -PSD_TOL:
         raise NotPSD(f"minimum eigenvalue {low:.3e} below -{PSD_TOL:.0e}")
     out = m.copy()
@@ -223,11 +225,7 @@ def hermitian_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     beyond HERMITIAN_TOL raises instead. Column i of the returned vectors
     matches eigenvalue i.
     """
-    m = _as_complex_matrix(mat)
-    defect = _hermiticity_defect(m)
-    if defect > HERMITIAN_TOL:
-        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL:.0e}")
-    h = (m + m.conj().T) / 2.0
+    _, h = _hermitian_parts(mat)
     try:
         vals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -244,11 +242,8 @@ def positive_eigenprojector(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
 def trace_norm(mat: np.ndarray) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix."""
-    m = _as_complex_matrix(mat)
-    defect = _hermiticity_defect(m)
-    if defect > HERMITIAN_TOL:
-        raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL:.0e}")
-    vals = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+    _, h = _hermitian_parts(mat)
+    vals = np.linalg.eigvalsh(h)
     return float(np.sum(np.abs(vals)))
 
 

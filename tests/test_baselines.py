@@ -18,11 +18,13 @@ from qhtest.baselines import (
     run_lvt,
     variational_calibration,
 )
+from qhtest.engine import estimation_povm
 from qhtest.errors import ConfigError, InfeasibleCalibration
 from qhtest.family import (
     DEFAULT_RESOLUTION,
     FamilyConfig,
     build_grid,
+    estimation_log_rows,
     parse_hypothesis_set,
     state_from_angle,
 )
@@ -32,7 +34,7 @@ from qhtest.measurements import (
     rotated_basis_tables,
     rotation_grid,
 )
-from qhtest.quantum import born_distribution, tensor_power
+from qhtest.quantum import born_distribution, sample_outcome, tensor_power
 
 CFG = FamilyConfig()
 NULL_POINT = parse_hypothesis_set("{45}")
@@ -70,6 +72,28 @@ def test_fixed_config_rejects_degenerate_settings(bad):
     """Settings that would make a baseline never reject or crash mid-run fail at construction."""
     with pytest.raises(ConfigError):
         FixedTestConfig(10, blocks=1, joint_copies=4, **bad)
+
+
+@pytest.mark.parametrize("estimation", ["computational", "sic"])
+@pytest.mark.parametrize("budget", [4, 5, 13, 40])
+def test_fit_alternative_draws_like_a_per_copy_loop(estimation, budget):
+    """The estimation phase's one vector draw fits the angle that m scalar
+    draws fit, and leaves the generator where they leave it (m = 0 at budget 4)."""
+    fcfg = FixedTestConfig(budget, joint_copies=4, estimation_povm=estimation)
+    truth = state_from_angle(CFG, 100.0)
+    povm = estimation_povm(estimation)
+    dist = born_distribution(truth, povm)
+    grid = build_grid(ALT_UPPER, fcfg.resolution)
+    log_rows = estimation_log_rows(grid, CFG, povm)
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        counts = np.zeros(len(povm.labels))
+        for _ in range(fcfg.estimation_copies):
+            counts[povm.labels.index(sample_outcome(dist, rng))] += 1.0
+        expected = float(grid.angles[int(np.argmax(counts @ log_rows))])
+        fit_rng = np.random.default_rng(seed)
+        assert baselines._fit_alternative(fcfg, truth, CFG, ALT_UPPER, fit_rng) == expected
+        assert fit_rng.random() == rng.random()
 
 
 def test_majority_votes_needed():

@@ -544,17 +544,58 @@ def test_run_sequential_test_validates_inputs():
         )
 
 
+def test_a_state_refines_its_null_mle_only_when_read(monkeypatch):
+    """observe_round refines nothing; the first read of null_mle or log_slr
+    refines the null grid once, and later reads reuse it."""
+    calls = []
+    real_mle = engine.mle
+
+    def counted(grid):
+        calls.append(grid)
+        return real_mle(grid)
+
+    monkeypatch.setattr(engine, "mle", counted)
+    policy = PolicyConfig(kind="aLHT+", n_ic=2, n_joint=2, lambda_grid_size=9)
+    s0 = new_slr_state(parse_hypothesis_set("[0,45]"), ALT_UPPER)
+    s1 = engine.SlrState(null_grid=s0.alt_grid, alt_grid=s0.null_grid)
+    memo = {}
+    laws = engine.truth_laws(policy, state_from_angle(CFG, 22.3), memo)
+    for outcome in ("0", "1"):  # two estimation rounds, whose plans read no null estimate
+        plan = engine.next_measurement(policy, s0, CFG, laws, None, memo)
+        s0, s1 = engine.observe_round(policy, CFG, plan, outcome, s0, s1, memo)
+    assert calls == []
+    log_slr, null_mle = s0.log_slr, s0.null_mle
+    assert len(calls) == 1 and calls[0] is s0.null_grid
+    rev_mle, rev_log_slr = s1.null_mle, s1.log_slr
+    assert len(calls) == 2 and calls[1] is s1.null_grid
+    assert rev_log_slr == s1.frozen_log_numerator - rev_mle.loglik
+    again = real_mle(s0.null_grid)
+    assert null_mle == again
+    assert log_slr == s0.frozen_log_numerator - again.loglik
+
+
+def test_an_empty_state_reads_log_slr_zero():
+    state = new_slr_state(parse_hypothesis_set("[0,45]"), ALT_UPPER)
+    assert state.log_slr == 0.0
+    assert state.null_mle.loglik == 0.0
+
+
 @pytest.mark.parametrize("two_sided", [False, True])
 def test_joint_rounds_reuse_the_refined_null_mle(monkeypatch, two_sided):
-    """Every state carries the denominator's refined MLE; joint designs use it as w0.
+    """Every state's null_mle is its null grid's refined MLE, computed once
+    per state; joint designs use it as w0.
 
     Only engine functions are patched. The oracle's generator takes the
     engine's round step, so they see its rounds as well.
     """
     null_set = parse_hypothesis_set("[0,45]")
     policy = PolicyConfig(kind="aLHT+", n_ic=2, n_joint=2, lambda_grid_size=9)
-    states, designs = [], []
-    real_update, real_design = engine.slr_update, engine._joint_design
+    states, designs, refined = [], [], []
+    real_update, real_design, real_mle = engine.slr_update, engine._joint_design, engine.mle
+
+    def counted_mle(grid):
+        refined.append(grid)
+        return real_mle(grid)
 
     def slr_update(state, rec, grids):
         states.append(real_update(state, rec, grids))
@@ -568,6 +609,7 @@ def test_joint_rounds_reuse_the_refined_null_mle(monkeypatch, two_sided):
 
     monkeypatch.setattr(engine, "slr_update", slr_update)
     monkeypatch.setattr(engine, "_joint_design", joint_design)
+    monkeypatch.setattr(engine, "mle", counted_mle)
     truth = state_from_angle(CFG, 22.3)
     rng = np.random.default_rng(17)
     if two_sided:
@@ -575,6 +617,9 @@ def test_joint_rounds_reuse_the_refined_null_mle(monkeypatch, two_sided):
     else:
         oracle.sample_transcript(policy, truth, CFG, null_set, ALT_UPPER, 9, rng)
     assert len(states) >= 9 and len(designs) >= 3
+    # each state's statistic is read once a round and refines its grid once
+    assert len(refined) == len(states)
+    assert {id(g) for g in refined} == {id(s.null_grid) for s in states}
     for state in states:
         again = mle(state.null_grid)
         assert state.null_mle.omega == again.omega

@@ -139,6 +139,21 @@ def test_parse_rejects_garbage():
             parse_hypothesis_set(bad)
 
 
+@pytest.mark.parametrize(
+    "text, pieces",
+    [
+        ("[0,10] [5,20]", "[0,10] and [5,20]"),
+        ("{45,45}", "{45} and {45}"),
+        ("{45} [0,45]", "[0,45] and {45}"),
+    ],
+)
+def test_parse_rejects_overlapping_pieces_with_a_parse_error(text, pieces):
+    """Overlap is a malformed set like any other: a ParseError naming both pieces."""
+    with pytest.raises(ParseError) as info:
+        parse_hypothesis_set(text)
+    assert f"pieces {pieces} overlap" in str(info.value)
+
+
 def test_str_round_trip():
     for text in (
         "{45}", "(45,180]", "{45} {135}", "[0,10) (20,30]", "(45.000001,180]", "{123.4567}"
