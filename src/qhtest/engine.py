@@ -17,8 +17,13 @@ revisited; only the denominator maximization reruns as new rounds arrive.
 The test rejects as soon as log SLR >= log(1/eps0).
 
 An SlrState owns one statistic and its transcript, and log SLR is read
-off it (SlrState.log_slr). A run reports the forward state's records and
-the statistic after each round (TestOutcome.rounds and log_slrs).
+off it (SlrState.log_slr). The refined denominator is never below the null
+grid's maximum, so the grid statistic bounds log SLR from above: the run
+loop decides from that bound and refines only a state whose bound reaches
+its threshold (SlrState.crossing_log_slr), which decides exactly as the
+refined statistic would. A run reports its forward state after each round
+and reads the records and statistics off them when asked
+(TestOutcome.rounds and log_slrs).
 
 A round is two steps, shared with the oracle's transcript generators.
 next_measurement plans it (a RoundPlan). observe_round reduces the observed
@@ -208,7 +213,9 @@ class SlrState:
     mle(null_grid), refined when first read and kept, as
     ParamGrid.round_rows is, so a state nobody reads refines nothing.
     next_measurement reads a joint round's null angle from it, and log_slr
-    subtracts its loglik from the numerator.
+    subtracts its loglik from the numerator. The run loop's crossing check
+    reads crossing_log_slr, which refines only when the grid bound reaches
+    the threshold.
     """
 
     null_grid: ParamGrid
@@ -224,6 +231,17 @@ class SlrState:
     def log_slr(self) -> float:
         """Current log SLR; 0.0 before any round, where the null grid's sums are all 0.0."""
         return self.frozen_log_numerator - self.null_mle.loglik
+
+    def crossing_log_slr(self, threshold: float) -> float:
+        """log_slr when the grid bound reaches threshold, else that bound.
+
+        mle never returns less than the null grid's maximum and float
+        subtraction is monotone, so the unrefined grid statistic bounds
+        log_slr from above: below threshold, it decides like log_slr and
+        nothing is refined.
+        """
+        bound = self.frozen_log_numerator - self.null_grid.per_angle_loglik.max()
+        return self.log_slr if bound >= threshold else float(bound)
 
 
 def new_slr_state(
@@ -592,24 +610,39 @@ class TestOutcome:
     """Terminal report of one sequential run.
 
     decision is one of reject / accept / budget_exhausted (a non-rejection).
-    rounds is the forward statistic's SlrState.rounds, log_slrs[i] its log
-    SLR after round i + 1 (log form: the raw ratio overflows well before
+    states holds the forward SlrState after each round, reversed_state the
+    reversed one after the last round (None for a one-sided run). The
+    statistics are read off them when asked for: final_log_slr refines at
+    most the last state and log_slrs each state not yet refined, once.
+    rounds is the forward state's records and log_slrs[i] its log SLR
+    after round i + 1 (log form: the raw ratio overflows well before
     interesting budgets); final_log_slr_rev is None for a one-sided run.
     """
 
     decision: str
     copies_used: int
-    rounds: tuple
-    log_slrs: tuple
-    final_log_slr_rev: float | None = None
+    states: tuple
+    reversed_state: SlrState | None = None
+
+    @property
+    def rounds(self) -> tuple:
+        return self.states[-1].rounds if self.states else ()
 
     @property
     def rounds_used(self) -> int:
-        return len(self.rounds)
+        return len(self.states)
+
+    @property
+    def log_slrs(self) -> tuple:
+        return tuple(s.log_slr for s in self.states)
 
     @property
     def final_log_slr(self) -> float:
-        return self.log_slrs[-1] if self.log_slrs else 0.0
+        return self.states[-1].log_slr if self.states else 0.0
+
+    @property
+    def final_log_slr_rev(self) -> float | None:
+        return None if self.reversed_state is None else self.reversed_state.log_slr
 
     @property
     def rejected(self) -> bool:
@@ -633,7 +666,12 @@ def run_sequential_test(
 
     The loop stops before any round whose copies would push the total past
     the budget, so copies_used <= budget always holds. With eps1 set the
-    reversed statistic runs in lockstep and the test may accept. truth is
+    reversed statistic runs in lockstep and the test may accept. Each round
+    decides from the grid bounds (SlrState.crossing_log_slr): a null MLE is
+    refined for a joint round's design and where a bound reaches its
+    threshold, and the rest only when the outcome's statistics are read.
+    Decisions, draws and every reported float are those of a loop that
+    refines every state each round. truth is
     a 2x2 density matrix, raised to n_joint copies once per memo. memo is
     the trial's memo (see the trial memo above); without one the run
     keeps its own, and the result is the same.
@@ -653,7 +691,9 @@ def run_sequential_test(
     s0 = new_slr_state(null_set, alt_set, resolution)
     s1 = SlrState(null_grid=s0.alt_grid, alt_grid=s0.null_grid) if eps1 is not None else None
     laws = truth_laws(policy, truth, memo)
-    log_slrs: list[float] = []
+    threshold0 = math.log(1.0 / eps0)
+    threshold1 = math.log(1.0 / eps1) if eps1 is not None else None
+    states: list[SlrState] = []
     copies_used = 0
     decision = "continue"
 
@@ -665,16 +705,13 @@ def run_sequential_test(
         plan = next_measurement(policy, s0, cfg, laws, rng, memo)
         s0, s1 = observe_round(policy, cfg, plan, sample_outcome(plan.dist, rng), s0, s1, memo)
         copies_used += copies
-        log_slrs.append(s0.log_slr)
+        states.append(s0)
         if s1 is None:
-            decision = REJECT if one_sided_decision(s0.log_slr, eps0) else "continue"
+            crossed = one_sided_decision(s0.crossing_log_slr(threshold0), eps0)
+            decision = REJECT if crossed else "continue"
         else:
-            decision = two_sided_decision(s0.log_slr, s1.log_slr, eps0, eps1)
+            decision = two_sided_decision(
+                s0.crossing_log_slr(threshold0), s1.crossing_log_slr(threshold1), eps0, eps1
+            )
 
-    return TestOutcome(
-        decision=decision,
-        copies_used=copies_used,
-        rounds=s0.rounds,
-        log_slrs=tuple(log_slrs),
-        final_log_slr_rev=s1.log_slr if s1 is not None else None,
-    )
+    return TestOutcome(decision, copies_used, tuple(states), s1)

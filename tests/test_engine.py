@@ -582,11 +582,15 @@ def test_an_empty_state_reads_log_slr_zero():
 
 @pytest.mark.parametrize("two_sided", [False, True])
 def test_joint_rounds_reuse_the_refined_null_mle(monkeypatch, two_sided):
-    """Every state's null_mle is its null grid's refined MLE, computed once
-    per state; joint designs use it as w0.
+    """Every state's null_mle is its null grid's refined MLE, computed at
+    most once per state; joint designs use it as w0.
 
-    Only engine functions are patched. The oracle's generator takes the
-    engine's round step, so they see its rounds as well.
+    The run loop refines exactly the null grids of the forward states a
+    joint design reads and of the states whose grid bound reached their
+    threshold. The oracle's generator reads every forward statistic, so it
+    refines every forward state. Only engine functions are patched; the
+    oracle's generator takes the engine's round step, so they see its
+    rounds as well.
     """
     null_set = parse_hypothesis_set("[0,45]")
     policy = PolicyConfig(kind="aLHT+", n_ic=2, n_joint=2, lambda_grid_size=9)
@@ -601,10 +605,12 @@ def test_joint_rounds_reuse_the_refined_null_mle(monkeypatch, two_sided):
         states.append(real_update(state, rec, grids))
         return states[-1]
 
-    def joint_design(policy, cfg, w0, w1, rng, memo):
+    def forward(state):
         # the forward statistic is the one whose null grid is [0,45]
-        forward = [s for s in states if s.null_grid.angles[-1] == 45.0]
-        designs.append((forward[-1], w0))
+        return state.null_grid.angles[-1] == 45.0
+
+    def joint_design(policy, cfg, w0, w1, rng, memo):
+        designs.append(([s for s in states if forward(s)][-1], w0))
         return real_design(policy, cfg, w0, w1, rng, memo)
 
     monkeypatch.setattr(engine, "slr_update", slr_update)
@@ -612,14 +618,26 @@ def test_joint_rounds_reuse_the_refined_null_mle(monkeypatch, two_sided):
     monkeypatch.setattr(engine, "mle", counted_mle)
     truth = state_from_angle(CFG, 22.3)
     rng = np.random.default_rng(17)
+    eps0, eps1 = 0.05, 0.25
     if two_sided:
-        run_sequential_test(policy, truth, CFG, null_set, ALT_UPPER, 0.05, 24, rng, eps1=0.05)
+        out = run_sequential_test(
+            policy, truth, CFG, null_set, ALT_UPPER, eps0, 24, rng, eps1=eps1
+        )
+        assert out.decision == ACCEPT
+        thresholds = {True: math.log(1.0 / eps0), False: math.log(1.0 / eps1)}
+        crossed = [
+            s for s in states
+            if s.frozen_log_numerator - s.null_grid.per_angle_loglik.max()
+            >= thresholds[forward(s)]
+        ]
+        assert len(crossed) == 1 and crossed[0] is out.reversed_state
+        read = [s for s, _ in designs] + crossed
     else:
         oracle.sample_transcript(policy, truth, CFG, null_set, ALT_UPPER, 9, rng)
+        read = states
     assert len(states) >= 9 and len(designs) >= 3
-    # each state's statistic is read once a round and refines its grid once
-    assert len(refined) == len(states)
-    assert {id(g) for g in refined} == {id(s.null_grid) for s in states}
+    # each grid that was read is refined once, and no other grid is
+    assert sorted(id(g) for g in refined) == sorted(id(s.null_grid) for s in read)
     for state in states:
         again = mle(state.null_grid)
         assert state.null_mle.omega == again.omega
@@ -627,6 +645,203 @@ def test_joint_rounds_reuse_the_refined_null_mle(monkeypatch, two_sided):
     for state, w0 in designs:
         assert len(state.rounds) % 3 == 2
         assert w0 == state.null_mle.omega
+
+
+@pytest.mark.parametrize("eps1", [None, 0.05])
+def test_an_outcome_refines_only_the_states_it_is_asked_for(monkeypatch, eps1):
+    """final_log_slr and final_log_slr_rev refine one state each; log_slrs
+    refines each forward state once over the run and its reads, and a
+    second read refines nothing."""
+    refined = []
+    real_mle = engine.mle
+
+    def counted(grid):
+        refined.append(id(grid))
+        return real_mle(grid)
+
+    monkeypatch.setattr(engine, "mle", counted)
+    policy = PolicyConfig(kind="aLHT+", n_ic=2, n_joint=2, lambda_grid_size=9)
+    out = run_sequential_test(
+        policy, state_from_angle(CFG, 22.3), CFG, parse_hypothesis_set("[0,45]"), ALT_UPPER,
+        1e-6, 20, np.random.default_rng(5), eps1=eps1,
+    )
+    assert out.decision == BUDGET_EXHAUSTED and out.rounds_used >= 12
+    during_run = len(refined)
+    assert during_run == out.rounds_used // 3  # one per joint round
+    final = out.final_log_slr
+    assert refined[during_run:] == [id(out.states[-1].null_grid)]
+    if eps1 is not None:
+        final_rev = out.final_log_slr_rev
+        assert refined[during_run + 1:] == [id(out.reversed_state.null_grid)]
+        assert final_rev == out.reversed_state.frozen_log_numerator - mle(
+            out.reversed_state.null_grid).loglik
+    forward_reads = len(refined)
+    log_slrs = out.log_slrs
+    assert sorted(refined[:during_run + 1] + refined[forward_reads:]) == sorted(
+        id(s.null_grid) for s in out.states
+    )
+    before = len(refined)
+    assert out.log_slrs == log_slrs and log_slrs[-1] == final
+    assert len(refined) == before
+
+
+# null, alternative, and an on-grid, an off-grid and an alternative truth
+BOUND_CASES = {
+    "point": ("{45}", "(45,180]", {"on": 45.0, "off": 30.0, "alt": 90.0}),
+    "interval": ("[0,45]", "(45,180]", {"on": 22.5, "off": 22.3, "alt": 90.0}),
+    "two-piece": (
+        "[0,30] [120,150]", "(30,120) (150,180]", {"on": 15.0, "off": 131.3, "alt": 75.0}
+    ),
+}
+
+
+def grid_bound(state):
+    """The unrefined statistic: the numerator less the null grid's maximum."""
+    return state.frozen_log_numerator - state.null_grid.per_angle_loglik.max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(sorted(BOUND_CASES)),
+    truth=st.sampled_from(["on", "off", "alt"]),
+    kind=st.sampled_from(["aLHT", "aLHT+", "aLVT"]),
+    two_sided=st.booleans(),
+    rounds=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    extra=st.floats(-20.0, 20.0),
+)
+def test_the_grid_bound_decides_like_the_refined_statistic(
+    case, truth, kind, two_sided, rounds, seed, extra
+):
+    """For every state and threshold t, crossing_log_slr(t) >= t iff
+    log_slr >= t, and where it is >= t it is log_slr bit for bit."""
+    null, alt, truths = BOUND_CASES[case]
+    null_set, alt_set = parse_hypothesis_set(null), parse_hypothesis_set(alt)
+    policy = PolicyConfig(kind=kind, n_ic=1, n_joint=2, lambda_grid_size=9, theta_grid_size=36)
+    memo, rng = {}, np.random.default_rng(seed)
+    laws = engine.truth_laws(policy, state_from_angle(CFG, truths[truth]), memo)
+    s0 = new_slr_state(null_set, alt_set)
+    s1 = engine.SlrState(null_grid=s0.alt_grid, alt_grid=s0.null_grid) if two_sided else None
+    for _ in range(rounds):
+        plan = engine.next_measurement(policy, s0, CFG, laws, rng, memo)
+        s0, s1 = engine.observe_round(
+            policy, CFG, plan, sample_outcome(plan.dist, rng), s0, s1, memo
+        )
+        for state in (s0, s1) if two_sided else (s0,):
+            bound, log_slr = float(grid_bound(state)), state.log_slr
+            assert bound >= log_slr
+            ts = [extra, (bound + log_slr) / 2.0]
+            for v in (log_slr, bound):
+                ts += [v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)]
+            for t in ts:
+                value = state.crossing_log_slr(t)
+                assert (value >= t) == (log_slr >= t), (t, value, log_slr)
+                if value >= t:
+                    assert float(value).hex() == float(log_slr).hex()
+
+
+def reference_run(policy, truth, null_set, alt_set, eps0, budget, seed, eps1=None):
+    """The run loop as it was when every round read each refined statistic:
+    the decision, copies, rounds and log ratios, and for each round the
+    refined statistic and grid bound of (forward, reversed)."""
+    memo, rng = {}, np.random.default_rng(seed)
+    s0 = new_slr_state(null_set, alt_set)
+    s1 = None if eps1 is None else engine.SlrState(null_grid=s0.alt_grid, alt_grid=s0.null_grid)
+    laws = engine.truth_laws(policy, truth, memo)
+    log_slrs, trace, copies_used, decision = [], [], 0, "continue"
+    while decision == "continue":
+        copies = 1 if policy.is_estimation_round(len(s0.rounds)) else policy.n_joint
+        if copies_used + copies > budget:
+            decision = BUDGET_EXHAUSTED
+            break
+        plan = engine.next_measurement(policy, s0, CFG, laws, rng, memo)
+        s0, s1 = engine.observe_round(
+            policy, CFG, plan, sample_outcome(plan.dist, rng), s0, s1, memo
+        )
+        copies_used += copies
+        log_slrs.append(s0.log_slr)
+        trace.append([(s.log_slr, grid_bound(s)) for s in (s0, s1) if s is not None])
+        if s1 is None:
+            decision = REJECT if one_sided_decision(s0.log_slr, eps0) else "continue"
+        else:
+            decision = two_sided_decision(s0.log_slr, s1.log_slr, eps0, eps1)
+    final_rev = s1.log_slr if s1 is not None else None
+    return (decision, copies_used, s0.rounds, log_slrs, final_rev), trace
+
+
+def transcript(decision, copies_used, rounds, log_slrs, final_rev):
+    rows = [(r.descriptor, r.outcome, r.coeffs.tobytes(), repr(r.log_numerator_term))
+            for r in rounds]
+    return decision, copies_used, rows, [repr(v) for v in log_slrs], repr(final_rev)
+
+
+@pytest.mark.parametrize(
+    "kind, truth, two_sided, side",
+    [("aLHT+", 90.0, False, 0), ("aLHT+", 90.0, True, 0), ("aLHT", 22.3, True, 1)],
+)
+def test_a_bound_crossing_without_a_refined_crossing_continues(
+    monkeypatch, kind, truth, two_sided, side
+):
+    """At a round whose grid bound reaches the threshold but whose refined
+    statistic does not, the run loop refines, continues, and gives the
+    reference loop's transcript bit for bit."""
+    policy = PolicyConfig(kind=kind, n_ic=2, n_joint=2, lambda_grid_size=9)
+    null_set, budget = parse_hypothesis_set("[0,45]"), 30
+    truth = state_from_angle(CFG, truth)
+    never = 1e-300
+
+    def crossing_round(trace):
+        # the first round k, followed by an estimation round, whose bound lies
+        # above 0, its refined statistic and every earlier one
+        top = 0.0
+        for k, sides in enumerate(trace, start=1):
+            log_slr, bound = sides[side]
+            top = max(top, log_slr)
+            if bound > top and policy.is_estimation_round(k) and k < len(trace):
+                return k, top, bound
+        return None
+
+    for seed in range(20):
+        _, trace = reference_run(
+            policy, truth, null_set, ALT_UPPER, never, budget, seed,
+            eps1=never if two_sided else None,
+        )
+        found = crossing_round(trace)
+        if found is not None:
+            break
+    assert found is not None
+    k, top, bound = found
+    eps = math.exp(-(top + bound) / 2.0)
+    threshold = math.log(1.0 / eps)
+    assert top < threshold < bound and 0.0 < eps < 1.0
+    eps0, eps1 = (eps, never if two_sided else None) if side == 0 else (never, eps)
+    want, _ = reference_run(policy, truth, null_set, ALT_UPPER, eps0, budget, seed, eps1=eps1)
+
+    states, refined = [], []
+    real_update, real_mle = engine.slr_update, engine.mle
+
+    def slr_update(state, rec, grids):
+        states.append(real_update(state, rec, grids))
+        return states[-1]
+
+    def counted(grid):
+        refined.append(id(grid))
+        return real_mle(grid)
+
+    monkeypatch.setattr(engine, "slr_update", slr_update)
+    monkeypatch.setattr(engine, "mle", counted)
+    out = run_sequential_test(
+        policy, truth, CFG, null_set, ALT_UPPER, eps0, budget,
+        np.random.default_rng(seed), eps1=eps1,
+    )
+    assert out.rounds_used > k
+    # round k + 1 is an estimation round, so no design read round k's state:
+    # the loop refined it because its bound reached the threshold
+    state = states[(k - 1) * (2 if two_sided else 1) + side]
+    assert id(state.null_grid) in refined
+    assert grid_bound(state) >= threshold > state.log_slr
+    got = (out.decision, out.copies_used, out.rounds, out.log_slrs, out.final_log_slr_rev)
+    assert transcript(*got) == transcript(*want)
 
 
 def test_record_round_rejects_wrong_dimension():
