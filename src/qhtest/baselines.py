@@ -23,17 +23,29 @@ Majority votes reject on strictly more than half the blocks, so even-split
 ties accept; with b = 1 the size rule and the vote are the single block's.
 
 A calibrated block test depends on the run's data only through the fitted
-grid angle w1, so every runner takes a memo dict that maps (w1, blocks)
-to the decided block test: the truth's outcome distribution on one
-block's joint measurement, the outcomes that vote to reject and the
-calibrated setting in words, or None when no setting meets the size (the
-run then accepts without drawing). The variational block test also keeps
-the null grid's rotated-basis table there, which does not depend on w1 at
-all. A memo serves one trial as built by harness.make_trial: one truth,
-family, hypothesis pair and set of design settings, with only the budget
-varying; a fresh {} recalibrates. A hit draws the same blocks from the
-same distribution, so the random stream and every decision are those of
-a run that recalibrated.
+grid angle w1, so every runner takes a memo dict that keeps the test's
+parts at three levels, each built once:
+
+* per trial, under string keys: the estimation law and the alternative
+  grid's log rows ("estimation"), the truth's joint-copy power ("truth
+  power"), and the null state's power ("null power", Helstrom) or the
+  null grid's rotated-basis table ("null table", variational);
+* per fitted angle, under ("weight table", w1) or ("rotated table", w1):
+  the alternative's power with its weight-grid size and power columns,
+  or its rotated-basis table; these are the costly kernels, and they do
+  not depend on the block count;
+* per (w1, blocks): the decided block test, i.e. the size rule's pick,
+  the truth's outcome distribution on that joint measurement, the
+  outcomes that vote to reject and the setting in words, or None when no
+  setting meets the size (the run then accepts without drawing).
+
+So a trial holds at most one weight table (grid_size weights and two
+columns, plus one power matrix) or one (theta_grid_size, 2^n) rotated
+table per alternative grid angle it fitted. A memo serves one trial as
+built by harness.make_trial: one truth, family, hypothesis pair and set
+of design settings, with only the budget varying; a fresh {} recalibrates.
+A hit draws the same blocks from the same distribution, so the random
+stream and every decision are those of a run that recalibrated.
 """
 
 from __future__ import annotations
@@ -142,21 +154,28 @@ def _majority_tail(alpha: np.ndarray, blocks: int) -> np.ndarray:
     )
 
 
+def _estimation(
+    fcfg: FixedTestConfig, truth: np.ndarray, cfg: FamilyConfig, alt_set: HypothesisSet
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """alt_set's grid angles, the truth's cumulative estimation law and the grid's log rows."""
+    grid = build_grid(alt_set, fcfg.resolution)
+    povm = estimation_povm(fcfg.estimation_povm)
+    return grid.angles, born_distribution(truth, povm)._cum, estimation_log_rows(grid, cfg, povm)
+
+
 def _fit_alternative(
     fcfg: FixedTestConfig,
     truth: np.ndarray,
     cfg: FamilyConfig,
     alt_set: HypothesisSet,
     rng: np.random.Generator,
+    memo: dict,
 ) -> float:
     """Grid MLE angle on alt_set's grid from m single-copy estimation rounds."""
-    grid = build_grid(alt_set, fcfg.resolution)
-    povm = estimation_povm(fcfg.estimation_povm)
-    dist = born_distribution(truth, povm)
-    idx = np.searchsorted(dist._cum, rng.random(fcfg.estimation_copies), side="right")
-    counts = np.bincount(np.minimum(idx, len(dist.labels) - 1), minlength=len(dist.labels))
-    log_rows = estimation_log_rows(grid, cfg, povm)
-    return float(grid.angles[int(np.argmax(counts @ log_rows))])
+    angles, cum, log_rows = memoized(memo, "estimation", _estimation, fcfg, truth, cfg, alt_set)
+    idx = np.searchsorted(cum, rng.random(fcfg.estimation_copies), side="right")
+    counts = np.bincount(np.minimum(idx, len(cum) - 1), minlength=len(cum))
+    return float(angles[int(np.argmax(counts @ log_rows))])
 
 
 @dataclass(frozen=True)
@@ -169,10 +188,11 @@ class _BlockTest:
 
 
 def _block_test(
-    fcfg: FixedTestConfig, truth: np.ndarray, povm: Povm, rejects, setting: str
+    fcfg: FixedTestConfig, truth: np.ndarray, povm: Povm, rejects, setting: str, memo: dict
 ) -> _BlockTest:
     """The block test measuring povm; rejects[i] is the vote of outcome povm.labels[i]."""
-    dist = born_distribution(tensor_power(truth, fcfg.joint_copies), povm)
+    truth_power = memoized(memo, "truth power", tensor_power, truth, fcfg.joint_copies)
+    dist = born_distribution(truth_power, povm)
     return _BlockTest(dist, frozenset(x for x, r in zip(povm.labels, rejects) if r), setting)
 
 
@@ -192,44 +212,64 @@ def _decide(
 
 
 def helstrom_calibration(
-    pow0: np.ndarray,
-    pow1: np.ndarray,
+    weights: np.ndarray,
+    alpha: np.ndarray,
+    power: np.ndarray,
     eps0: float,
-    grid_size: int,
-    blocks: int = 1,
+    blocks: int,
 ) -> tuple[float, float, float]:
     """Best Helstrom weight under the exact size constraint.
 
-    Returns (weight, per-block size, per-block power) maximizing power over
-    the weight grid among weights whose exact rejection probability under
-    the null keeps the b-block majority size within eps0; ties break toward
-    the smaller weight. Raises InfeasibleCalibration when nothing passes.
+    alpha and power are the per-block rejection probabilities under the
+    null and the alternative at each of weights, as _weight_table builds
+    them. Returns (weight, per-block size, per-block power) maximizing
+    power among weights whose b-block majority size stays within eps0;
+    ties break toward the smaller weight. Raises InfeasibleCalibration
+    when nothing passes.
     """
-    weights, p_m0 = _binary_probs_on_weight_grid(pow0, pow1, grid_size)
-    alpha = 1.0 - p_m0[:, 0]
-    power = 1.0 - p_m0[:, 1]
     ok = _majority_tail(alpha, blocks) <= eps0 + SIZE_SLACK
     if not bool(ok.any()):
         raise InfeasibleCalibration(
-            f"no weight on the {grid_size}-point grid meets size {eps0} with {blocks} blocks"
+            f"no weight on the {len(weights)}-point grid meets size {eps0} with {blocks} blocks"
         )
     k = int(np.argmax(np.where(ok, power, -np.inf)))
     return float(weights[k]), float(alpha[k]), float(power[k])
 
 
+def _joint_power(cfg: FamilyConfig, omega: float, copies: int) -> np.ndarray:
+    return tensor_power(state_from_angle(cfg, omega), copies)
+
+
+def _weight_table(
+    pow0: np.ndarray, cfg: FamilyConfig, w1: float, copies: int, grid_size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """w1's power, the weight grid and the Helstrom design's (size, power) at each weight."""
+    pow1 = _joint_power(cfg, w1, copies)
+    weights, p_m0 = _binary_probs_on_weight_grid(pow0, pow1, grid_size)
+    return pow1, weights, 1.0 - p_m0[:, 0], 1.0 - p_m0[:, 1]
+
+
 def _helstrom_block_test(
-    fcfg: FixedTestConfig, truth: np.ndarray, cfg: FamilyConfig, omega0: float, w1: float
+    fcfg: FixedTestConfig,
+    truth: np.ndarray,
+    cfg: FamilyConfig,
+    omega0: float,
+    w1: float,
+    memo: dict,
 ) -> _BlockTest | None:
-    pow0 = tensor_power(state_from_angle(cfg, omega0), fcfg.joint_copies)
-    pow1 = tensor_power(state_from_angle(cfg, w1), fcfg.joint_copies)
+    """The block test calibrated at w1 for fcfg.blocks; memo keeps the block-free parts."""
+    pow0 = memoized(memo, "null power", _joint_power, cfg, omega0, fcfg.joint_copies)
+    pow1, *columns = memoized(
+        memo, ("weight table", w1), _weight_table,
+        pow0, cfg, w1, fcfg.joint_copies, fcfg.lambda_grid_size,
+    )
     try:
-        lam, alpha, power = helstrom_calibration(
-            pow0, pow1, fcfg.eps0, fcfg.lambda_grid_size, fcfg.blocks
-        )
+        lam, alpha, power = helstrom_calibration(*columns, fcfg.eps0, fcfg.blocks)
     except InfeasibleCalibration:
         return None
     setting = f"weight {lam:g}, block size {alpha:.4g}, block power {power:.4g}"
-    return _block_test(fcfg, truth, helstrom_povm(pow0, pow1, lam), (False, True), setting)
+    povm = helstrom_povm(pow0, pow1, lam)
+    return _block_test(fcfg, truth, povm, (False, True), setting, memo)
 
 
 def _run_helstrom_family(
@@ -242,8 +282,9 @@ def _run_helstrom_family(
     memo: dict,
 ) -> FixedOutcome:
     """LHT and bLHT: majority vote over b Helstrom blocks sharing one estimate (LHT: b = 1)."""
-    w1 = _fit_alternative(fcfg, truth, cfg, alt_set, rng)
-    test = memoized(memo, (w1, fcfg.blocks), _helstrom_block_test, fcfg, truth, cfg, omega0, w1)
+    w1 = _fit_alternative(fcfg, truth, cfg, alt_set, rng, memo)
+    key = (w1, fcfg.blocks)
+    test = memoized(memo, key, _helstrom_block_test, fcfg, truth, cfg, omega0, w1, memo)
     return _decide(fcfg, test, rng)
 
 
@@ -304,15 +345,13 @@ def _variational_block_test(
     w1: float,
     memo: dict,
 ) -> _BlockTest | None:
-    """The block test calibrated at w1; the null grid's table is kept in memo."""
-    null_probs = lambda: rotated_basis_tables(
-        cfg,
-        build_grid(null_set, fcfg.resolution).angles,
-        fcfg.joint_copies,
-        fcfg.theta_grid_size,
-    )[1]
-    pn = memoized(memo, "null_probs", null_probs)
-    thetas, p = rotated_basis_tables(cfg, (w1,), fcfg.joint_copies, fcfg.theta_grid_size)
+    """The block test calibrated at w1 for fcfg.blocks; memo keeps the block-free parts."""
+    tables = lambda angles: rotated_basis_tables(
+        cfg, angles, fcfg.joint_copies, fcfg.theta_grid_size
+    )
+    null_table = lambda: tables(build_grid(null_set, fcfg.resolution).angles)
+    _, pn = memoized(memo, "null table", null_table)
+    thetas, p = memoized(memo, ("rotated table", w1), tables, (w1,))
     q = p[:, :, 0]
     try:
         t_best, power, threshold = variational_calibration(q, pn, fcfg.eps0, fcfg.blocks)
@@ -322,7 +361,7 @@ def _variational_block_test(
     theta = float(thetas[t_best])
     setting = f"rotation {theta:g} rad, threshold {threshold:g}, block power {power:.4g}"
     povm = variational_povm(theta, fcfg.joint_copies)
-    return _block_test(fcfg, truth, povm, ratio_row >= threshold, setting)
+    return _block_test(fcfg, truth, povm, ratio_row >= threshold, setting, memo)
 
 
 def _run_variational_family(
@@ -335,7 +374,7 @@ def _run_variational_family(
     memo: dict,
 ) -> FixedOutcome:
     """LVT and bLVT: majority vote over b variational blocks sharing one estimate (LVT: b = 1)."""
-    w1 = _fit_alternative(fcfg, truth, cfg, alt_set, rng)
+    w1 = _fit_alternative(fcfg, truth, cfg, alt_set, rng, memo)
     key = (w1, fcfg.blocks)
     test = memoized(memo, key, _variational_block_test, fcfg, truth, cfg, null_set, w1, memo)
     return _decide(fcfg, test, rng)

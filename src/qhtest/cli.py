@@ -172,20 +172,18 @@ def _cmd_calibrate(args) -> int:
             plan = engine.next_measurement(policy, state, fam, laws, None, memo)
             print(f"{method}: pre-data joint round {plan.descriptor}")
             continue
-        # The runners' own block test at the reference alternative, once per block count.
-        null = harness._fixed_null(config, method)
-        if design == "helstrom":
-            block_test = lambda fcfg: baselines._helstrom_block_test(fcfg, truth, fam, null, w1)
-        else:
+        # The runners' own block test at the reference alternative, once per block
+        # count, through one memo, so each design's tables are built once.
+        if design == "variational":
             print(f"{method}: threshold depends on the estimated alternative; "
                   f"reference angle {w1:g} shown")
-            memo: dict = {}
-            block_test = lambda fcfg: baselines._variational_block_test(
-                fcfg, truth, fam, null, w1, memo
-            )
+        block_test = (baselines._helstrom_block_test if design == "helstrom"
+                      else baselines._variational_block_test)
+        null = harness._fixed_null(config, method)
+        memo: dict = {}
         fcfgs = [harness._fixed_config(config, method, b) for b in config.budgets]
         for fcfg in {f.blocks: f for f in fcfgs}.values():
-            test = block_test(fcfg)
+            test = block_test(fcfg, truth, fam, null, w1, memo)
             setting = test.setting if test else (
                 f"no {_SETTING[design]} meets size {config.eps0:g}, "
                 "so the test always accepts"

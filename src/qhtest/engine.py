@@ -379,8 +379,8 @@ def predictable_estimate(
 # method): one family, policy, hypothesis pair and grid resolution, while
 # the budget, the run and even the truth vary. It keeps only what recurs
 # within a trial, each built once:
-#   "grid angles"             the trial's null- and alternative-grid angles
-#   ("power", w)              the n_joint-copy power of the state at grid angle w
+#   "grid angles"             the angles the memo keys on (_grid_angles)
+#   ("power", w)              the n_joint-copy power of the state at such an angle w
 #   ("table", w)              its rotated-basis table (aLVT)
 #   ("outcome", id(M), x, id(A0), id(A1))  outcome x of a recurring POVM M:
 #                             its row and log vectors on lattices A0, A1 (_reduced)
@@ -389,16 +389,29 @@ def predictable_estimate(
 # i.e. every POVM but aLHT's, whose random weight makes each one new;
 # next_measurement decides it once per round (RoundPlan.recurs). What
 # does not recur (an aLHT design, a state at a refined off-grid null MLE)
-# is built and dropped, so the memo grows with the grid and the design
-# cache, not with the rounds. Every float read from the memo is the float
-# the build would give, so a memo changes how often work is done, never a
-# run's result. Entries are stored by quantum.memoized, which makes
-# their arrays read-only.
+# is built and dropped, and so is an alternative angle's state on a
+# one-angle null grid (_grid_angles). The memo grows with the grid and the
+# design cache, not with the rounds: at most one power (aLHT, aLHT+) or
+# one (theta_grid_size, 2^n_joint) table (aLVT) per angle it keys on.
+# Every float read from the memo is the float the build would give, so a
+# memo changes how often work is done, never a run's result. Entries are
+# stored by quantum.memoized, which makes their arrays read-only.
 
 
-def _grid_angles(memo: dict, state: SlrState) -> frozenset:
-    """The trial's grid angles: the only angles the memo keys on."""
-    build = lambda: frozenset(state.null_grid.angles.tolist() + state.alt_grid.angles.tolist())
+def _grid_angles(memo: dict, policy: PolicyConfig, state: SlrState) -> frozenset:
+    """The angles the memo keys on: the trial's grid angles, less the
+    alternative grid's when a cached design meets a one-angle null grid.
+
+    There w0 is that angle on every round, so once a design at (w0, w1) is
+    built, _design_cache answers every later lookup and w1's state is never
+    read again; it is built and dropped. aLHT's designs are not cached.
+    """
+    def build():
+        angles = state.null_grid.angles.tolist()
+        if policy.random_design or len(angles) > 1:
+            angles += state.alt_grid.angles.tolist()
+        return frozenset(angles)
+
     return memoized(memo, "grid angles", build)
 
 
@@ -445,7 +458,7 @@ def _joint_design(
     any lookup, and is never memoized. A design reads each state's
     n_joint-copy power (Helstrom) or rotated-basis table (variational),
     built after the lookup, so a hit builds none; the trial memo keeps
-    those of grid angles.
+    those of the angles _grid_angles names.
     """
     def design(lam=None):
         if policy.kind == "aLVT":
@@ -544,7 +557,7 @@ def next_measurement(
     if policy.is_estimation_round(len(state.rounds)):
         return RoundPlan(est, f"{policy.estimation_povm}(n=1)", laws.est_dist, w1, True)
     w0 = state.null_mle.omega if state.rounds else _default_angle(state.null_grid)
-    _grid_angles(memo, state)
+    _grid_angles(memo, policy, state)
     povm, desc = _joint_design(policy, cfg, w0, w1, rng, memo)
     recurs = not policy.random_design
     return RoundPlan(povm, desc, laws.joint_dist(povm, recurs), w1, recurs)

@@ -216,8 +216,9 @@ def rotated_basis_tables(
     thetas holds rotation_grid's grid_size angles in radians, and p[t, x, j]
     is the probability of outcome x of the rotated basis at thetas[t].
     Tables built apart equal one stacked table bit for bit, so a caller may
-    build each state's table once and keep it: the fixed-copy runners keep
-    the null grid's, the engine's trial memo each grid angle's.
+    build each state's table once and keep it: a fixed-copy trial memo keeps
+    the null grid's and each fitted angle's, the engine's trial memo each
+    grid angle's that it reads again.
     """
     thetas, u = rotation_grid(grid_size, copies)
     mats = np.stack([tensor_power(state_from_angle(cfg, w), copies) for w in angles])

@@ -29,6 +29,7 @@ from qhtest.family import (
     state_from_angle,
 )
 from qhtest.measurements import (
+    _binary_probs_on_weight_grid,
     _rotated_basis_probs,
     helstrom_povm,
     rotated_basis_tables,
@@ -41,6 +42,12 @@ NULL_POINT = parse_hypothesis_set("{45}")
 ALT_UPPER = parse_hypothesis_set("(45,180]")
 TWO_POINT_NULL = parse_hypothesis_set("{45,135}")
 SPLIT_ALT = parse_hypothesis_set("(45,135) (135,180)")
+
+
+def calibrate_weight(pow0, pow1, eps0, grid_size, blocks):
+    """helstrom_calibration on the weight table of pow0 and pow1."""
+    weights, p_m0 = _binary_probs_on_weight_grid(pow0, pow1, grid_size)
+    return helstrom_calibration(weights, 1.0 - p_m0[:, 0], 1.0 - p_m0[:, 1], eps0, blocks)
 
 
 def test_fixed_config_budget_arithmetic():
@@ -92,7 +99,7 @@ def test_fit_alternative_draws_like_a_per_copy_loop(estimation, budget):
             counts[povm.labels.index(sample_outcome(dist, rng))] += 1.0
         expected = float(grid.angles[int(np.argmax(counts @ log_rows))])
         fit_rng = np.random.default_rng(seed)
-        assert baselines._fit_alternative(fcfg, truth, CFG, ALT_UPPER, fit_rng) == expected
+        assert baselines._fit_alternative(fcfg, truth, CFG, ALT_UPPER, fit_rng, {}) == expected
         assert fit_rng.random() == rng.random()
 
 
@@ -116,7 +123,7 @@ def test_helstrom_calibration_exact_size_and_optimality():
     rho1 = state_from_angle(CFG, 90.0)
     pow0 = tensor_power(rho0, 4)
     pow1 = tensor_power(rho1, 4)
-    w, alpha, power = helstrom_calibration(pow0, pow1, eps0, grid_size)
+    w, alpha, power = calibrate_weight(pow0, pow1, eps0, grid_size, 1)
     assert alpha <= eps0 + SIZE_SLACK
 
     # independent recomputation of size and power through the Born rule
@@ -138,7 +145,7 @@ def test_blocked_calibration_sizes_the_majority_tail():
     pow0 = tensor_power(rho0, 4)
     pow1 = tensor_power(rho1, 4)
     for blocks in (3, 5):
-        w, alpha, _ = helstrom_calibration(pow0, pow1, 0.05, 99, blocks=blocks)
+        w, alpha, _ = calibrate_weight(pow0, pow1, 0.05, 99, blocks)
         overall = binom.sf(_majority(blocks) - 1, blocks, alpha)
         assert overall <= 0.05 + SIZE_SLACK
         assert 0.0 < w < 1.0
@@ -166,7 +173,7 @@ def test_infeasible_calibration_raises_and_run_falls_back():
     rho0 = state_from_angle(CFG, 45.0)
     rho1 = state_from_angle(CFG, 60.0)
     with pytest.raises(InfeasibleCalibration):
-        helstrom_calibration(rho0, rho1, 1e-12, 9, blocks=1)
+        calibrate_weight(rho0, rho1, 1e-12, 9, 1)
     # the runners swallow the failure and report a non-rejection
     fcfg = FixedTestConfig(5, blocks=1, joint_copies=1, eps0=1e-12, lambda_grid_size=9)
     out = run_lht(fcfg, rho1, CFG, 45.0, ALT_UPPER, np.random.default_rng(1), memo={})

@@ -1,9 +1,11 @@
 """End-to-end tests of the command line interface."""
 
 import re
+from pathlib import Path
 
 import pytest
 
+from qhtest import baselines
 from qhtest.cli import main
 from qhtest.harness import METHODS, RESULT_HEADER
 
@@ -108,6 +110,26 @@ def test_calibrate_prints_reference_settings(config_path, tmp_path, capsys):
         assert main(["single", str(path), "--method", method, "--budget", "10", "--trace"]) == 0
         round_one = re.search(r"^  round   1  (\S+) ", capsys.readouterr().out, re.M)
         assert designs.get(method) == round_one.group(1), method
+
+
+def test_calibrate_builds_one_weight_table_per_method(monkeypatch, capsys):
+    """LHT and bLHT's four block counts read one weight table per method."""
+    tables = []
+    real = baselines._binary_probs_on_weight_grid
+    monkeypatch.setattr(baselines, "_binary_probs_on_weight_grid",
+                        lambda *a: tables.append(1) or real(*a))
+    demo = Path(__file__).resolve().parents[1] / "demos" / "point_null_sweep.cfg"
+    assert main(["calibrate", str(demo)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "reference null angle 45, reference alternative angle 112.5",
+        "aLHT+: pre-data joint round helstrom(w0=45,w1=45.5,lam=0.010000)",
+        "LHT: blocks 1, weight 0.45, block size 0.04847, block power 0.9256",
+        "bLHT: blocks 1, weight 0.45, block size 0.04847, block power 0.9256",
+        "bLHT: blocks 2, weight 0.98, block size 0.2214, block power 0.9999",
+        "bLHT: blocks 4, weight 0.99, block size 0.2249, block power 1",
+        "bLHT: blocks 8, weight 0.99, block size 0.2249, block power 1",
+    ]
+    assert len(tables) == 2
 
 
 def test_calibrate_reports_an_infeasible_helstrom_size(tmp_path, capsys):

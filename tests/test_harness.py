@@ -215,24 +215,53 @@ class TestFixedCopyMemo:
                       config.alt_set, rng, memo={})
 
     def assert_trial_matches_recalibrating_runs(self, config, monkeypatch):
-        calibrations = []
-        for name in ("helstrom_calibration", "_calibrate_variational"):
+        """Every trial run equals a fresh-memo run, and the trial builds each
+        table once per fitted angle and calibrates once per (angle, blocks).
+
+        Returns the outcomes and, per method, the number of distinct fitted
+        angles and of distinct (angle, blocks) pairs."""
+        log, distinct = [], {}
+        for name in ("_fit_alternative", "helstrom_calibration", "_calibrate_variational",
+                     "_binary_probs_on_weight_grid", "rotated_basis_tables"):
             fn = getattr(baselines, name)
-            counted = lambda *a, fn=fn: calibrations.append(1) or fn(*a)
+
+            def counted(*a, name=name, fn=fn):
+                if name != "_fit_alternative":
+                    log.append((name, None))
+                out = fn(*a)
+                if name == "_fit_alternative":
+                    log.append((name, out))
+                return out
+
             monkeypatch.setattr(baselines, name, counted)
-        outs, trial_calibrations = [], 0
+        outs = []
         for method in config.methods:
             trial = harness.make_trial(config, method)
+            start, keys = len(log), []
             for b_idx, budget in enumerate(config.budgets):
+                blocks = harness._fixed_config(config, method, budget).blocks
                 for run in range(config.runs):
                     rng = lambda: harness.run_rng(config.master_seed, method, b_idx, run)
-                    before = len(calibrations)
                     outs.append(trial(budget, rng()))
-                    trial_calibrations += len(calibrations) - before
+                    w1 = next(v for n, v in reversed(log) if n == "_fit_alternative")
+                    keys.append((w1, blocks))
+                    before = len(log)
                     want = self.recalibrating(config, method, budget, rng())
+                    del log[before:]
                     assert outs[-1] == want, (method, budget, run)
-        assert trial_calibrations < len(outs), "the memo never hit"
-        return outs
+            events = [name for name, _ in log[start:]]
+            fitted = {w1 for name, w1 in log[start:] if name == "_fit_alternative"}
+            assert len(keys) == events.count("_fit_alternative")
+            if harness.METHODS[method].design == "helstrom":
+                assert events.count("_binary_probs_on_weight_grid") == len(fitted), method
+                assert events.count("helstrom_calibration") == len(set(keys)), method
+            else:
+                # plus the null grid's table, built once per trial
+                assert events.count("rotated_basis_tables") == len(fitted) + 1, method
+                assert events.count("_calibrate_variational") == len(set(keys)), method
+            assert len(set(keys)) < len(keys), f"the {method} memo never hit"
+            distinct[method] = (len(fitted), len(set(keys)))
+        return outs, distinct
 
     def test_point_null_all_fixed_methods_with_several_block_counts(self, monkeypatch):
         # bLHT/bLVT run 1, 2 and 3 blocks at these budgets
@@ -240,8 +269,12 @@ class TestFixedCopyMemo:
         assert [harness._fixed_config(cfg, "bLVT", b).blocks for b in cfg.budgets] == [1, 2, 3]
         for method in ("LHT", "LVT"):
             assert [harness._fixed_config(cfg, method, b).blocks for b in cfg.budgets] == [1, 1, 1]
-        outs = self.assert_trial_matches_recalibrating_runs(cfg, monkeypatch)
+        outs, distinct = self.assert_trial_matches_recalibrating_runs(cfg, monkeypatch)
         assert all(o.calibrated for o in outs)
+        # some fitted angle recurs across block counts, and its table is not rebuilt
+        for method in ("bLHT", "bLVT"):
+            angles, calibrations = distinct[method]
+            assert angles < calibrations, method
 
     @pytest.mark.parametrize(
         "null_text, alt_text",
@@ -265,7 +298,7 @@ class TestFixedCopyMemo:
             methods=("LHT", "LVT"), budgets=(10,), runs=8, eps0=1e-9, r_z=0.9, r_x=0.7,
             theta_grid_size=36,
         )
-        outs = self.assert_trial_matches_recalibrating_runs(cfg, monkeypatch)
+        outs, _ = self.assert_trial_matches_recalibrating_runs(cfg, monkeypatch)
         assert not any(o.rejected for o in outs if not o.calibrated)
         uncalibrated = [sum(not o.calibrated for o in outs[i:i + 8]) for i in (0, 8)]
         assert uncalibrated[0] > 0 and uncalibrated[1] == 8
@@ -481,6 +514,27 @@ class TestSequentialMemo:
         angle_keys = [key[1] for key in memo if key[0] in ("power", "table")]
         assert angle_keys
         assert set(angle_keys) <= grid
+
+    @pytest.mark.parametrize("sets", ["point", "interval"])
+    @pytest.mark.parametrize("kind", ["aLHT", "aLHT+", "aLVT"])
+    def test_alternative_angles_are_kept_only_where_reread(self, kind, sets, monkeypatch):
+        """On a point null a cached design is found before its alternative
+        angle's state would be read again, so aLHT+ and aLVT build and drop
+        that state; aLHT, whose designs are drawn, and interval nulls keep it."""
+        monkeypatch.setattr(engine, "_design_cache", {})
+        config = self.config(kind, self.SETS[sets], "computational", (1.0, 1.0))
+        null_angles = set(build_grid(config.null_set).angles)
+        memo = {}
+        for run in range(4):
+            rng = lambda: np.random.default_rng([5, run])
+            got = self.run(config, kind, 24, rng(), memo, 0.05)
+            self.assert_same_outcome(got, self.run(config, kind, 24, rng(), {}, 0.05))
+        angle_keys = {key[1] for key in memo if key[0] in ("power", "table")}
+        assert angle_keys & null_angles
+        if sets == "point" and kind != "aLHT":
+            assert angle_keys <= null_angles
+        else:
+            assert angle_keys - null_angles
 
 
 def arrays_in(value, seen: set):

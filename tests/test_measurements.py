@@ -368,7 +368,7 @@ def test_joint_design_raises_each_state_once(tensor_power_calls, monkeypatch, ki
     rng = np.random.default_rng(0)
     memo = {}
     null, alt = parse_hypothesis_set("[0,45]"), parse_hypothesis_set("(45,180]")
-    engine._grid_angles(memo, new_slr_state(null, alt))
+    engine._grid_angles(memo, policy, new_slr_state(null, alt))
     first = engine._joint_design(policy, FamilyConfig(), 45.0, 100.0, rng, memo)
     assert tensor_power_calls == [3, 3]
     assert engine._joint_design(policy, FamilyConfig(), 45.0, 100.0, rng, memo) is first
