@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 from qhtest import baselines, engine, measurements
 from qhtest.baselines import FixedTestConfig, run_lht
 from qhtest.engine import PolicyConfig, new_slr_state
-from qhtest.errors import DimensionMismatch
-from qhtest.family import FamilyConfig, parse_hypothesis_set, state_from_angle
+from qhtest.errors import DimensionMismatch, InfeasibleCalibration
+from qhtest.family import FamilyConfig, build_grid, parse_hypothesis_set, state_from_angle
 from qhtest.measurements import (
     _binary_probs_on_weight_grid,
     _rotated_basis_probs,
+    _spin_isometries,
     _variational_unitaries,
     expected_log_increment,
     helstrom_povm,
@@ -255,18 +256,60 @@ design_states = st.builds(
 
 
 @settings(max_examples=40, deadline=None)
-@given(states=design_states, copies=st.integers(1, 5), grid_size=st.integers(1, 120))
+@given(states=design_states, copies=st.integers(1, 6), grid_size=st.integers(1, 120))
 def test_weight_grid_kernel_matches_full_contraction(states, copies, grid_size):
-    """Contracting the kept eigenvectors only gives the full contraction's floats bit for bit.
+    """The spin-block table equals the dense full contraction within 1e-12.
 
-    A single drawn state is tested against itself, where no weight above 0.5
-    keeps an eigenvector.
+    The weights are the same floats. A single drawn state is tested against
+    itself, where no weight above 0.5 keeps an eigenvector.
     """
     pow0, pow1 = powers(states[0], states[-1], copies)
     weights, got = _binary_probs_on_weight_grid(pow0, pow1, grid_size)
     want_weights, want = reference_binary_probs(pow0, pow1, grid_size)
     assert_same_bits(weights, want_weights)
-    assert_same_bits(got, want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("copies", range(1, 7))
+def test_spin_isometries_split_the_tensor_power(copies):
+    """Each V_j is an isometry onto an invariant subspace of rho^(x)n, the V_j are
+    mutually orthogonal, and the spin blocks with their multiplicities fill 2^n
+    dimensions and carry unit trace."""
+    mults, isometries = zip(*_spin_isometries(copies))
+    stacked = np.hstack(isometries)
+    assert np.max(np.abs(stacked.T @ stacked - np.eye(stacked.shape[1]))) <= 1e-12
+    assert sum(m * v.shape[1] for m, v in zip(mults, isometries)) == 2**copies
+    rng = np.random.default_rng(copies)
+    for _ in range(3):
+        rho = tensor_power(random_qubit(rng), copies)
+        trace = sum(m * np.trace(v.T @ rho @ v) for m, v in zip(mults, isometries))
+        assert abs(trace - 1.0) <= 1e-12
+        for v in isometries:
+            assert np.max(np.abs(rho @ v - v @ (v.T @ rho @ v))) <= 1e-12
+
+
+@pytest.mark.parametrize("copies", range(1, 5))
+def test_block_table_picks_the_dense_tables_weights(copies):
+    """optimize_lambda and helstrom_calibration pick the same weight from the spin-block
+    table as from the dense one, at null 45 against every angle of the (45,180] grid."""
+    cfg = FamilyConfig()
+    pow0 = tensor_power(state_from_angle(cfg, 45.0), copies)
+    for w1 in build_grid(parse_hypothesis_set("(45,180]")).angles:
+        pow1 = tensor_power(state_from_angle(cfg, float(w1)), copies)
+        picks = []
+        for kernel in (_binary_probs_on_weight_grid, reference_binary_probs):
+            weights, p_m0 = kernel(pow0, pow1, 99)
+            columns = (weights, 1.0 - p_m0[:, 0], 1.0 - p_m0[:, 1])
+            with mock.patch.object(measurements, "_binary_probs_on_weight_grid", kernel):
+                pick = [optimize_lambda(pow0, pow1, 99)]
+            for blocks in (1, 3, 5, 7):
+                try:
+                    pick.append(baselines.helstrom_calibration(*columns, 0.05, blocks)[0])
+                except InfeasibleCalibration:
+                    pick.append(None)
+            picks.append(pick)
+        assert picks[0] == picks[1], w1
 
 
 @settings(max_examples=40, deadline=None)
