@@ -21,9 +21,10 @@ off it (SlrState.log_slr). The refined denominator is never below the null
 grid's maximum, so the grid statistic bounds log SLR from above: the run
 loop decides from that bound and refines only a state whose bound reaches
 its threshold (SlrState.crossing_log_slr), which decides exactly as the
-refined statistic would. A run reports its forward state after each round
-and reads the records and statistics off them when asked
-(TestOutcome.rounds and log_slrs).
+refined statistic would. Each state links to the state before its last
+round and holds that round's record, so a run stores each round once; it
+reports its last forward state and reads the records and statistics back
+along the chain when asked (TestOutcome.rounds and log_slrs).
 
 A round is two steps, shared with the oracle's transcript generators.
 next_measurement plans it (a RoundPlan). observe_round reduces the observed
@@ -64,7 +65,7 @@ replayable from the seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
@@ -80,6 +81,7 @@ from .family import (
     build_grid,
     estimation_log_rows,
     grid_log_probs,
+    lineage,
     log_outcome_prob,
     mle,
     outcome_coeffs,
@@ -207,7 +209,13 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class SlrState:
-    """One statistic: its RoundRecords, the two accumulated grids and the frozen numerator.
+    """One statistic: the two accumulated grids, the frozen numerator and a link to its history.
+
+    A run's first state has no previous and no record; slr_update links
+    each new state to the one it folded (previous), with record the folded
+    round's RoundRecord and n_rounds the round count. rounds reads the
+    records back along the chain, so no round is stored twice and states
+    branched from one state (the oracle's enumeration) share its history.
 
     The denominator is a function of the null grid alone: null_mle is
     mle(null_grid), refined when first read and kept, as
@@ -221,7 +229,14 @@ class SlrState:
     null_grid: ParamGrid
     alt_grid: ParamGrid
     frozen_log_numerator: float = 0.0
-    rounds: tuple = ()
+    previous: SlrState | None = field(default=None, repr=False, compare=False)
+    record: RoundRecord | None = None
+    n_rounds: int = 0
+
+    @property
+    def rounds(self) -> tuple:
+        """Each round's RoundRecord, oldest first, read back along previous."""
+        return tuple(state.record for state in lineage(self))
 
     @cached_property
     def null_mle(self) -> MleResult:
@@ -272,7 +287,9 @@ def slr_update(state: SlrState, rec: RoundRecord, grids: tuple[ParamGrid, ParamG
         null_grid=null,
         alt_grid=alt,
         frozen_log_numerator=state.frozen_log_numerator + rec.log_numerator_term,
-        rounds=state.rounds + (rec,),
+        previous=state,
+        record=rec,
+        n_rounds=state.n_rounds + 1,
     )
 
 
@@ -365,7 +382,7 @@ def predictable_estimate(
     degrades by at most the regularizer's spread (well under 0.1 nats
     here) against a crossing slack of log(1/(eps0*eps1)).
     """
-    if not state_grid.rounds:
+    if state_grid.previous is None:
         if override_angle is not None:
             return _snap_to_grid(state_grid, override_angle)
         return _default_angle(state_grid)
@@ -554,9 +571,9 @@ def next_measurement(
     """
     est = estimation_povm(policy.estimation_povm)
     w1 = predictable_estimate(state.alt_grid, cfg, est, policy.initial_alt_angle)
-    if policy.is_estimation_round(len(state.rounds)):
+    if policy.is_estimation_round(state.n_rounds):
         return RoundPlan(est, f"{policy.estimation_povm}(n=1)", laws.est_dist, w1, True)
-    w0 = state.null_mle.omega if state.rounds else _default_angle(state.null_grid)
+    w0 = state.null_mle.omega if state.n_rounds else _default_angle(state.null_grid)
     _grid_angles(memo, policy, state)
     povm, desc = _joint_design(policy, cfg, w0, w1, rng, memo)
     recurs = not policy.random_design
@@ -623,27 +640,33 @@ class TestOutcome:
     """Terminal report of one sequential run.
 
     decision is one of reject / accept / budget_exhausted (a non-rejection).
-    states holds the forward SlrState after each round, reversed_state the
-    reversed one after the last round (None for a one-sided run). The
-    statistics are read off them when asked for: final_log_slr refines at
-    most the last state and log_slrs each state not yet refined, once.
-    rounds is the forward state's records and log_slrs[i] its log SLR
-    after round i + 1 (log form: the raw ratio overflows well before
-    interesting budgets); final_log_slr_rev is None for a one-sided run.
+    final_state is the forward SlrState after the last round (the run's
+    first state if it took none), reversed_state the reversed one (None
+    for a one-sided run). states reads the forward state after each round
+    back along final_state's chain. The statistics are read off them when
+    asked for: final_log_slr refines at most the last state and log_slrs
+    each state not yet refined, once. rounds is the forward state's
+    records and log_slrs[i] its log SLR after round i + 1 (log form: the
+    raw ratio overflows well before interesting budgets);
+    final_log_slr_rev is None for a one-sided run.
     """
 
     decision: str
     copies_used: int
-    states: tuple
+    final_state: SlrState
     reversed_state: SlrState | None = None
 
     @property
+    def states(self) -> tuple:
+        return tuple(lineage(self.final_state))
+
+    @property
     def rounds(self) -> tuple:
-        return self.states[-1].rounds if self.states else ()
+        return self.final_state.rounds
 
     @property
     def rounds_used(self) -> int:
-        return len(self.states)
+        return self.final_state.n_rounds
 
     @property
     def log_slrs(self) -> tuple:
@@ -651,7 +674,7 @@ class TestOutcome:
 
     @property
     def final_log_slr(self) -> float:
-        return self.states[-1].log_slr if self.states else 0.0
+        return self.final_state.log_slr
 
     @property
     def final_log_slr_rev(self) -> float | None:
@@ -706,19 +729,17 @@ def run_sequential_test(
     laws = truth_laws(policy, truth, memo)
     threshold0 = math.log(1.0 / eps0)
     threshold1 = math.log(1.0 / eps1) if eps1 is not None else None
-    states: list[SlrState] = []
     copies_used = 0
     decision = "continue"
 
     while decision == "continue":
-        copies = 1 if policy.is_estimation_round(len(s0.rounds)) else policy.n_joint
+        copies = 1 if policy.is_estimation_round(s0.n_rounds) else policy.n_joint
         if copies_used + copies > budget:
             decision = BUDGET_EXHAUSTED
             break
         plan = next_measurement(policy, s0, cfg, laws, rng, memo)
         s0, s1 = observe_round(policy, cfg, plan, sample_outcome(plan.dist, rng), s0, s1, memo)
         copies_used += copies
-        states.append(s0)
         if s1 is None:
             crossed = one_sided_decision(s0.crossing_log_slr(threshold0), eps0)
             decision = REJECT if crossed else "continue"
@@ -727,4 +748,4 @@ def run_sequential_test(
                 s0.crossing_log_slr(threshold0), s1.crossing_log_slr(threshold1), eps0, eps1
             )
 
-    return TestOutcome(decision, copies_used, tuple(states), s1)
+    return TestOutcome(decision, copies_used, s0, s1)

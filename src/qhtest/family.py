@@ -278,18 +278,35 @@ def log_outcome_prob(coeffs: np.ndarray, omega: float) -> float:
 # --- parameter grids ------------------------------------------------------
 
 
+def lineage(last) -> list:
+    """The nodes of the .previous chain ending at last, oldest first, less the
+    first node, which has no previous (a built grid, a run's first state):
+    one node per round of a ParamGrid's or an SlrState's history.
+    """
+    nodes = []
+    while last.previous is not None:
+        nodes.append(last)
+        last = last.previous
+    nodes.reverse()
+    return nodes
+
+
 @dataclass(frozen=True)
 class ParamGrid:
-    """Grid angles, running log-likelihood sums, and each observed round's coefficient row.
+    """Grid angles, running log-likelihood sums, and a link to the grid before the last fold.
 
-    A grid is read-only apart from basis_cache and round_rows, which are
-    computed from its own fields when first read.
+    A built grid has no previous and no row; accumulate links each new grid
+    to the one it folded, with row the folded coefficient row, so grids
+    branched from one grid (the oracle's enumeration) share its history as
+    it is. A grid is read-only apart from basis_cache and round_rows, which
+    are computed from its own fields when first read.
     """
 
     angles: np.ndarray
     per_angle_loglik: np.ndarray
     segments: np.ndarray
-    rounds: tuple = ()
+    previous: ParamGrid | None = field(default=None, repr=False, compare=False)
+    row: np.ndarray | None = None
     basis_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -299,6 +316,11 @@ class ParamGrid:
 
     def basis(self, copies: int) -> np.ndarray:
         return memoized(self.basis_cache, copies, _fourier_basis, self.angles, copies)
+
+    @property
+    def rounds(self) -> tuple:
+        """Each folded round's coefficient row, oldest first, read back along previous."""
+        return tuple(grid.row for grid in lineage(self))
 
     @cached_property
     def round_rows(self) -> tuple[list, list, int]:
@@ -384,8 +406,9 @@ def accumulate(
 
     log_probs, when given, is grid_log_probs(grid, coeffs) computed
     earlier (the engine keeps it per trial); adding it gives the same
-    floats as computing it here. The new grid shares grid's basis_cache
-    and builds its own round_rows.
+    floats as computing it here. The new grid links to grid (previous)
+    and holds coeffs (row), so folding copies no history; it shares
+    grid's basis_cache and builds its own round_rows.
     """
     if log_probs is None:
         log_probs = grid_log_probs(grid, coeffs)
@@ -393,7 +416,8 @@ def accumulate(
         angles=grid.angles,
         per_angle_loglik=grid.per_angle_loglik + log_probs,
         segments=grid.segments,
-        rounds=grid.rounds + (coeffs,),
+        previous=grid,
+        row=coeffs,
         basis_cache=grid.basis_cache,
     )
 
@@ -460,7 +484,7 @@ def mle(grid: ParamGrid) -> MleResult:
     j = int(np.argmax(grid.per_angle_loglik))
     omega = float(grid.angles[j])
     best = float(grid.per_angle_loglik[j])
-    if grid.rounds and 0 < j < grid.angles.shape[0] - 1:
+    if grid.previous is not None and 0 < j < grid.angles.shape[0] - 1:
         seg = grid.segments
         if seg[j - 1] == seg[j] == seg[j + 1]:
             x, fx = _golden_max(

@@ -187,20 +187,26 @@ def _binary_probs_on_weight_grid(
 
     over the eigenvectors v of block j's operator with eigenvalue above
     PROJECTOR_TOL: one batched eigendecomposition of blocks of size
-    2j + 1 <= n + 1 per spin instead of one of 2^n x 2^n matrices. The
-    table agrees with the dense contraction over all 2^n eigenvectors
-    within 1e-12; callers read only the weight they pick from it.
+    2j + 1 <= n + 1 per spin instead of one of 2^n x 2^n matrices. Block
+    j's operator is (1 - 2w) B_0 + w D, with D = V_j^T (pow0 - pow1) V_j
+    projected on its own and B_1 = B_0 - D, not (1 - w) B_0 - w B_1 from
+    two projections: for nearly equal states those are rounded apart, and
+    near w = 0.5 their small difference is the whole operator. The table
+    agrees with the dense contraction over all 2^n eigenvectors within
+    1e-12; callers read only the weight they pick from it.
     """
     weights = np.arange(1, grid_size + 1) / (grid_size + 1)
     n = pow0.shape[0].bit_length() - 1
     table = np.zeros((2, grid_size))
+    diff = pow0 - pow1
     for mult, v in _spin_isometries(n):
-        blocks = np.stack([v.T @ pow0 @ v, v.T @ pow1 @ v])
+        b0, d = v.T @ pow0 @ v, v.T @ diff @ v
+        blocks = np.stack([b0, b0 - d, d])
         blocks = (blocks + blocks.conj().transpose(0, 2, 1)) / 2.0
-        a = (1.0 - weights)[:, None, None] * blocks[0] - weights[:, None, None] * blocks[1]
+        a = (1.0 - 2.0 * weights)[:, None, None] * blocks[0] + weights[:, None, None] * blocks[2]
         vals, vecs = np.linalg.eigh(a)
         kept = vecs * (vals > PROJECTOR_TOL)[:, None, :]
-        quad = (kept.conj() * (blocks[:, None] @ kept)).real.sum(axis=(-2, -1))
+        quad = (kept.conj() * (blocks[:2, None] @ kept)).real.sum(axis=(-2, -1))
         table += mult * quad
     return weights, table.T.clip(0.0, 1.0)
 

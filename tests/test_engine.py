@@ -1,6 +1,8 @@
 """Tests for the sequential split-likelihood-ratio engine."""
 
+import gc
 import math
+import types
 
 import numpy as np
 import pytest
@@ -683,6 +685,43 @@ def test_an_outcome_refines_only_the_states_it_is_asked_for(monkeypatch, eps1):
     before = len(refined)
     assert out.log_slrs == log_slrs and log_slrs[-1] == final
     assert len(refined) == before
+
+
+def reachable_references(root):
+    """References held by the objects reachable from root. The walk does not
+    enter arrays and POVMs, whose size does not grow with the rounds, nor
+    classes, modules and functions, which lead out of the run."""
+    opaque = (np.ndarray, Povm, type, types.ModuleType, types.FunctionType)
+    seen = {id(root)}
+    stack = [root]
+    count = 0
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, opaque):
+            continue
+        refs = gc.get_referents(obj)
+        count += len(refs)
+        for ref in refs:
+            if id(ref) not in seen:
+                seen.add(id(ref))
+                stack.append(ref)
+    return count
+
+
+@pytest.mark.parametrize("eps1", [None, 1e-6])
+def test_a_run_stores_its_history_in_linear_space(eps1):
+    """Doubling the budget of a run that goes to it at most doubles what its
+    outcome holds (within 10%): each round is stored once, not once per state."""
+    counts = []
+    for budget in (100, 200):
+        out = run_sequential_test(
+            PolicyConfig(kind="aLHT+"), state_from_angle(CFG, 45.0), CFG,
+            parse_hypothesis_set("{45}"), ALT_UPPER, 1e-6, budget,
+            np.random.default_rng(7), eps1=eps1,
+        )
+        assert out.decision == BUDGET_EXHAUSTED and out.rounds_used == 7 * budget // 10
+        counts.append(reachable_references(out))
+    assert counts[1] <= 2.2 * counts[0]
 
 
 # null, alternative, and an on-grid, an off-grid and an alternative truth

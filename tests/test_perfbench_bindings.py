@@ -57,3 +57,14 @@ def test_counted_caches_are_dicts():
 )
 def test_probed_arguments_keep_their_positions(fn, position, name):
     assert list(inspect.signature(fn).parameters)[position] == name
+
+
+def test_an_accumulated_grid_counts_its_folds():
+    """The tracer's loglik_at probe counts a grid's round terms as len(grid.rounds)."""
+    cfg = family.FamilyConfig()
+    grid = family.build_grid(family.parse_hypothesis_set("[0,45]"))
+    assert len(grid.rounds) == 0
+    rows = [family.outcome_coeffs(cfg, e) for e in engine.estimation_povm("sic").elements]
+    for folds, row in enumerate(rows + rows[:2], start=1):
+        grid = family.accumulate(grid, row)
+        assert len(grid.rounds) == folds
