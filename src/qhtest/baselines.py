@@ -22,30 +22,38 @@ run_lht / run_blht and run_lvt / run_blvt name these two runners.
 Majority votes reject on strictly more than half the blocks, so even-split
 ties accept; with b = 1 the size rule and the vote are the single block's.
 
-A calibrated block test depends on the run's data only through the fitted
-grid angle w1, so every runner takes a memo dict that keeps the test's
-parts at three levels, each built once:
+Both runners share one run body, _run_blocks: fit w1, look up the block
+test calibrated at w1 and vote. A calibrated block test depends on the
+run's data only through the fitted grid angle w1, so every runner takes a
+memo dict that keeps the test's parts at four levels, each built once:
 
-* per trial, under string keys: the estimation law and the alternative
-  grid's log rows ("estimation"), the truth's joint-copy power ("truth
-  power"), and the null state's power ("null power", Helstrom) or the
-  null grid's rotated-basis table ("null table", variational);
+* per trial, under string keys: the alternative grid's angles and log
+  rows ("estimation"), and the null state's power ("null power",
+  Helstrom) or the null grid's rotated-basis table ("null table",
+  variational);
+* per truth, in TruthLaws.memo: measurements.truth_laws keeps the
+  truth's TruthLaws under memo["truth"], the one owner of what depends on
+  the truth for the engine's runs and these alike, and rebuilds it when a
+  run brings another truth. It holds the truth's estimation law and its
+  joint-copy power;
 * per fitted angle, under ("weight table", w1) or ("rotated table", w1):
   the alternative's power with its weight-grid size and power columns,
   or its rotated-basis table; these are the costly kernels, and they do
-  not depend on the block count;
-* per (w1, blocks): the decided block test, i.e. the size rule's pick,
-  the truth's outcome distribution on that joint measurement, the
+  not depend on the block count or the truth;
+* per (w1, blocks), in TruthLaws.memo as well, since it holds the truth's
+  law: the decided block test, i.e. the truth's outcome distribution on
+  the size rule's joint measurement (not the measurement itself), the
   outcomes that vote to reject and the setting in words, or None when no
   setting meets the size (the run then accepts without drawing).
 
 So a trial holds at most one weight table (grid_size weights and two
 columns, plus one power matrix) or one (theta_grid_size, 2^n) rotated
 table per alternative grid angle it fitted. A memo serves one trial as
-built by harness.make_trial: one truth, family, hypothesis pair and set
-of design settings, with only the budget varying; a fresh {} recalibrates.
-A hit draws the same blocks from the same distribution, so the random
-stream and every decision are those of a run that recalibrated.
+built by harness.make_trial: one family, hypothesis pair and set of
+design settings, with the budget and even the truth varying; a fresh {}
+recalibrates. A hit draws the same blocks from the same distribution, so
+the random stream and every decision are those of a run that
+recalibrated.
 """
 
 from __future__ import annotations
@@ -55,7 +63,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import check_design_settings, estimation_povm
 from .errors import ConfigError, InfeasibleCalibration
 from .family import (
     DEFAULT_RESOLUTION,
@@ -69,11 +76,15 @@ from .family import (
 from .measurements import (
     _binary_probs_on_weight_grid,
     _u_cache,  # noqa: F401  (perfbench/child.py reports len(baselines._u_cache))
+    TruthLaws,
+    check_design_settings,
+    estimation_povm,
     helstrom_povm,
     rotated_basis_tables,
+    truth_laws,
     variational_povm,
 )
-from .quantum import OutcomeDistribution, Povm, born_distribution, memoized, sample_outcome, tensor_power
+from .quantum import OutcomeDistribution, Povm, memoized, sample_outcome, tensor_power
 
 SIZE_SLACK = 1e-12
 
@@ -131,13 +142,6 @@ class FixedOutcome:
         return self.decision == 1
 
 
-def _fixed_outcome(fcfg: FixedTestConfig, decision: int, calibrated: bool = True) -> FixedOutcome:
-    """Every fixed-copy run spends its whole budget, in m + b rounds."""
-    return FixedOutcome(
-        decision, fcfg.total_budget, fcfg.estimation_copies + fcfg.blocks, calibrated
-    )
-
-
 def _majority(blocks: int) -> int:
     return blocks // 2 + 1
 
@@ -155,12 +159,11 @@ def _majority_tail(alpha: np.ndarray, blocks: int) -> np.ndarray:
 
 
 def _estimation(
-    fcfg: FixedTestConfig, truth: np.ndarray, cfg: FamilyConfig, alt_set: HypothesisSet
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """alt_set's grid angles, the truth's cumulative estimation law and the grid's log rows."""
+    fcfg: FixedTestConfig, cfg: FamilyConfig, alt_set: HypothesisSet
+) -> tuple[np.ndarray, np.ndarray]:
+    """alt_set's grid angles and the grid's log rows under the estimation POVM."""
     grid = build_grid(alt_set, fcfg.resolution)
-    povm = estimation_povm(fcfg.estimation_povm)
-    return grid.angles, born_distribution(truth, povm)._cum, estimation_log_rows(grid, cfg, povm)
+    return grid.angles, estimation_log_rows(grid, cfg, estimation_povm(fcfg.estimation_povm))
 
 
 def _fit_alternative(
@@ -172,7 +175,8 @@ def _fit_alternative(
     memo: dict,
 ) -> float:
     """Grid MLE angle on alt_set's grid from m single-copy estimation rounds."""
-    angles, cum, log_rows = memoized(memo, "estimation", _estimation, fcfg, truth, cfg, alt_set)
+    angles, log_rows = memoized(memo, "estimation", _estimation, fcfg, cfg, alt_set)
+    cum = truth_laws(truth, memo).dist(estimation_povm(fcfg.estimation_povm), True)._cum
     idx = np.searchsorted(cum, rng.random(fcfg.estimation_copies), side="right")
     counts = np.bincount(np.minimum(idx, len(cum) - 1), minlength=len(cum))
     return float(angles[int(np.argmax(counts @ log_rows))])
@@ -187,28 +191,30 @@ class _BlockTest:
     setting: str
 
 
-def _block_test(
-    fcfg: FixedTestConfig, truth: np.ndarray, povm: Povm, rejects, setting: str, memo: dict
-) -> _BlockTest:
+def _block_test(laws: TruthLaws, povm: Povm, rejects, setting: str) -> _BlockTest:
     """The block test measuring povm; rejects[i] is the vote of outcome povm.labels[i]."""
-    truth_power = memoized(memo, "truth power", tensor_power, truth, fcfg.joint_copies)
-    dist = born_distribution(truth_power, povm)
-    return _BlockTest(dist, frozenset(x for x, r in zip(povm.labels, rejects) if r), setting)
+    rejecting = frozenset(x for x, r in zip(povm.labels, rejects) if r)
+    return _BlockTest(laws.dist(povm, False), rejecting, setting)
 
 
-def _block_vote(fcfg: FixedTestConfig, test: _BlockTest, rng: np.random.Generator) -> FixedOutcome:
-    """Majority vote of fcfg.blocks independent draws of the block test."""
-    votes = sum(sample_outcome(test.dist, rng) in test.rejecting for _ in range(fcfg.blocks))
-    return _fixed_outcome(fcfg, int(votes >= _majority(fcfg.blocks)))
+def _run_blocks(block_test, fcfg, truth, cfg, null, alt_set, rng, memo) -> FixedOutcome:
+    """The run body of both runners, whose arguments it takes after block_test.
 
-
-def _decide(
-    fcfg: FixedTestConfig, test: _BlockTest | None, rng: np.random.Generator
-) -> FixedOutcome:
-    """Vote with the block test, or accept without drawing when none met the size."""
-    if test is None:
-        return _fixed_outcome(fcfg, 0, calibrated=False)
-    return _block_vote(fcfg, test, rng)
+    A majority vote over fcfg.blocks draws of the block test calibrated at
+    the fitted angle w1. block_test(fcfg, laws, cfg, null, w1, memo) builds
+    that test, or None when no setting meets the size; the run then
+    accepts without drawing. Every run spends its whole budget, in m + b
+    rounds.
+    """
+    w1 = _fit_alternative(fcfg, truth, cfg, alt_set, rng, memo)
+    laws = memo["truth"]  # _fit_alternative has just read it through truth_laws
+    test = memoized(laws.memo, (w1, fcfg.blocks), block_test, fcfg, laws, cfg, null, w1, memo)
+    decision = 0
+    if test is not None:
+        votes = sum(sample_outcome(test.dist, rng) in test.rejecting for _ in range(fcfg.blocks))
+        decision = int(votes >= _majority(fcfg.blocks))
+    rounds = fcfg.estimation_copies + fcfg.blocks
+    return FixedOutcome(decision, fcfg.total_budget, rounds, test is not None)
 
 
 def helstrom_calibration(
@@ -251,7 +257,7 @@ def _weight_table(
 
 def _helstrom_block_test(
     fcfg: FixedTestConfig,
-    truth: np.ndarray,
+    laws: TruthLaws,
     cfg: FamilyConfig,
     omega0: float,
     w1: float,
@@ -269,7 +275,7 @@ def _helstrom_block_test(
         return None
     setting = f"weight {lam:g}, block size {alpha:.4g}, block power {power:.4g}"
     povm = helstrom_povm(pow0, pow1, lam)
-    return _block_test(fcfg, truth, povm, (False, True), setting, memo)
+    return _block_test(laws, povm, (False, True), setting)
 
 
 def _run_helstrom_family(
@@ -282,10 +288,7 @@ def _run_helstrom_family(
     memo: dict,
 ) -> FixedOutcome:
     """LHT and bLHT: majority vote over b Helstrom blocks sharing one estimate (LHT: b = 1)."""
-    w1 = _fit_alternative(fcfg, truth, cfg, alt_set, rng, memo)
-    key = (w1, fcfg.blocks)
-    test = memoized(memo, key, _helstrom_block_test, fcfg, truth, cfg, omega0, w1, memo)
-    return _decide(fcfg, test, rng)
+    return _run_blocks(_helstrom_block_test, fcfg, truth, cfg, omega0, alt_set, rng, memo)
 
 
 def _calibrate_variational(
@@ -339,7 +342,7 @@ def variational_calibration(
 
 def _variational_block_test(
     fcfg: FixedTestConfig,
-    truth: np.ndarray,
+    laws: TruthLaws,
     cfg: FamilyConfig,
     null_set: HypothesisSet,
     w1: float,
@@ -361,7 +364,7 @@ def _variational_block_test(
     theta = float(thetas[t_best])
     setting = f"rotation {theta:g} rad, threshold {threshold:g}, block power {power:.4g}"
     povm = variational_povm(theta, fcfg.joint_copies)
-    return _block_test(fcfg, truth, povm, ratio_row >= threshold, setting, memo)
+    return _block_test(laws, povm, ratio_row >= threshold, setting)
 
 
 def _run_variational_family(
@@ -374,10 +377,7 @@ def _run_variational_family(
     memo: dict,
 ) -> FixedOutcome:
     """LVT and bLVT: majority vote over b variational blocks sharing one estimate (LVT: b = 1)."""
-    w1 = _fit_alternative(fcfg, truth, cfg, alt_set, rng, memo)
-    key = (w1, fcfg.blocks)
-    test = memoized(memo, key, _variational_block_test, fcfg, truth, cfg, null_set, w1, memo)
-    return _decide(fcfg, test, rng)
+    return _run_blocks(_variational_block_test, fcfg, truth, cfg, null_set, alt_set, rng, memo)
 
 
 # Four method names, two runners. harness.make_trial calls each method's runs

@@ -168,7 +168,7 @@ def _cmd_calibrate(args) -> int:
                 print(f"{method}: weight drawn uniformly at random each block")
                 continue
             memo: dict = {}
-            laws = engine.truth_laws(policy, truth, memo)
+            laws = engine.truth_laws(truth, memo)
             plan = engine.next_measurement(policy, state, fam, laws, None, memo)
             print(f"{method}: pre-data joint round {plan.descriptor}")
             continue
@@ -183,7 +183,7 @@ def _cmd_calibrate(args) -> int:
         memo: dict = {}
         fcfgs = [harness._fixed_config(config, method, b) for b in config.budgets]
         for fcfg in {f.blocks: f for f in fcfgs}.values():
-            test = block_test(fcfg, truth, fam, null, w1, memo)
+            test = block_test(fcfg, engine.truth_laws(truth, memo), fam, null, w1, memo)
             setting = test.setting if test else (
                 f"no {_SETTING[design]} meets size {config.eps0:g}, "
                 "so the test always accepts"

@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -90,44 +90,19 @@ from .family import (
     state_from_angle,
 )
 from .measurements import (
+    TruthLaws,
+    check_design_settings,
+    estimation_povm,
     helstrom_povm,
     optimize_lambda,
     optimize_theta,
     rotated_basis_tables,
+    truth_laws,
     variational_povm,
 )
-from .quantum import (
-    OutcomeDistribution,
-    Povm,
-    born_distribution,
-    computational_basis_povm,
-    memoized,
-    sample_outcome,
-    sic_povm_qubit,
-    tensor_power,
-    validate_density,
-)
+from .quantum import OutcomeDistribution, Povm, memoized, sample_outcome, tensor_power
 
 POLICY_KINDS = ("aLHT", "aLHT+", "aLVT")
-ESTIMATION_POVMS = ("computational", "sic")
-
-
-@cache
-def estimation_povm(name: str) -> Povm:
-    """Single-copy estimation measurement named in ESTIMATION_POVMS, built once."""
-    if name == "computational":
-        return computational_basis_povm(1)
-    if name == "sic":
-        return sic_povm_qubit()
-    raise ConfigError(f"unknown estimation POVM {name!r}, expected {ESTIMATION_POVMS}")
-
-
-def check_design_settings(estimation: str, lambda_grid_size: int, theta_grid_size: int) -> None:
-    """ConfigError for an unknown estimation POVM or an empty design grid."""
-    estimation_povm(estimation)
-    if lambda_grid_size < 1 or theta_grid_size < 1:
-        raise ConfigError("lambda_grid_size and theta_grid_size must be >= 1")
-
 
 NUMERATOR_FLOOR = 1e-12
 _LOG_NUMERATOR_FLOOR = math.log(NUMERATOR_FLOOR)
@@ -402,6 +377,9 @@ def predictable_estimate(
 #   ("outcome", id(M), x, id(A0), id(A1))  outcome x of a recurring POVM M:
 #                             its row and log vectors on lattices A0, A1 (_reduced)
 #   "truth"                   the TruthLaws of the last truth seen
+#                             (measurements.truth_laws): its n_joint-copy power
+#                             and its law under each recurring POVM, rebuilt
+#                             when another truth arrives
 # A POVM recurs when it is the estimation POVM or comes from _design_cache,
 # i.e. every POVM but aLHT's, whose random weight makes each one new;
 # next_measurement decides it once per round (RoundPlan.recurs). What
@@ -522,40 +500,6 @@ class RoundPlan:
     recurs: bool
 
 
-class TruthLaws:
-    """The truth's estimation-round distribution, its n_joint-copy power,
-    and its distribution under each recurring joint POVM measured so far
-    (keyed on the POVM's id, with the POVM held so the id stays unique).
-    """
-
-    __slots__ = ("truth", "est_dist", "joint_power", "_joint")
-
-    def __init__(self, truth: np.ndarray, est_dist: OutcomeDistribution, joint_power: np.ndarray):
-        self.truth = truth
-        self.est_dist = est_dist
-        self.joint_power = joint_power
-        self._joint: dict = {}
-
-    def joint_dist(self, povm: Povm, recurs: bool) -> OutcomeDistribution:
-        build = lambda: (povm, born_distribution(self.joint_power, povm))
-        return (memoized(self._joint, id(povm), build) if recurs else build())[1]
-
-
-def truth_laws(policy: PolicyConfig, truth: np.ndarray, memo: dict) -> TruthLaws:
-    """The truth's TruthLaws, built once per trial.
-
-    The memo keeps those of the last truth it saw, on a read-only copy, and
-    rebuilds them when a run brings another truth, even one the caller
-    wrote into the array it passed before.
-    """
-    laws = memo.get("truth")
-    if laws is None or not np.array_equal(laws.truth, truth):
-        truth = validate_density(truth)
-        est_dist = born_distribution(truth, estimation_povm(policy.estimation_povm))
-        laws = memo["truth"] = TruthLaws(truth, est_dist, tensor_power(truth, policy.n_joint))
-    return laws
-
-
 def next_measurement(
     policy: PolicyConfig,
     state: SlrState,
@@ -572,12 +516,12 @@ def next_measurement(
     est = estimation_povm(policy.estimation_povm)
     w1 = predictable_estimate(state.alt_grid, cfg, est, policy.initial_alt_angle)
     if policy.is_estimation_round(state.n_rounds):
-        return RoundPlan(est, f"{policy.estimation_povm}(n=1)", laws.est_dist, w1, True)
+        return RoundPlan(est, f"{policy.estimation_povm}(n=1)", laws.dist(est, True), w1, True)
     w0 = state.null_mle.omega if state.n_rounds else _default_angle(state.null_grid)
     _grid_angles(memo, policy, state)
     povm, desc = _joint_design(policy, cfg, w0, w1, rng, memo)
     recurs = not policy.random_design
-    return RoundPlan(povm, desc, laws.joint_dist(povm, recurs), w1, recurs)
+    return RoundPlan(povm, desc, laws.dist(povm, recurs), w1, recurs)
 
 
 def observe_round(
@@ -708,7 +652,7 @@ def run_sequential_test(
     threshold, and the rest only when the outcome's statistics are read.
     Decisions, draws and every reported float are those of a loop that
     refines every state each round. truth is
-    a 2x2 density matrix, raised to n_joint copies once per memo. memo is
+    a 2x2 density matrix, raised to n_joint copies once per truth. memo is
     the trial's memo (see the trial memo above); without one the run
     keeps its own, and the result is the same.
     """
@@ -726,7 +670,7 @@ def run_sequential_test(
     memo = {} if memo is None else memo
     s0 = new_slr_state(null_set, alt_set, resolution)
     s1 = SlrState(null_grid=s0.alt_grid, alt_grid=s0.null_grid) if eps1 is not None else None
-    laws = truth_laws(policy, truth, memo)
+    laws = truth_laws(truth, memo)
     threshold0 = math.log(1.0 / eps0)
     threshold1 = math.log(1.0 / eps1) if eps1 is not None else None
     copies_used = 0

@@ -24,7 +24,7 @@ import numpy as np
 
 # run_* are the entry points METHODS names; make_trial calls them by name.
 from .baselines import FixedOutcome, FixedTestConfig, run_blht, run_blvt, run_lht, run_lvt
-from .engine import PolicyConfig, check_design_settings, conservative_start, run_sequential_test
+from .engine import PolicyConfig, conservative_start, run_sequential_test
 from .errors import ConfigError, InvalidBlochVector, IoError, ParseError
 from .family import (
     DEFAULT_RESOLUTION,
@@ -35,6 +35,7 @@ from .family import (
     sets_disjoint,
     state_from_angle,
 )
+from .measurements import check_design_settings
 from .quantum import MAX_TENSOR_DIM
 
 
@@ -252,10 +253,11 @@ def make_trial(config: ExperimentConfig, method: str):
 
     Every trial owns one memo dict, passed to every run it makes. The
     memo lives as long as the trial, one method's sweep, and no two trials
-    share one. What it keeps is set out by the engine's trial memo for a
-    sequential method and by the baselines module for a fixed-copy one;
-    like every cache it is filled by quantum.memoized, which stores values
-    read-only.
+    share one. What depends on the truth, for every method, is the memo's
+    measurements.TruthLaws (memo["truth"], rebuilt when another truth arrives);
+    the rest is set out by the engine's trial memo for a sequential method
+    and by the baselines module for a fixed-copy one. Like every cache it
+    is filled by quantum.memoized, which stores values read-only.
     """
     fam = config.family()
     truth = state_from_angle(fam, config.truth_omega)

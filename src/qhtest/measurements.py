@@ -1,6 +1,14 @@
-"""Joint measurement designs: weighted Helstrom tests and a variational family.
+"""Measurement designs: the single-copy estimation POVMs, weighted Helstrom
+tests and a variational family.
 
-Two parametric designs act on blocks of n fresh copies:
+What the sequential engine and the fixed-copy baselines both read of
+their measurements lives here: estimation_povm names the single-copy
+measurement of a test's estimation rounds (ESTIMATION_POVMS),
+check_design_settings validates a config's design settings, and
+TruthLaws, kept in a trial's memo by truth_laws, is the one owner of what
+depends on the unknown truth: its n-copy powers and its law under each
+measurement a run makes. Two parametric joint designs act on blocks of n
+fresh copies:
 
 * helstrom_povm: the binary measurement {M_0, M_1} with M_0 the projector
   onto the positive eigenspace of (1 - w) rho_0^(x)n - w rho_1^(x)n. Outcome
@@ -63,11 +71,84 @@ from functools import cache
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import ConfigError, DimensionMismatch
 from .family import P_FLOOR, FamilyConfig, state_from_angle
-from .quantum import Povm, memoized, positive_eigenprojector, tensor_power
+from .quantum import (
+    OutcomeDistribution,
+    Povm,
+    born_distribution,
+    computational_basis_povm,
+    memoized,
+    positive_eigenprojector,
+    sic_povm_qubit,
+    tensor_power,
+    validate_density,
+)
 
 PROJECTOR_TOL = 1e-10
+ESTIMATION_POVMS = ("computational", "sic")
+
+
+@cache
+def estimation_povm(name: str) -> Povm:
+    """Single-copy estimation measurement named in ESTIMATION_POVMS, built once."""
+    if name == "computational":
+        return computational_basis_povm(1)
+    if name == "sic":
+        return sic_povm_qubit()
+    raise ConfigError(f"unknown estimation POVM {name!r}, expected {ESTIMATION_POVMS}")
+
+
+def check_design_settings(estimation: str, lambda_grid_size: int, theta_grid_size: int) -> None:
+    """ConfigError for an unknown estimation POVM or an empty design grid."""
+    estimation_povm(estimation)
+    if lambda_grid_size < 1 or theta_grid_size < 1:
+        raise ConfigError("lambda_grid_size and theta_grid_size must be >= 1")
+
+
+class TruthLaws:
+    """What a test reads of its truth, built once per truth.
+
+    memo holds the truth's n-copy powers under ("power", n), copy count 1
+    seeded with the truth itself, and its law under each recurring POVM
+    under ("dist", id(povm)), with the POVM held so the id stays unique.
+    Whatever else depends on the truth (a fixed-copy trial's decided block
+    tests) is kept in memo too, so it is dropped with the truth.
+    """
+
+    __slots__ = ("truth", "memo")
+
+    def __init__(self, truth: np.ndarray):
+        self.truth = truth
+        self.memo: dict = {("power", 1): truth}
+
+    def power(self, copies: int) -> np.ndarray:
+        return memoized(self.memo, ("power", copies), tensor_power, self.truth, copies)
+
+    def dist(self, povm: Povm, recurs: bool) -> OutcomeDistribution:
+        """The truth's law under povm, on the copies povm's dimension holds; kept when recurs."""
+        def build():
+            copies = round(math.log(povm.dim, self.truth.shape[0]))
+            return povm, born_distribution(self.power(copies), povm)
+
+        return (memoized(self.memo, ("dist", id(povm)), build) if recurs else build())[1]
+
+
+def truth_laws(truth: np.ndarray, memo: dict) -> TruthLaws:
+    """The truth's TruthLaws, kept under memo["truth"].
+
+    The memo keeps those of the last truth it saw, on a read-only copy, and
+    rebuilds them when a run brings another truth, even one the caller
+    wrote into the array it passed before. Every run of every method asks,
+    so the truths are compared as complex bytes, a ninth of the cost of
+    np.array_equal; a truth that differs only in the sign of a zero is
+    rebuilt too, to the same laws.
+    """
+    laws = memo.get("truth")
+    given = np.asarray(truth, dtype=complex)
+    if laws is None or given.shape != laws.truth.shape or given.tobytes() != laws.truth.tobytes():
+        laws = memo["truth"] = TruthLaws(validate_density(truth))
+    return laws
 
 
 def helstrom_povm(pow0: np.ndarray, pow1: np.ndarray, weight: float) -> Povm:

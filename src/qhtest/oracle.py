@@ -79,7 +79,7 @@ def enumerate_transcripts(
         raise HorizonTooLarge(f"horizon must be in 1..{MAX_HORIZON}, got {horizon}")
     rng = _HalfDraw()
     memo: dict = {}
-    laws = truth_laws(policy, truth, memo)
+    laws = truth_laws(truth, memo)
     out: list[Branch] = []
 
     def walk(state: SlrState, prob: float, depth: int):
@@ -226,7 +226,7 @@ def sample_transcript(
     """
     state = new_slr_state(null_set, alt_set, resolution)
     memo: dict = {}
-    laws = truth_laws(policy, truth, memo)
+    laws = truth_laws(truth, memo)
     logs = np.empty(n_rounds)
     for t in range(n_rounds):
         plan = next_measurement(policy, state, cfg, laws, rng, memo)

@@ -190,12 +190,34 @@ def test_infeasible_variational_calibration_raises_and_run_accepts(monkeypatch):
     with pytest.raises(InfeasibleCalibration):
         variational_calibration(q[:, :, 0], pn, 1e-9, 1)
     # the run accepts without building a design or drawing a block
-    monkeypatch.setattr(baselines, "_block_vote", None)
+    monkeypatch.setattr(baselines, "sample_outcome", None)
     fcfg = FixedTestConfig(10, eps0=1e-9, theta_grid_size=36)
     out = run_lvt(fcfg, state_from_angle(mixed, 90.0), mixed, NULL_POINT, ALT_UPPER,
                   np.random.default_rng(1), memo={})
     assert (out.decision, out.copies_used, out.rounds_used) == (0, 10, 7)
     assert not out.calibrated
+
+
+# Far truths fit different angles; near ones often fit the same angle, so
+# they would share a decided block test.
+@pytest.mark.parametrize("angles", [(150.0, 45.0), (90.0, 100.0)], ids=["far", "near"])
+@pytest.mark.parametrize(
+    "runner, blocks",
+    [(run_lht, 1), (run_blht, 3), (run_lvt, 1), (run_blvt, 3)],
+    ids=["LHT", "bLHT", "LVT", "bLVT"],
+)
+def test_a_memo_shared_across_truths_changes_no_run(runner, blocks, angles):
+    """As for the engine's memo, one fixed-copy memo may serve runs of
+    different truths: each run decides as it does on a fresh memo."""
+    fcfg = FixedTestConfig(40, blocks=blocks)
+    null = 45.0 if runner is run_lht else NULL_POINT
+    truths = [state_from_angle(CFG, angle) for angle in angles]
+    memo = {}
+    for k in range(200):
+        truth = truths[k % 2]
+        got = runner(fcfg, truth, CFG, null, ALT_UPPER, np.random.default_rng(k), memo)
+        want = runner(fcfg, truth, CFG, null, ALT_UPPER, np.random.default_rng(k), {})
+        assert (got.decision, got.calibrated) == (want.decision, want.calibrated), k
 
 
 def test_lht_type_one_error_within_monte_carlo_band():

@@ -453,7 +453,7 @@ def test_observe_round_refuses_a_reversed_state_with_other_grids():
     policy = PolicyConfig(kind="aLHT+", n_ic=2, n_joint=2, lambda_grid_size=9)
     s0 = new_slr_state(NULL_POINT, ALT_UPPER)
     memo = {}
-    laws = engine.truth_laws(policy, state_from_angle(CFG, 90.0), memo)
+    laws = engine.truth_laws(state_from_angle(CFG, 90.0), memo)
     plan = engine.next_measurement(policy, s0, CFG, laws, None, memo)
     for s1 in (
         new_slr_state(ALT_UPPER, parse_hypothesis_set("[0,45]")),
@@ -561,7 +561,7 @@ def test_a_state_refines_its_null_mle_only_when_read(monkeypatch):
     s0 = new_slr_state(parse_hypothesis_set("[0,45]"), ALT_UPPER)
     s1 = engine.SlrState(null_grid=s0.alt_grid, alt_grid=s0.null_grid)
     memo = {}
-    laws = engine.truth_laws(policy, state_from_angle(CFG, 22.3), memo)
+    laws = engine.truth_laws(state_from_angle(CFG, 22.3), memo)
     for outcome in ("0", "1"):  # two estimation rounds, whose plans read no null estimate
         plan = engine.next_measurement(policy, s0, CFG, laws, None, memo)
         s0, s1 = engine.observe_round(policy, CFG, plan, outcome, s0, s1, memo)
@@ -758,7 +758,7 @@ def test_the_grid_bound_decides_like_the_refined_statistic(
     null_set, alt_set = parse_hypothesis_set(null), parse_hypothesis_set(alt)
     policy = PolicyConfig(kind=kind, n_ic=1, n_joint=2, lambda_grid_size=9, theta_grid_size=36)
     memo, rng = {}, np.random.default_rng(seed)
-    laws = engine.truth_laws(policy, state_from_angle(CFG, truths[truth]), memo)
+    laws = engine.truth_laws(state_from_angle(CFG, truths[truth]), memo)
     s0 = new_slr_state(null_set, alt_set)
     s1 = engine.SlrState(null_grid=s0.alt_grid, alt_grid=s0.null_grid) if two_sided else None
     for _ in range(rounds):
@@ -786,7 +786,7 @@ def reference_run(policy, truth, null_set, alt_set, eps0, budget, seed, eps1=Non
     memo, rng = {}, np.random.default_rng(seed)
     s0 = new_slr_state(null_set, alt_set)
     s1 = None if eps1 is None else engine.SlrState(null_grid=s0.alt_grid, alt_grid=s0.null_grid)
-    laws = engine.truth_laws(policy, truth, memo)
+    laws = engine.truth_laws(truth, memo)
     log_slrs, trace, copies_used, decision = [], [], 0, "continue"
     while decision == "continue":
         copies = 1 if policy.is_estimation_round(len(s0.rounds)) else policy.n_joint
@@ -935,7 +935,7 @@ def test_record_round_reduces_each_outcome_once(monkeypatch, kind):
     monkeypatch.setattr(engine, "predictable_estimate", counted_fit)
     truth = state_from_angle(CFG, 100.0)
     memo = {}
-    laws = engine.truth_laws(policy, truth, memo)
+    laws = engine.truth_laws(truth, memo)
     rng = np.random.default_rng(5)
     for t in range(1, 10):
         copies = policy.n_joint if t % 3 == 0 else 1

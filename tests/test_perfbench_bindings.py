@@ -40,6 +40,14 @@ def test_run_entry_points_are_harness_globals():
         assert callable(getattr(harness, name)), name
 
 
+def test_the_harness_entry_points_are_the_run_roots():
+    """perfbench/tracer.py opens a run at each of RUN_ROOTS, so a wrapper
+    between a harness entry point and its runner would open none."""
+    assert harness.run_lht is harness.run_blht is baselines._run_helstrom_family
+    assert harness.run_lvt is harness.run_blvt is baselines._run_variational_family
+    assert harness.run_sequential_test is engine.run_sequential_test
+
+
 def test_counted_caches_are_dicts():
     assert type(engine._design_cache) is dict
     assert type(baselines._u_cache) is dict
