@@ -167,9 +167,7 @@ def _cmd_calibrate(args) -> int:
             if policy.random_design:
                 print(f"{method}: weight drawn uniformly at random each block")
                 continue
-            memo: dict = {}
-            laws = engine.truth_laws(truth, memo)
-            plan = engine.next_measurement(policy, state, fam, laws, None, memo)
+            plan = engine.next_measurement(policy, state, fam, None, {})
             print(f"{method}: pre-data joint round {plan.descriptor}")
             continue
         # The runners' own block test at the reference alternative, once per block

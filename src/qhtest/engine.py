@@ -37,7 +37,11 @@ grids, swapped. The copy count n_i is never passed along: the POVM is
 
 A trial's runs share one memo dict, so what recurs within a trial is
 computed once per trial, not once per round or run; "the trial memo"
-below says what it holds and keeps out. It never changes a run's result.
+below says what it holds and keeps out. Its prefix tree goes further: a
+round's plan and folded states depend only on the transcript before it,
+so runs that open with the same outcomes walk one tree of kept prefixes
+and plan and fold only where it ends ("the prefix tree" below). Neither
+ever changes a run's result.
 
 Numerator probabilities are additionally clamped at NUMERATOR_FLOOR, so a
 predicted-impossible outcome that still happens costs log(NUMERATOR_FLOOR)
@@ -90,7 +94,6 @@ from .family import (
     state_from_angle,
 )
 from .measurements import (
-    TruthLaws,
     check_design_settings,
     estimation_povm,
     helstrom_povm,
@@ -100,7 +103,7 @@ from .measurements import (
     truth_laws,
     variational_povm,
 )
-from .quantum import OutcomeDistribution, Povm, memoized, sample_outcome, tensor_power
+from .quantum import Povm, memoized, sample_outcome, tensor_power
 
 POLICY_KINDS = ("aLHT", "aLHT+", "aLVT")
 
@@ -380,14 +383,19 @@ def predictable_estimate(
 #                             (measurements.truth_laws): its n_joint-copy power
 #                             and its law under each recurring POVM, rebuilt
 #                             when another truth arrives
+#   "prefix tree"             the PrefixTree of the trial's transcript prefixes
+#                             (see the prefix tree below), shared by every truth
+#                             and budget
 # A POVM recurs when it is the estimation POVM or comes from _design_cache,
 # i.e. every POVM but aLHT's, whose random weight makes each one new;
 # next_measurement decides it once per round (RoundPlan.recurs). What
 # does not recur (an aLHT design, a state at a refined off-grid null MLE)
 # is built and dropped, and so is an alternative angle's state on a
-# one-angle null grid (_grid_angles). The memo grows with the grid and the
-# design cache, not with the rounds: at most one power (aLHT, aLHT+) or
-# one (theta_grid_size, 2^n_joint) table (aLVT) per angle it keys on.
+# one-angle null grid (_grid_angles). Apart from the prefix tree, which
+# grows with the prefixes runs share up to PREFIX_TREE_FLOATS, the memo
+# grows with the grid and the design cache, not with the rounds: at most
+# one power (aLHT, aLHT+) or one (theta_grid_size, 2^n_joint) table (aLVT)
+# per angle it keys on.
 # Every float read from the memo is the float the build would give, so a
 # memo changes how often work is done, never a run's result. Entries are
 # stored by quantum.memoized, which makes their arrays read-only.
@@ -487,15 +495,16 @@ def _joint_design(
 
 @dataclass(frozen=True)
 class RoundPlan:
-    """One round before its outcome: the measurement, the truth's outcome
-    distribution under it, the forward numerator angle (fitted on earlier
-    rounds only) that a joint round's design also reads, and whether the
-    measurement recurs within the trial (see the trial memo above).
+    """One round before its outcome: the measurement, the forward numerator
+    angle (fitted on earlier rounds only) that a joint round's design also
+    reads, and whether the measurement recurs within the trial (see the
+    trial memo above). A plan holds nothing of the truth: the caller reads
+    the truth's law under it from TruthLaws, laws.dist(plan.povm, plan.recurs),
+    so a plan the prefix tree keeps serves every truth alike.
     """
 
     povm: Povm
     descriptor: str
-    dist: OutcomeDistribution
     alt_angle: float
     recurs: bool
 
@@ -504,11 +513,10 @@ def next_measurement(
     policy: PolicyConfig,
     state: SlrState,
     cfg: FamilyConfig,
-    laws: TruthLaws,
     rng: np.random.Generator,
     memo: dict,
 ) -> RoundPlan:
-    """Plan the forward statistic's upcoming round; laws is truth_laws' for this memo.
+    """Plan the forward statistic's upcoming round.
 
     The predictable angle is fitted once, for the numerator and the joint
     design; aLHT's weight is drawn here, before the caller draws the outcome.
@@ -516,12 +524,11 @@ def next_measurement(
     est = estimation_povm(policy.estimation_povm)
     w1 = predictable_estimate(state.alt_grid, cfg, est, policy.initial_alt_angle)
     if policy.is_estimation_round(state.n_rounds):
-        return RoundPlan(est, f"{policy.estimation_povm}(n=1)", laws.dist(est, True), w1, True)
+        return RoundPlan(est, f"{policy.estimation_povm}(n=1)", w1, True)
     w0 = state.null_mle.omega if state.n_rounds else _default_angle(state.null_grid)
     _grid_angles(memo, policy, state)
     povm, desc = _joint_design(policy, cfg, w0, w1, rng, memo)
-    recurs = not policy.random_design
-    return RoundPlan(povm, desc, laws.dist(povm, recurs), w1, recurs)
+    return RoundPlan(povm, desc, w1, not policy.random_design)
 
 
 def observe_round(
@@ -586,8 +593,11 @@ class TestOutcome:
     decision is one of reject / accept / budget_exhausted (a non-rejection).
     final_state is the forward SlrState after the last round (the run's
     first state if it took none), reversed_state the reversed one (None
-    for a one-sided run). states reads the forward state after each round
-    back along final_state's chain. The statistics are read off them when
+    for a one-sided run). Runs of one trial that drew the same outcomes
+    may share these states through the prefix tree; states are immutable,
+    and a statistic refined through one run is the float any run reads.
+    states reads the forward state after each round back along
+    final_state's chain. The statistics are read off them when
     asked for: final_log_slr refines at most the last state and log_slrs
     each state not yet refined, once. rounds is the forward state's
     records and log_slrs[i] its log SLR after round i + 1 (log form: the
@@ -629,6 +639,108 @@ class TestOutcome:
         return self.decision == REJECT
 
 
+# --- the prefix tree -------------------------------------------------------
+#
+# A round's plan and the states it folds are a function of the transcript
+# before it: universal inference lets a design read past data only, and the
+# only other input, aLHT's drawn weight, makes a plan that never recurs.
+# Neither the truth nor the budget enters, so a trial's runs that draw the
+# same opening outcomes plan and fold the same rounds. The trial memo keeps
+# one PrefixTree ("prefix tree"), with one root per (null set, alternative
+# set, resolution, eps0, eps1). A node is one transcript prefix: the forward
+# and reversed states after it, the decision read there, its plan once the
+# plan is seen to recur, and its children keyed by outcome. A run still
+# draws every outcome, and plans or folds only where the tree has no plan
+# or no child. What the tree keeps:
+#   - a prefix once a second run reaches it. The first run to leave the
+#     tree leaves only a trail, the outcomes it drew below that point, so
+#     that the run which follows it keeps each prefix it shares with it;
+#   - nothing below a plan that does not recur (aLHT's joint rounds);
+#   - nothing more once PREFIX_TREE_FLOATS (2 MiB of floats) is spent. A
+#     kept node costs its two grids' running sums plus _NODE_FLOATS for
+#     the objects around them (states, grids, records, plan, dict: about
+#     1.6 kB), a trail one float per outcome plus _TRAIL_FLOATS. Measured
+#     with tracemalloc, what a full tree holds comes within a quarter of
+#     its count, so the count bounds the tree's memory.
+# A node holds the objects a fresh walk builds, so runs read the same
+# floats and draws with or without the tree; runs that end on one kept
+# node share its states, which are immutable.
+
+PREFIX_TREE_FLOATS = 1 << 18
+_NODE_FLOATS = 200
+_TRAIL_FLOATS = 8
+
+
+class _Prefix:
+    """One transcript prefix: its states, the decision read there, its
+    recurring plan once seen, and children (None off the tree)."""
+
+    __slots__ = ("s0", "s1", "decision", "plan", "children")
+
+    def __init__(self, s0: SlrState, s1: SlrState | None, decision: str):
+        self.s0, self.s1, self.decision = s0, s1, decision
+        self.plan = None
+        self.children = None
+
+
+class PrefixTree:
+    """The prefixes a trial's runs share (see the prefix tree above).
+
+    floats counts what the tree has grown by, in grid floats; it stops
+    growing at PREFIX_TREE_FLOATS.
+    """
+
+    __slots__ = ("roots", "floats")
+
+    def __init__(self):
+        self.roots: dict = {}
+        self.floats = 0
+
+    def _grow(self, floats: int) -> bool:
+        if self.floats + floats > PREFIX_TREE_FLOATS:
+            return False
+        self.floats += floats
+        return True
+
+    def root(self, key, build) -> _Prefix:
+        node = self.roots.get(key)
+        if node is None:
+            node = self.roots[key] = build()
+            node.children = {}
+        return node
+
+    def step(self, node: _Prefix, plan: RoundPlan, outcome, trail: list | None, fold):
+        """The prefix after `outcome` of `plan` at node, and the trail the run extends.
+
+        fold(node, plan, outcome) builds a child the tree does not hold. A
+        kept child is returned as kept; a trail found under the outcome
+        means an earlier run drew it here, so the child is kept, holding
+        the rest of that trail. trail is the list a run below the tree
+        appends its outcomes to, or None when it records none.
+        """
+        kids = node.children
+        if kids is None or not plan.recurs:
+            child = fold(node, plan, outcome)
+            if trail is not None and plan.recurs and self._grow(1):
+                trail.append(outcome)
+                return child, trail
+            return child, None
+        below = kids.get(outcome)
+        if type(below) is _Prefix:
+            return below, None
+        child = fold(node, plan, outcome)
+        if below is None:
+            if not self._grow(_TRAIL_FLOATS):
+                return child, None
+            trail = kids[outcome] = []
+            return child, trail
+        grids = child.s0.null_grid.angles.size + child.s0.alt_grid.angles.size
+        if self._grow(grids + _NODE_FLOATS):
+            child.children = {below[0]: below[1:]} if below else {}
+            kids[outcome] = child
+        return child, None
+
+
 def run_sequential_test(
     policy: PolicyConfig,
     truth: np.ndarray,
@@ -655,6 +767,13 @@ def run_sequential_test(
     a 2x2 density matrix, raised to n_joint copies once per truth. memo is
     the trial's memo (see the trial memo above); without one the run
     keeps its own, and the result is the same.
+
+    The one run loop walks the memo's prefix tree: each round it draws its
+    outcome from the truth's law as ever, reads the plan and the child
+    prefix a run before it kept, and calls next_measurement or
+    observe_round only where the tree holds none. A run without a memo
+    walks a throwaway tree that keeps nothing. The returned states may be
+    shared with other runs of the trial (see TestOutcome).
     """
     if not 0.0 < eps0 < 1.0:
         raise ConfigError(f"eps0 must lie in (0,1), got {eps0}")
@@ -668,28 +787,39 @@ def run_sequential_test(
         raise ConfigError(f"hypothesis sets overlap: {null_set} vs {alt_set}")
 
     memo = {} if memo is None else memo
-    s0 = new_slr_state(null_set, alt_set, resolution)
-    s1 = SlrState(null_grid=s0.alt_grid, alt_grid=s0.null_grid) if eps1 is not None else None
     laws = truth_laws(truth, memo)
     threshold0 = math.log(1.0 / eps0)
     threshold1 = math.log(1.0 / eps1) if eps1 is not None else None
-    copies_used = 0
-    decision = "continue"
 
-    while decision == "continue":
-        copies = 1 if policy.is_estimation_round(s0.n_rounds) else policy.n_joint
-        if copies_used + copies > budget:
-            decision = BUDGET_EXHAUSTED
-            break
-        plan = next_measurement(policy, s0, cfg, laws, rng, memo)
-        s0, s1 = observe_round(policy, cfg, plan, sample_outcome(plan.dist, rng), s0, s1, memo)
-        copies_used += copies
+    def first_prefix() -> _Prefix:
+        s0 = new_slr_state(null_set, alt_set, resolution)
+        s1 = SlrState(null_grid=s0.alt_grid, alt_grid=s0.null_grid) if eps1 is not None else None
+        return _Prefix(s0, s1, "continue")
+
+    def fold(node: _Prefix, plan: RoundPlan, outcome) -> _Prefix:
+        s0, s1 = observe_round(policy, cfg, plan, outcome, node.s0, node.s1, memo)
         if s1 is None:
             crossed = one_sided_decision(s0.crossing_log_slr(threshold0), eps0)
-            decision = REJECT if crossed else "continue"
-        else:
-            decision = two_sided_decision(
-                s0.crossing_log_slr(threshold0), s1.crossing_log_slr(threshold1), eps0, eps1
-            )
+            return _Prefix(s0, s1, REJECT if crossed else "continue")
+        decision = two_sided_decision(
+            s0.crossing_log_slr(threshold0), s1.crossing_log_slr(threshold1), eps0, eps1
+        )
+        return _Prefix(s0, s1, decision)
 
-    return TestOutcome(decision, copies_used, s0, s1)
+    tree = memoized(memo, "prefix tree", PrefixTree)
+    node = tree.root((null_set, alt_set, resolution, eps0, eps1), first_prefix)
+    trail = None
+    copies_used = 0
+    while node.decision == "continue":
+        copies = 1 if policy.is_estimation_round(node.s0.n_rounds) else policy.n_joint
+        if copies_used + copies > budget:
+            return TestOutcome(BUDGET_EXHAUSTED, copies_used, node.s0, node.s1)
+        plan = node.plan
+        if plan is None:
+            plan = next_measurement(policy, node.s0, cfg, rng, memo)
+            if plan.recurs and node.children is not None:
+                node.plan = plan
+        outcome = sample_outcome(laws.dist(plan.povm, plan.recurs), rng)
+        node, trail = tree.step(node, plan, outcome, trail, fold)
+        copies_used += copies
+    return TestOutcome(node.decision, copies_used, node.s0, node.s1)

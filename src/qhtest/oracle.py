@@ -86,8 +86,9 @@ def enumerate_transcripts(
         if depth == horizon:
             out.append(Branch(records=state.rounds, probability=prob, log_slr=state.log_slr))
             return
-        plan = next_measurement(policy, state, cfg, laws, rng, memo)
-        for label, p in zip(plan.dist.labels, plan.dist.probs):
+        plan = next_measurement(policy, state, cfg, rng, memo)
+        dist = laws.dist(plan.povm, plan.recurs)
+        for label, p in zip(dist.labels, dist.probs):
             if p == 0.0:
                 continue
             child, _ = observe_round(policy, cfg, plan, label, state, None, memo)
@@ -229,9 +230,10 @@ def sample_transcript(
     laws = truth_laws(truth, memo)
     logs = np.empty(n_rounds)
     for t in range(n_rounds):
-        plan = next_measurement(policy, state, cfg, laws, rng, memo)
+        plan = next_measurement(policy, state, cfg, rng, memo)
+        outcome = sample_outcome(laws.dist(plan.povm, plan.recurs), rng)
         state, _ = observe_round(
-            policy, cfg, plan, sample_outcome(plan.dist, rng), state, None, memo
+            policy, cfg, plan, outcome, state, None, memo
         )
         logs[t] = state.log_slr
     return state.rounds, logs

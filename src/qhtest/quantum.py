@@ -14,6 +14,8 @@ Conventions used throughout the package:
 Validation tolerances are module constants. Probabilities may pick up
 rounding noise of order 1e-16; negatives above -1e-12 are clamped to zero at
 the distribution boundary, anything worse is an error rather than a clamp.
+Every check is written so that NaN fails it (`not defect <= tol`), so a NaN
+entry is refused where it first meets a check, with no pass of its own.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ def _hermitian_parts(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """mat as a square complex m, and (m + m^dag)/2; NotHermitian beyond HERMITIAN_TOL."""
     m = _as_complex_matrix(mat)
     defect = float(np.max(np.abs(m - m.conj().T)))
-    if defect > HERMITIAN_TOL:
+    if not defect <= HERMITIAN_TOL:
         raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL:.0e}")
     return m, (m + m.conj().T) / 2.0
 
@@ -86,10 +88,10 @@ def validate_density(mat: np.ndarray) -> np.ndarray:
     """
     m, h = _hermitian_parts(mat)
     tr = complex(np.trace(m))
-    if abs(tr - 1.0) > TRACE_TOL:
+    if not abs(tr - 1.0) <= TRACE_TOL:
         raise TraceNotOne(f"trace {tr:.12g} differs from 1 by {abs(tr - 1.0):.3e}")
     low = float(np.min(np.linalg.eigvalsh(h)))
-    if low < -PSD_TOL:
+    if not low >= -PSD_TOL:
         raise NotPSD(f"minimum eigenvalue {low:.3e} below -{PSD_TOL:.0e}")
     out = m.copy()
     out.setflags(write=False)
@@ -140,16 +142,16 @@ class Povm:
         defects = np.max(np.abs(stack - adj), axis=(1, 2))
         lows = np.min(np.linalg.eigvalsh((stack + adj) / 2.0), axis=1)
         for lab, defect, low in zip(self.labels, defects, lows):
-            if defect > HERMITIAN_TOL:
+            if not defect <= HERMITIAN_TOL:
                 raise NotHermitian(f"element {lab!r} hermiticity defect {defect:.3e}")
-            if low < -PSD_TOL:
+            if not low >= -PSD_TOL:
                 raise NotPSD(f"element {lab!r} eigenvalue {low:.3e} below -{PSD_TOL:.0e}")
         if same < len(elems):
             lab, dim = self.labels[same], elems[same].shape[0]
             raise DimensionMismatch(f"element {lab!r} has dim {dim}, expected {d}")
         total = sum(elems[1:], start=elems[0].copy())
         dev = float(np.max(np.abs(total - np.eye(d))))
-        if dev > SUM_TOL:
+        if not dev <= SUM_TOL:
             raise InvariantViolation(f"POVM elements sum off identity by {dev:.3e}")
         object.__setattr__(self, "elements", elems)
         object.__setattr__(self, "_stack", stack)
@@ -181,12 +183,12 @@ class OutcomeDistribution:
             raise DimensionMismatch(
                 f"{len(self.labels)} labels for probability shape {p.shape}"
             )
-        if float(p.min()) < 0.0 or float(p.max()) > 1.0:
+        if not (float(p.min()) >= 0.0 and float(p.max()) <= 1.0):
             raise InvariantViolation(
                 f"probability outside [0,1]: min {p.min():.3e}, max {p.max():.3e}"
             )
         gap = abs(float(p.sum()) - 1.0)
-        if gap > SUM_TOL:
+        if not gap <= SUM_TOL:
             raise InvariantViolation(f"probabilities sum off 1 by {gap:.3e}")
         cum = np.cumsum(p)
         object.__setattr__(self, "probs", p)
@@ -205,7 +207,7 @@ def born_distribution(rho: np.ndarray, povm: Povm) -> OutcomeDistribution:
         raise DimensionMismatch(f"state dim {rho.shape[0]} vs POVM dim {povm.dim}")
     probs = np.einsum("ij,xji->x", rho, povm._stack).real
     low = float(probs.min())
-    if low < -PROB_CLAMP:
+    if not low >= -PROB_CLAMP:
         raise InvariantViolation(f"Born probability {low:.3e} below -{PROB_CLAMP:.0e}")
     probs = np.minimum(np.maximum(probs, 0.0), 1.0)
     return OutcomeDistribution(labels=povm.labels, probs=probs)

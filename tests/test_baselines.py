@@ -19,7 +19,7 @@ from qhtest.baselines import (
     variational_calibration,
 )
 from qhtest.engine import estimation_povm
-from qhtest.errors import ConfigError, InfeasibleCalibration
+from qhtest.errors import ConfigError, InfeasibleCalibration, NotHermitian
 from qhtest.family import (
     DEFAULT_RESOLUTION,
     FamilyConfig,
@@ -167,6 +167,19 @@ def test_single_block_majority_tail_is_alpha_bit_for_bit():
         [rng.uniform(0.0, 1.0, 500), [0.0, 1.0, 5e-324, 1e-300, 0.05, 0.05 + SIZE_SLACK]]
     )
     assert _majority_tail(alpha, 1).tobytes() == alpha.tobytes()
+
+
+@pytest.mark.parametrize("runner, null", [(run_lht, 45.0), (run_blvt, NULL_POINT)])
+def test_a_nan_truth_is_refused_before_any_draw(runner, null, monkeypatch):
+    """A fixed-copy run refuses a NaN truth, also through a memo holding a valid truth's laws."""
+    fcfg = FixedTestConfig(10, eps0=0.05, lambda_grid_size=9, theta_grid_size=36)
+    memo = {}
+    runner(fcfg, state_from_angle(CFG, 90.0), CFG, null, ALT_UPPER, np.random.default_rng(0), memo)
+    monkeypatch.setattr(baselines, "sample_outcome", None)
+    for trial_memo in (memo, {}):
+        with pytest.raises(NotHermitian):
+            runner(fcfg, np.diag([np.nan, 0.5]), CFG, null, ALT_UPPER,
+                   np.random.default_rng(0), trial_memo)
 
 
 def test_infeasible_calibration_raises_and_run_falls_back():

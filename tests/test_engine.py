@@ -26,7 +26,7 @@ from qhtest.engine import (
     slr_update,
     two_sided_decision,
 )
-from qhtest.errors import ConfigError, InconsistentTranscript, InvariantViolation
+from qhtest.errors import ConfigError, InconsistentTranscript, InvariantViolation, NotHermitian
 from qhtest.family import (
     FamilyConfig,
     HypothesisSet,
@@ -453,8 +453,7 @@ def test_observe_round_refuses_a_reversed_state_with_other_grids():
     policy = PolicyConfig(kind="aLHT+", n_ic=2, n_joint=2, lambda_grid_size=9)
     s0 = new_slr_state(NULL_POINT, ALT_UPPER)
     memo = {}
-    laws = engine.truth_laws(state_from_angle(CFG, 90.0), memo)
-    plan = engine.next_measurement(policy, s0, CFG, laws, None, memo)
+    plan = engine.next_measurement(policy, s0, CFG, None, memo)
     for s1 in (
         new_slr_state(ALT_UPPER, parse_hypothesis_set("[0,45]")),
         engine.SlrState(null_grid=s0.null_grid, alt_grid=s0.alt_grid),
@@ -467,13 +466,15 @@ def test_observe_round_refuses_a_reversed_state_with_other_grids():
 
 
 @pytest.mark.parametrize("kind", ["aLHT", "aLHT+", "aLVT"])
-def test_a_memo_shared_across_hypothesis_pairs_changes_no_run(kind):
+def test_a_memo_shared_across_hypothesis_pairs_changes_no_run(kind, monkeypatch):
     """Runs of several hypothesis pairs through one memo equal fresh-memo runs bit for bit.
 
     The pairs share lattices in both roles: (45,180] is the alternative of
     two pairs and the null of the reversed point pair, and {45} is the null
     of two pairs. So a reduced outcome's log vectors must be keyed on both
-    lattices, in order.
+    lattices, in order. Each seed is replayed three times, interleaved with
+    two truths and two budgets, so later replays read prefixes the tree
+    kept under another truth or budget, one- and two-sided alike.
     """
     cfg = FamilyConfig(r_z=0.9, r_x=0.7)
     pairs = [
@@ -486,27 +487,98 @@ def test_a_memo_shared_across_hypothesis_pairs_changes_no_run(kind):
     policy = PolicyConfig(
         kind=kind, n_ic=2, n_joint=2, lambda_grid_size=9, theta_grid_size=36
     )
-    truth = state_from_angle(cfg, 100.0)
+    truths = {angle: state_from_angle(cfg, angle) for angle in (100.0, 45.0)}
+    folds = []
+    real_observe = engine.observe_round
 
-    def transcript(out):
-        rounds = [(r.descriptor, r.outcome, r.coeffs.tobytes(), r.log_numerator_term)
-                  for r in out.rounds]
-        return out.decision, out.copies_used, rounds, out.log_slrs, out.final_log_slr_rev
+    def observe_round(*args):
+        folds[-1] += 1
+        return real_observe(*args)
+
+    monkeypatch.setattr(engine, "observe_round", observe_round)
+    # room for every pair's prefixes, so each pair's replays are served
+    monkeypatch.setattr(engine, "PREFIX_TREE_FLOATS", 1 << 22)
 
     shared = {}
     for null, alt in pairs:
         null_set, alt_set = parse_hypothesis_set(null), parse_hypothesis_set(alt)
         for eps1 in (None, 0.05):
-            for seed in (1, 2):
-                runs = [
-                    transcript(run_sequential_test(
-                        policy, truth, cfg, null_set, alt_set, 1e-3, 24,
-                        np.random.default_rng([seed, len(null)]), eps1=eps1, memo=memo,
-                    ))
-                    for memo in (shared, {})
-                ]
-                assert runs[0] == runs[1], (null, alt, eps1, seed)
+            fresh = {}
+            for replay in range(3):
+                folds.append(0)
+                for seed in (1, 2):
+                    for angle, budget in ((100.0, 24), (45.0, 8), (45.0, 24), (100.0, 8)):
+                        def run(memo):
+                            return run_transcript(run_sequential_test(
+                                policy, truths[angle], cfg, null_set, alt_set, 1e-3, budget,
+                                np.random.default_rng([seed, len(null)]), eps1=eps1, memo=memo,
+                            ))
+
+                        case = (seed, angle, budget)
+                        if case not in fresh:
+                            folds.append(0)
+                            fresh[case] = run({})
+                            folds.pop()
+                        assert run(shared) == fresh[case], (null, alt, eps1, replay, case)
+            assert folds[-1] < folds[-3], (null, alt, eps1, folds[-3:])
     assert any(key[0] == "outcome" for key in shared if isinstance(key, tuple))
+
+
+@pytest.mark.parametrize("eps1", [None, 0.05])
+@pytest.mark.parametrize("kind", ["aLHT", "aLHT+", "aLVT"])
+def test_a_warm_trial_memo_replays_a_run_without_folding(kind, eps1, monkeypatch):
+    """From its third run on, a seed run through one memo reads every prefix
+    from the prefix tree: it folds no round, except aLHT's rounds from its
+    first joint round on, whose fresh weight keeps the tree from planning
+    them. Six seeds share the four two-round openings, so runs that part
+    only at a joint round meet in the tree."""
+    policy = PolicyConfig(kind=kind, n_ic=2, n_joint=2, lambda_grid_size=9, theta_grid_size=36)
+    truth = state_from_angle(CFG, 60.0)
+    folds = [0]
+    real_observe = engine.observe_round
+
+    def observe_round(*args):
+        folds[0] += 1
+        return real_observe(*args)
+
+    def run(seed, memo):
+        folds[0] = 0
+        out = run_sequential_test(policy, truth, CFG, NULL_POINT, ALT_UPPER, 1e-3, 24,
+                                  np.random.default_rng(seed), eps1=eps1, memo=memo)
+        return run_transcript(out), folds[0]
+
+    monkeypatch.setattr(engine, "observe_round", observe_round)
+    fresh = {seed: run(seed, {}) for seed in range(6)}
+    memo = {}
+    for replay in range(4):
+        for seed, (want, rounds) in fresh.items():
+            assert len(want[2]) == rounds > policy.n_ic
+            got, folded = run(seed, memo)
+            assert got == want, (replay, seed)
+            if replay >= 2:
+                assert folded == (rounds - policy.n_ic if policy.random_design else 0)
+
+
+@pytest.mark.parametrize("kind", ["aLHT+", "aLVT"])
+def test_the_prefix_tree_stops_growing_at_its_budget(kind, monkeypatch):
+    """A small float budget fills, the tree grows no further, and every run
+    still equals a fresh-memo run."""
+    budget = 3000
+    monkeypatch.setattr(engine, "PREFIX_TREE_FLOATS", budget)
+    policy = PolicyConfig(kind=kind, n_ic=2, n_joint=2, lambda_grid_size=9, theta_grid_size=36)
+    truth = state_from_angle(CFG, 60.0)
+    memo, grown = {}, []
+    for replay in range(3):
+        for seed in range(6):
+            got, want = (
+                run_sequential_test(policy, truth, CFG, NULL_POINT, ALT_UPPER, 1e-3, 24,
+                                    np.random.default_rng(seed), eps1=0.05, memo=m)
+                for m in (memo, {})
+            )
+            assert run_transcript(got) == run_transcript(want)
+            grown.append(memo["prefix tree"].floats)
+    assert max(grown) <= budget
+    assert grown[-1] == grown[len(grown) // 2] > budget - 2 * (1 + 270 + engine._NODE_FLOATS)
 
 
 def test_sic_estimation_rounds():
@@ -526,6 +598,21 @@ def test_sic_estimation_rounds():
     assert out.rounds[0].outcome in (0, 1, 2, 3)
     joint = [r for r in out.rounds if r.copies == 2]
     assert all(r.descriptor.startswith("variational(theta=") for r in joint)
+
+
+@pytest.mark.parametrize("kind", ["aLHT", "aLHT+", "aLVT"])
+def test_a_nan_truth_is_refused_before_any_draw(kind, monkeypatch):
+    """A NaN truth raises, with a fresh memo or one that holds a valid truth's laws."""
+    policy = PolicyConfig(kind=kind, n_ic=2, n_joint=2, lambda_grid_size=9, theta_grid_size=36)
+    memo = {}
+    run_sequential_test(policy, state_from_angle(CFG, 90.0), CFG, NULL_POINT, ALT_UPPER,
+                        0.05, 8, np.random.default_rng(0), memo=memo)
+    monkeypatch.setattr(engine, "sample_outcome", None)
+    for truth in (np.full((2, 2), np.nan), np.diag([np.nan, 0.5])):
+        for trial_memo in (memo, {}, None):
+            with pytest.raises(NotHermitian):
+                run_sequential_test(policy, truth, CFG, NULL_POINT, ALT_UPPER, 0.05, 8,
+                                    np.random.default_rng(0), memo=trial_memo)
 
 
 def test_run_sequential_test_validates_inputs():
@@ -561,9 +648,8 @@ def test_a_state_refines_its_null_mle_only_when_read(monkeypatch):
     s0 = new_slr_state(parse_hypothesis_set("[0,45]"), ALT_UPPER)
     s1 = engine.SlrState(null_grid=s0.alt_grid, alt_grid=s0.null_grid)
     memo = {}
-    laws = engine.truth_laws(state_from_angle(CFG, 22.3), memo)
     for outcome in ("0", "1"):  # two estimation rounds, whose plans read no null estimate
-        plan = engine.next_measurement(policy, s0, CFG, laws, None, memo)
+        plan = engine.next_measurement(policy, s0, CFG, None, memo)
         s0, s1 = engine.observe_round(policy, CFG, plan, outcome, s0, s1, memo)
     assert calls == []
     log_slr, null_mle = s0.log_slr, s0.null_mle
@@ -762,10 +848,9 @@ def test_the_grid_bound_decides_like_the_refined_statistic(
     s0 = new_slr_state(null_set, alt_set)
     s1 = engine.SlrState(null_grid=s0.alt_grid, alt_grid=s0.null_grid) if two_sided else None
     for _ in range(rounds):
-        plan = engine.next_measurement(policy, s0, CFG, laws, rng, memo)
-        s0, s1 = engine.observe_round(
-            policy, CFG, plan, sample_outcome(plan.dist, rng), s0, s1, memo
-        )
+        plan = engine.next_measurement(policy, s0, CFG, rng, memo)
+        outcome = sample_outcome(laws.dist(plan.povm, plan.recurs), rng)
+        s0, s1 = engine.observe_round(policy, CFG, plan, outcome, s0, s1, memo)
         for state in (s0, s1) if two_sided else (s0,):
             bound, log_slr = float(grid_bound(state)), state.log_slr
             assert bound >= log_slr
@@ -793,10 +878,9 @@ def reference_run(policy, truth, null_set, alt_set, eps0, budget, seed, eps1=Non
         if copies_used + copies > budget:
             decision = BUDGET_EXHAUSTED
             break
-        plan = engine.next_measurement(policy, s0, CFG, laws, rng, memo)
-        s0, s1 = engine.observe_round(
-            policy, CFG, plan, sample_outcome(plan.dist, rng), s0, s1, memo
-        )
+        plan = engine.next_measurement(policy, s0, CFG, rng, memo)
+        outcome = sample_outcome(laws.dist(plan.povm, plan.recurs), rng)
+        s0, s1 = engine.observe_round(policy, CFG, plan, outcome, s0, s1, memo)
         copies_used += copies
         log_slrs.append(s0.log_slr)
         trace.append([(s.log_slr, grid_bound(s)) for s in (s0, s1) if s is not None])
@@ -812,6 +896,12 @@ def transcript(decision, copies_used, rounds, log_slrs, final_rev):
     rows = [(r.descriptor, r.outcome, r.coeffs.tobytes(), repr(r.log_numerator_term))
             for r in rounds]
     return decision, copies_used, rows, [repr(v) for v in log_slrs], repr(final_rev)
+
+
+def run_transcript(out):
+    """transcript of a TestOutcome."""
+    return transcript(out.decision, out.copies_used, out.rounds, out.log_slrs,
+                      out.final_log_slr_rev)
 
 
 @pytest.mark.parametrize(
@@ -879,8 +969,7 @@ def test_a_bound_crossing_without_a_refined_crossing_continues(
     state = states[(k - 1) * (2 if two_sided else 1) + side]
     assert id(state.null_grid) in refined
     assert grid_bound(state) >= threshold > state.log_slr
-    got = (out.decision, out.copies_used, out.rounds, out.log_slrs, out.final_log_slr_rev)
-    assert transcript(*got) == transcript(*want)
+    assert run_transcript(out) == transcript(*want)
 
 
 def test_record_round_rejects_wrong_dimension():
@@ -940,11 +1029,10 @@ def test_record_round_reduces_each_outcome_once(monkeypatch, kind):
     for t in range(1, 10):
         copies = policy.n_joint if t % 3 == 0 else 1
         w = real_fit(state.alt_grid, CFG, est)
-        plan = engine.next_measurement(policy, state, CFG, laws, rng, memo)
+        plan = engine.next_measurement(policy, state, CFG, rng, memo)
         assert plan.alt_angle == w
-        state, _ = engine.observe_round(
-            policy, CFG, plan, sample_outcome(plan.dist, rng), state, None, memo
-        )
+        outcome = sample_outcome(laws.dist(plan.povm, plan.recurs), rng)
+        state, _ = engine.observe_round(policy, CFG, plan, outcome, state, None, memo)
         assert len(calls) == distinct_outcomes(state.rounds) <= t
         assert len(fits) == t
         rec = state.rounds[-1]

@@ -13,6 +13,7 @@ from qhtest.errors import (
 )
 from qhtest.quantum import (
     MAX_TENSOR_DIM,
+    OutcomeDistribution,
     Povm,
     born_distribution,
     computational_basis_povm,
@@ -62,6 +63,36 @@ def test_validate_density_rejects_bad_trace():
 def test_validate_density_rejects_negative_eigenvalue():
     with pytest.raises(NotPSD):
         validate_density(np.diag([1.2, -0.2]))
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [np.full((2, 2), NAN), np.diag([NAN, 0.5]), np.array([[0.5, NAN], [NAN, 0.5]])],
+)
+def test_validate_density_rejects_nan_entries(mat):
+    """Every check fails on NaN, so a NaN entry never passes as a state."""
+    with pytest.raises((NotHermitian, TraceNotOne, NotPSD)):
+        validate_density(mat)
+
+
+@pytest.mark.parametrize(
+    "elements",
+    [(np.full((2, 2), NAN), np.eye(2)),
+     (np.full((2, 2), NAN), np.full((2, 2), NAN)),
+     (np.eye(2) / 2, np.diag([0.5, NAN]))],
+)
+def test_povm_rejects_nan_elements(elements):
+    with pytest.raises((NotHermitian, NotPSD, InvariantViolation)):
+        Povm(labels=(0, 1), elements=elements)
+
+
+@pytest.mark.parametrize("probs", [[NAN, 0.5], [NAN, NAN], [0.5, 0.5, NAN]])
+def test_outcome_distribution_rejects_nan_probabilities(probs):
+    with pytest.raises(InvariantViolation):
+        OutcomeDistribution(labels=tuple(range(len(probs))), probs=np.array(probs))
 
 
 def test_tensor_power_matches_kron():
