@@ -46,14 +46,21 @@ memo dict that keeps the test's parts at four levels, each built once:
   outcomes that vote to reject and the setting in words, or None when no
   setting meets the size (the run then accepts without drawing).
 
+Variational block tests at fitted angles that pick one rotation theta
+share the truth's law under its POVM, kept in TruthLaws.memo under
+("variational", theta); the POVM is built once per truth and theta and
+dropped as soon as its law is built. A Helstrom block test's POVM is
+built for its own weight and fitted angle and is not kept either.
+
 So a trial holds at most one weight table (grid_size weights and two
 columns, plus one power matrix) or one (theta_grid_size, 2^n) rotated
-table per alternative grid angle it fitted. A memo serves one trial as
-built by harness.make_trial: one family, hypothesis pair and set of
-design settings, with the budget and even the truth varying; a fresh {}
-recalibrates. A hit draws the same blocks from the same distribution, so
-the random stream and every decision are those of a run that
-recalibrated.
+table per alternative grid angle it fitted, and per truth one law of 2^n
+floats per rotation angle its variational tests picked. A memo serves
+one trial as built by harness.make_trial: one family, hypothesis pair
+and set of design settings, with the budget and even the truth varying;
+a fresh {} recalibrates. A hit draws the same blocks from the same
+distribution, so the random stream and every decision are those of a
+run that recalibrated.
 """
 
 from __future__ import annotations
@@ -84,7 +91,7 @@ from .measurements import (
     truth_laws,
     variational_povm,
 )
-from .quantum import OutcomeDistribution, Povm, memoized, sample_outcome, tensor_power
+from .quantum import OutcomeDistribution, memoized, sample_outcome, tensor_power
 
 SIZE_SLACK = 1e-12
 
@@ -191,10 +198,10 @@ class _BlockTest:
     setting: str
 
 
-def _block_test(laws: TruthLaws, povm: Povm, rejects, setting: str) -> _BlockTest:
-    """The block test measuring povm; rejects[i] is the vote of outcome povm.labels[i]."""
-    rejecting = frozenset(x for x, r in zip(povm.labels, rejects) if r)
-    return _BlockTest(laws.dist(povm, False), rejecting, setting)
+def _block_test(dist: OutcomeDistribution, rejects, setting: str) -> _BlockTest:
+    """The block test drawing from dist; rejects[i] is the vote of outcome dist.labels[i]."""
+    rejecting = frozenset(x for x, r in zip(dist.labels, rejects) if r)
+    return _BlockTest(dist, rejecting, setting)
 
 
 def _run_blocks(block_test, fcfg, truth, cfg, null, alt_set, rng, memo) -> FixedOutcome:
@@ -275,7 +282,7 @@ def _helstrom_block_test(
         return None
     setting = f"weight {lam:g}, block size {alpha:.4g}, block power {power:.4g}"
     povm = helstrom_povm(pow0, pow1, lam)
-    return _block_test(laws, povm, (False, True), setting)
+    return _block_test(laws.dist(povm, False), (False, True), setting)
 
 
 def _run_helstrom_family(
@@ -363,8 +370,14 @@ def _variational_block_test(
     ratio_row = q[t_best] / np.maximum(pn[t_best].max(axis=1), P_FLOOR)
     theta = float(thetas[t_best])
     setting = f"rotation {theta:g} rad, threshold {threshold:g}, block power {power:.4g}"
-    povm = variational_povm(theta, fcfg.joint_copies)
-    return _block_test(laws, povm, ratio_row >= threshold, setting)
+    key = ("variational", theta)
+    dist = memoized(laws.memo, key, _variational_law, laws, theta, fcfg.joint_copies)
+    return _block_test(dist, ratio_row >= threshold, setting)
+
+
+def _variational_law(laws: TruthLaws, theta: float, copies: int) -> OutcomeDistribution:
+    """The truth's law under variational_povm(theta, copies); the POVM is not kept."""
+    return laws.dist(variational_povm(theta, copies), False)
 
 
 def _run_variational_family(

@@ -37,11 +37,14 @@ grids, swapped. The copy count n_i is never passed along: the POVM is
 
 A trial's runs share one memo dict, so what recurs within a trial is
 computed once per trial, not once per round or run; "the trial memo"
-below says what it holds and keeps out. Its prefix tree goes further: a
+below says what it holds and keeps out. aLVT designs that pick one
+rotation angle share one POVM there, and with it the truth's law and each
+outcome's row and numerator terms. Its prefix tree goes further: a
 round's plan and folded states depend only on the transcript before it,
 so runs that open with the same outcomes walk one tree of kept prefixes
 and plan and fold only where it ends ("the prefix tree" below). Neither
-ever changes a run's result.
+ever changes a run's result. A round the tree serves costs a law lookup,
+one uniform bisected into the law's cumulative floats and a child lookup.
 
 Numerator probabilities are additionally clamped at NUMERATOR_FLOOR, so a
 predicted-impossible outcome that still happens costs log(NUMERATOR_FLOOR)
@@ -377,8 +380,15 @@ def predictable_estimate(
 #   "grid angles"             the angles the memo keys on (_grid_angles)
 #   ("power", w)              the n_joint-copy power of the state at such an angle w
 #   ("table", w)              its rotated-basis table (aLVT)
+#   ("variational povm", theta)  the aLVT design at rotation angle theta, its
+#                             one variational POVM and descriptor
+#                             (_variational_design): every aLVT design that picks
+#                             theta returns it, so the entries keyed on its id
+#                             below are shared too
 #   ("outcome", id(M), x, id(A0), id(A1))  outcome x of a recurring POVM M:
-#                             its row and log vectors on lattices A0, A1 (_reduced)
+#                             its row, its log vectors on lattices A0, A1 and its
+#                             numerator term at each predictable angle read so
+#                             far (_reduced, _numerator_term)
 #   "truth"                   the TruthLaws of the last truth seen
 #                             (measurements.truth_laws): its n_joint-copy power
 #                             and its law under each recurring POVM, rebuilt
@@ -386,8 +396,9 @@ def predictable_estimate(
 #   "prefix tree"             the PrefixTree of the trial's transcript prefixes
 #                             (see the prefix tree below), shared by every truth
 #                             and budget
-# A POVM recurs when it is the estimation POVM or comes from _design_cache,
-# i.e. every POVM but aLHT's, whose random weight makes each one new;
+# A POVM recurs when it is the estimation POVM or a cached design's (from
+# _design_cache, or for aLVT from the memo's design at its angle), i.e.
+# every POVM but aLHT's, whose random weight makes each one new;
 # next_measurement decides it once per round (RoundPlan.recurs). What
 # does not recur (an aLHT design, a state at a refined off-grid null MLE)
 # is built and dropped, and so is an alternative angle's state on a
@@ -395,7 +406,9 @@ def predictable_estimate(
 # grows with the prefixes runs share up to PREFIX_TREE_FLOATS, the memo
 # grows with the grid and the design cache, not with the rounds: at most
 # one power (aLHT, aLHT+) or one (theta_grid_size, 2^n_joint) table (aLVT)
-# per angle it keys on.
+# per angle it keys on, one POVM per angle of the rotation grid, and per
+# outcome entry one numerator term per grid angle (predictable angles are
+# grid angles).
 # Every float read from the memo is the float the build would give, so a
 # memo changes how often work is done, never a run's result. Entries are
 # stored by quantum.memoized, which makes their arrays read-only.
@@ -426,20 +439,34 @@ def _at_grid_angle(memo: dict, kind: str, omega: float, build):
 
 
 def _reduced(memo: dict, cfg: FamilyConfig, plan: RoundPlan, outcome, state: SlrState) -> tuple:
-    """The outcome's row and its log vectors on state's (null, alternative)
-    grids, then the objects whose ids key it, so none is reused while the
-    memo keeps it (only when plan.recurs)."""
+    """The outcome's entry on state's (null, alternative) grids
+    (_outcome_entry), kept in memo when plan.recurs."""
     null, alt = state.null_grid, state.alt_grid
-
-    def build():
-        row = outcome_row(cfg, plan.povm, outcome)
-        return (row, grid_log_probs(null, row), grid_log_probs(alt, row),
-                plan.povm, null.angles, alt.angles)
-
     if not plan.recurs:
-        return build()
+        return _outcome_entry(cfg, plan.povm, outcome, null, alt)
     key = ("outcome", id(plan.povm), outcome, id(null.angles), id(alt.angles))
-    return memoized(memo, key, build)
+    return memoized(memo, key, _outcome_entry, cfg, plan.povm, outcome, null, alt)
+
+
+def _outcome_entry(
+    cfg: FamilyConfig, povm: Povm, outcome, null: ParamGrid, alt: ParamGrid
+) -> tuple:
+    """The outcome's row, its log vectors on the null and alternative grids
+    and its numerator terms by angle (_numerator_term fills that dict), then
+    the objects whose ids key it in the memo, so none is reused while the
+    memo keeps it."""
+    row = outcome_row(cfg, povm, outcome)
+    return (row, grid_log_probs(null, row), grid_log_probs(alt, row), {},
+            povm, null.angles, alt.angles)
+
+
+def _numerator_term(entry: tuple, angle: float) -> float:
+    """numerator_log_term of the entry's row at angle, computed once per entry and angle."""
+    terms = entry[3]
+    term = terms.get(angle)
+    if term is None:
+        term = terms[angle] = numerator_log_term(entry[0], angle)
+    return term
 
 
 _design_cache: dict = {}
@@ -461,7 +488,10 @@ def _joint_design(
     any lookup, and is never memoized. A design reads each state's
     n_joint-copy power (Helstrom) or rotated-basis table (variational),
     built after the lookup, so a hit builds none; the trial memo keeps
-    those of the angles _grid_angles names.
+    those of the angles _grid_angles names. For aLVT the cache keeps the
+    rotation angle, not a POVM, and the design at that angle is the trial
+    memo's, so within a trial every design at one angle returns one Povm,
+    whether an earlier trial cached the angle or not.
     """
     def design(lam=None):
         if policy.kind == "aLVT":
@@ -471,8 +501,7 @@ def _joint_design(
                 )[1][:, :, 0]
                 return _at_grid_angle(memo, "table", w, build)
 
-            theta = optimize_theta(table(w0), table(w1))
-            return variational_povm(theta, policy.n_joint), f"variational(theta={theta:.8f})"
+            return optimize_theta(table(w0), table(w1))
 
         def power(w):
             build = lambda: tensor_power(state_from_angle(cfg, w), policy.n_joint)
@@ -490,7 +519,16 @@ def _joint_design(
         return design(lam)
     key = (policy.kind, cfg.r_z, cfg.r_x, w0, w1, policy.n_joint,
            policy.lambda_grid_size, policy.theta_grid_size)
-    return memoized(_design_cache, key, design)
+    found = memoized(_design_cache, key, design)
+    if policy.kind == "aLVT":
+        key = ("variational povm", found)
+        return memoized(memo, key, _variational_design, found, policy.n_joint)
+    return found
+
+
+def _variational_design(theta: float, copies: int) -> tuple[Povm, str]:
+    """The variational design at rotation angle theta, as the trial memo keeps it."""
+    return variational_povm(theta, copies), f"variational(theta={theta:.8f})"
 
 
 @dataclass(frozen=True)
@@ -548,11 +586,12 @@ def observe_round(
     """
     if s1 is not None and (s1.null_grid is not s0.alt_grid or s1.alt_grid is not s0.null_grid):
         raise InvariantViolation("the reversed state does not hold the forward grids swapped")
-    row, null_log, alt_log, *_ = _reduced(memo, cfg, plan, outcome, s0)
+    entry = _reduced(memo, cfg, plan, outcome, s0)
+    row, null_log, alt_log = entry[:3]
     grids = (accumulate(s0.null_grid, row, null_log), accumulate(s0.alt_grid, row, alt_log))
 
     def fold(state: SlrState, angle: float, pair: tuple) -> SlrState:
-        rec = RoundRecord(plan.povm, plan.descriptor, outcome, row, numerator_log_term(row, angle))
+        rec = RoundRecord(plan.povm, plan.descriptor, outcome, row, _numerator_term(entry, angle))
         return slr_update(state, rec, pair)
 
     s0 = fold(s0, plan.alt_angle, grids)
@@ -566,15 +605,30 @@ def one_sided_decision(log_slr: float, eps0: float) -> bool:
     """Reject the null iff the SLR has reached 1/eps0 (boundary inclusive)."""
     if not 0.0 < eps0 < 1.0:
         raise ConfigError(f"eps0 must lie in (0,1), got {eps0}")
-    return log_slr >= math.log(1.0 / eps0)
+    return _crossed(log_slr, _threshold(eps0))
 
 
 def two_sided_decision(log_slr0: float, log_slr1: float, eps0: float, eps1: float) -> str:
     """Ternary decision; simultaneous crossings are impossible and raise."""
     if not (0.0 < eps0 < 1.0 and 0.0 < eps1 < 1.0):
         raise ConfigError(f"eps0 and eps1 must each lie in (0,1), got ({eps0}, {eps1})")
-    cross0 = log_slr0 >= math.log(1.0 / eps0)
-    cross1 = log_slr1 >= math.log(1.0 / eps1)
+    return _ternary(log_slr0, log_slr1, _threshold(eps0), _threshold(eps1))
+
+
+def _threshold(eps: float) -> float:
+    """The log SLR at which a statistic of level eps crosses, log(1/eps)."""
+    return math.log(1.0 / eps)
+
+
+def _crossed(log_slr: float, threshold: float) -> bool:
+    """one_sided_decision against its threshold (boundary inclusive)."""
+    return log_slr >= threshold
+
+
+def _ternary(log_slr0: float, log_slr1: float, threshold0: float, threshold1: float) -> str:
+    """two_sided_decision against its thresholds."""
+    cross0 = _crossed(log_slr0, threshold0)
+    cross1 = _crossed(log_slr1, threshold1)
     if cross0 and cross1:
         raise InvariantViolation(
             f"both SLRs crossed: log0={log_slr0:.6g}, log1={log_slr1:.6g}"
@@ -788,8 +842,8 @@ def run_sequential_test(
 
     memo = {} if memo is None else memo
     laws = truth_laws(truth, memo)
-    threshold0 = math.log(1.0 / eps0)
-    threshold1 = math.log(1.0 / eps1) if eps1 is not None else None
+    threshold0 = _threshold(eps0)
+    threshold1 = _threshold(eps1) if eps1 is not None else None
 
     def first_prefix() -> _Prefix:
         s0 = new_slr_state(null_set, alt_set, resolution)
@@ -798,13 +852,11 @@ def run_sequential_test(
 
     def fold(node: _Prefix, plan: RoundPlan, outcome) -> _Prefix:
         s0, s1 = observe_round(policy, cfg, plan, outcome, node.s0, node.s1, memo)
+        log0 = s0.crossing_log_slr(threshold0)
         if s1 is None:
-            crossed = one_sided_decision(s0.crossing_log_slr(threshold0), eps0)
-            return _Prefix(s0, s1, REJECT if crossed else "continue")
-        decision = two_sided_decision(
-            s0.crossing_log_slr(threshold0), s1.crossing_log_slr(threshold1), eps0, eps1
-        )
-        return _Prefix(s0, s1, decision)
+            return _Prefix(s0, s1, REJECT if _crossed(log0, threshold0) else "continue")
+        log1 = s1.crossing_log_slr(threshold1)
+        return _Prefix(s0, s1, _ternary(log0, log1, threshold0, threshold1))
 
     tree = memoized(memo, "prefix tree", PrefixTree)
     node = tree.root((null_set, alt_set, resolution, eps0, eps1), first_prefix)

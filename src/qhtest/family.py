@@ -299,7 +299,9 @@ class ParamGrid:
     to the one it folded, with row the folded coefficient row, so grids
     branched from one grid (the oracle's enumeration) share its history as
     it is. A grid is read-only apart from basis_cache and round_rows, which
-    are computed from its own fields when first read.
+    are computed from its own fields when first read. A grid with a previous
+    shares that grid's angles and segments, frozen when the first grid of
+    the chain was made, so it freezes only its own sums.
     """
 
     angles: np.ndarray
@@ -310,9 +312,10 @@ class ParamGrid:
     basis_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        self.angles.setflags(write=False)
         self.per_angle_loglik.setflags(write=False)
-        self.segments.setflags(write=False)
+        if self.previous is None:
+            self.angles.setflags(write=False)
+            self.segments.setflags(write=False)
 
     def basis(self, copies: int) -> np.ndarray:
         return memoized(self.basis_cache, copies, _fourier_basis, self.angles, copies)

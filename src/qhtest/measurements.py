@@ -113,7 +113,8 @@ class TruthLaws:
     seeded with the truth itself, and its law under each recurring POVM
     under ("dist", id(povm)), with the POVM held so the id stays unique.
     Whatever else depends on the truth (a fixed-copy trial's decided block
-    tests) is kept in memo too, so it is dropped with the truth.
+    tests and its variational laws by rotation angle) is kept in memo too,
+    so it is dropped with the truth.
     """
 
     __slots__ = ("truth", "memo")
@@ -127,11 +128,14 @@ class TruthLaws:
 
     def dist(self, povm: Povm, recurs: bool) -> OutcomeDistribution:
         """The truth's law under povm, on the copies povm's dimension holds; kept when recurs."""
-        def build():
-            copies = round(math.log(povm.dim, self.truth.shape[0]))
-            return povm, born_distribution(self.power(copies), povm)
+        if recurs:
+            return memoized(self.memo, ("dist", id(povm)), self._entry, povm)[1]
+        return self._entry(povm)[1]
 
-        return (memoized(self.memo, ("dist", id(povm)), build) if recurs else build())[1]
+    def _entry(self, povm: Povm) -> tuple:
+        """povm and the truth's law under it; dist keeps the pair so povm's id stays unique."""
+        copies = round(math.log(povm.dim, self.truth.shape[0]))
+        return povm, born_distribution(self.power(copies), povm)
 
 
 def truth_laws(truth: np.ndarray, memo: dict) -> TruthLaws:

@@ -20,6 +20,7 @@ entry is refused where it first meets a check, with no pass of its own.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -74,10 +75,13 @@ def _as_complex_matrix(mat: np.ndarray) -> np.ndarray:
 def _hermitian_parts(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """mat as a square complex m, and (m + m^dag)/2; NotHermitian beyond HERMITIAN_TOL."""
     m = _as_complex_matrix(mat)
-    defect = float(np.max(np.abs(m - m.conj().T)))
+    adj = m.conj().T
+    defect = float(np.abs(m - adj).max())
     if not defect <= HERMITIAN_TOL:
         raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL:.0e}")
-    return m, (m + m.conj().T) / 2.0
+    h = m + adj
+    h /= 2.0
+    return m, h
 
 
 def validate_density(mat: np.ndarray) -> np.ndarray:
@@ -118,7 +122,12 @@ def tensor_power(rho: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Povm:
-    """A POVM: outcome labels plus matching Hermitian PSD elements."""
+    """A POVM: outcome labels plus matching Hermitian PSD elements.
+
+    The elements are stored once, as one read-only (outcomes, dim, dim)
+    stack built from copies of the caller's arrays; elements holds
+    read-only views of its slices, so the caller's arrays stay as they were.
+    """
 
     labels: tuple
     elements: tuple
@@ -132,15 +141,17 @@ class Povm:
             raise ValueError("a POVM needs at least two outcomes")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("POVM labels must be distinct")
-        elems = tuple(_as_complex_matrix(e) for e in self.elements)
+        elems = [_as_complex_matrix(e) for e in self.elements]
         d = elems[0].shape[0]
         same = next((i for i, e in enumerate(elems) if e.shape[0] != d), len(elems))
         # One batched check of the elements before the first of another dim,
         # raising for the first offender as an element-by-element loop would.
-        stack = np.stack(elems[:same])
+        stack = np.array(elems[:same])
         adj = stack.conj().transpose(0, 2, 1)
-        defects = np.max(np.abs(stack - adj), axis=(1, 2))
-        lows = np.min(np.linalg.eigvalsh((stack + adj) / 2.0), axis=1)
+        defects = np.abs(stack - adj).reshape(same, -1).max(axis=1)
+        herm = stack + adj
+        herm /= 2.0
+        lows = np.linalg.eigvalsh(herm).min(axis=1)
         for lab, defect, low in zip(self.labels, defects, lows):
             if not defect <= HERMITIAN_TOL:
                 raise NotHermitian(f"element {lab!r} hermiticity defect {defect:.3e}")
@@ -149,14 +160,15 @@ class Povm:
         if same < len(elems):
             lab, dim = self.labels[same], elems[same].shape[0]
             raise DimensionMismatch(f"element {lab!r} has dim {dim}, expected {d}")
-        total = sum(elems[1:], start=elems[0].copy())
-        dev = float(np.max(np.abs(total - np.eye(d))))
+        # summing over the stack's first axis adds the elements in order
+        total = stack.sum(axis=0)
+        total -= np.eye(d)
+        dev = float(np.abs(total).max())
         if not dev <= SUM_TOL:
             raise InvariantViolation(f"POVM elements sum off identity by {dev:.3e}")
-        object.__setattr__(self, "elements", elems)
+        stack.setflags(write=False)
+        object.__setattr__(self, "elements", tuple(stack))
         object.__setattr__(self, "_stack", stack)
-        for e in (stack, *elems):
-            e.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -172,7 +184,11 @@ class Povm:
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """Probabilities over a POVM's outcome labels."""
+    """Probabilities over a POVM's outcome labels.
+
+    _cum holds their running sums (np.cumsum) as a tuple of Python floats,
+    which sample_outcome bisects.
+    """
 
     labels: tuple
     probs: np.ndarray
@@ -190,11 +206,9 @@ class OutcomeDistribution:
         gap = abs(float(p.sum()) - 1.0)
         if not gap <= SUM_TOL:
             raise InvariantViolation(f"probabilities sum off 1 by {gap:.3e}")
-        cum = np.cumsum(p)
         object.__setattr__(self, "probs", p)
-        object.__setattr__(self, "_cum", cum)
+        object.__setattr__(self, "_cum", tuple(np.cumsum(p).tolist()))
         p.setflags(write=False)
-        cum.setflags(write=False)
 
 
 def born_distribution(rho: np.ndarray, povm: Povm) -> OutcomeDistribution:
@@ -214,10 +228,16 @@ def born_distribution(rho: np.ndarray, povm: Povm) -> OutcomeDistribution:
 
 
 def sample_outcome(dist: OutcomeDistribution, rng: np.random.Generator):
-    """Draw one outcome label. Consumes exactly one uniform from rng."""
-    u = rng.random()
-    idx = int(np.searchsorted(dist._cum, u, side="right"))
-    return dist.labels[min(idx, len(dist.labels) - 1)]
+    """Draw one outcome label. Consumes exactly one uniform from rng.
+
+    The label is the first whose cumulative probability exceeds the
+    uniform, found by bisection on the cumulative floats (as
+    np.searchsorted(cum, u, side="right") would find it), or the last
+    label when rounding leaves every cumulative value at or below it.
+    """
+    idx = bisect_right(dist._cum, rng.random())
+    labels = dist.labels
+    return labels[idx] if idx < len(labels) else labels[-1]
 
 
 def hermitian_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -225,14 +245,14 @@ def hermitian_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The input is symmetrized as (m + m^dag)/2 before factoring; asymmetry
     beyond HERMITIAN_TOL raises instead. Column i of the returned vectors
-    matches eigenvalue i.
+    matches eigenvalue i; both are reversed views of eigh's ascending output.
     """
     _, h = _hermitian_parts(mat)
     try:
         vals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigh failed: {exc}") from exc
-    return vals[::-1].copy(), vecs[:, ::-1].copy()
+    return vals[::-1], vecs[:, ::-1]
 
 
 def positive_eigenprojector(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:

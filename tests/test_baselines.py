@@ -1,10 +1,12 @@
 """Tests for the fixed-copy baseline tests and their exact calibration."""
 
+import weakref
+
 import numpy as np
 import pytest
 from scipy.stats import binom
 
-from qhtest import baselines
+from qhtest import baselines, measurements
 from qhtest.baselines import (
     SIZE_SLACK,
     FixedOutcome,
@@ -34,6 +36,7 @@ from qhtest.measurements import (
     helstrom_povm,
     rotated_basis_tables,
     rotation_grid,
+    truth_laws,
 )
 from qhtest.quantum import born_distribution, sample_outcome, tensor_power
 
@@ -316,3 +319,41 @@ def test_alternative_and_null_tables_split_bit_for_bit(radii, null_text, copies)
     _, pn = rotated_basis_tables(cfg, null_angles, copies, 360)
     assert np.array_equal(q[:, :, 0], stacked[:, :, 0])
     assert np.array_equal(pn, stacked[:, :, 1:])
+
+
+@pytest.mark.parametrize("blocks", [1, 3], ids=["LVT", "bLVT"])
+def test_block_tests_at_one_rotation_angle_share_one_law(blocks, monkeypatch):
+    """In one trial memo, block tests calibrated at different fitted angles
+    that pick the same rotation share the truth's law under its POVM, kept
+    in TruthLaws.memo under ("variational", theta). The POVM and the law are
+    built once per rotation, and no memo keeps the POVM."""
+    povms, laws_built = [], []
+
+    def counted_povm(*args, real=baselines.variational_povm):
+        povm = real(*args)
+        povms.append(weakref.ref(povm))
+        return povm
+
+    def counted_law(*args, real=measurements.born_distribution):
+        law = real(*args)
+        laws_built.append(law)
+        return law
+
+    monkeypatch.setattr(baselines, "variational_povm", counted_povm)
+    monkeypatch.setattr(measurements, "born_distribution", counted_law)
+    fcfg = FixedTestConfig(60, joint_copies=2, blocks=blocks, theta_grid_size=36)
+    memo = {}
+    laws = truth_laws(state_from_angle(CFG, 90.0), memo)
+    tests = [
+        baselines._variational_block_test(fcfg, laws, CFG, NULL_POINT, w1, memo)
+        for w1 in build_grid(ALT_UPPER).angles[::20].tolist()
+    ]
+    kept = [key for key in laws.memo if isinstance(key, tuple) and key[0] == "variational"]
+    by_law = {}
+    for test in tests:
+        by_law.setdefault(id(test.dist), []).append(test)
+    assert len(povms) == len(laws_built) == len(kept) == len(by_law) < len(tests)
+    assert {id(laws.memo[key]) for key in kept} == set(by_law)
+    for shared in by_law.values():
+        assert len({test.setting.split(",")[0] for test in shared}) == 1
+    assert all(ref() is None for ref in povms)

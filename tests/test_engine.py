@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhtest import engine, family, oracle
+from qhtest import engine, family, measurements, oracle
 from qhtest.engine import (
     ACCEPT,
     BUDGET_EXHAUSTED,
@@ -33,6 +33,7 @@ from qhtest.family import (
     Piece,
     accumulate,
     build_grid,
+    lineage,
     mle,
     outcome_coeffs,
     parse_hypothesis_set,
@@ -524,6 +525,75 @@ def test_a_memo_shared_across_hypothesis_pairs_changes_no_run(kind, monkeypatch)
     assert any(key[0] == "outcome" for key in shared if isinstance(key, tuple))
 
 
+def counted_calls(monkeypatch, module, name) -> list:
+    """Rebind module.name to count its calls; the list holds one entry per call."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_alvt_designs_at_one_rotation_angle_share_one_povm(monkeypatch):
+    """In one trial memo, aLVT designs that pick the same rotation angle get
+    the same Povm, built once, and the truth's law under it and each
+    outcome's row are built once for all of them."""
+    monkeypatch.setattr(engine, "_design_cache", {})
+    povm_builds = counted_calls(monkeypatch, engine, "variational_povm")
+    law_builds = counted_calls(monkeypatch, measurements, "born_distribution")
+    row_builds = counted_calls(monkeypatch, engine, "outcome_row")
+    policy = PolicyConfig(kind="aLVT", n_ic=2, n_joint=2, theta_grid_size=36)
+    memo = {}
+    state = new_slr_state(NULL_POINT, ALT_UPPER)
+    engine._grid_angles(memo, policy, state)
+    designs = {}
+    for w1 in state.alt_grid.angles[::20].tolist():
+        povm, desc = engine._joint_design(policy, CFG, 45.0, w1, None, memo)
+        designs.setdefault(desc, []).append((w1, povm))
+    assert len(povm_builds) == len(designs) < sum(map(len, designs.values()))
+    desc, pairs = next((desc, pairs) for desc, pairs in designs.items() if len(pairs) > 1)
+    (w1, povm), (w1_other, other) = pairs[:2]
+    assert other is povm
+    laws = engine.truth_laws(state_from_angle(CFG, 90.0), memo)
+    assert laws.dist(povm, True) is laws.dist(other, True)
+    assert len(law_builds) == 1
+    for angle in (w1, w1_other):
+        plan = engine.RoundPlan(povm, desc, angle, True)
+        for outcome in povm.labels:
+            engine.observe_round(policy, CFG, plan, outcome, state, None, memo)
+    assert len(row_builds) == len(povm.labels)
+
+
+def test_alvt_designs_share_the_trial_memos_povm_across_trials(monkeypatch):
+    """The design cache outlives a trial, but an aLVT design it serves
+    returns the current trial memo's POVM at its angle: in a second trial
+    that reuses the first's cached designs and adds its own, every design at
+    one angle returns that trial's one Povm, and none returns the first's."""
+    monkeypatch.setattr(engine, "_design_cache", {})
+    policy = PolicyConfig(kind="aLVT", n_ic=2, n_joint=2, theta_grid_size=36)
+    state = new_slr_state(NULL_POINT, ALT_UPPER)
+    angles = state.alt_grid.angles.tolist()
+    trials = []
+    for step in (40, 20):
+        memo = {}
+        engine._grid_angles(memo, policy, state)
+        designs = [
+            engine._joint_design(policy, CFG, 45.0, w1, None, memo) for w1 in angles[::step]
+        ]
+        trials.append((memo, designs))
+    (_, first_designs), (memo, designs) = trials
+    kept = {id(memo[k][0]) for k in memo if isinstance(k, tuple) and k[0] == "variational povm"}
+    by_desc = {}
+    for povm, desc in designs:
+        by_desc.setdefault(desc, set()).add(id(povm))
+    assert all(len(ids) == 1 for ids in by_desc.values())
+    assert set().union(*by_desc.values()) == kept
+    assert not kept & {id(povm) for povm, _ in first_designs}
+
+
 @pytest.mark.parametrize("eps1", [None, 0.05])
 @pytest.mark.parametrize("kind", ["aLHT", "aLHT+", "aLVT"])
 def test_a_warm_trial_memo_replays_a_run_without_folding(kind, eps1, monkeypatch):
@@ -531,7 +601,12 @@ def test_a_warm_trial_memo_replays_a_run_without_folding(kind, eps1, monkeypatch
     from the prefix tree: it folds no round, except aLHT's rounds from its
     first joint round on, whose fresh weight keeps the tree from planning
     them. Six seeds share the four two-round openings, so runs that part
-    only at a joint round meet in the tree."""
+    only at a joint round meet in the tree.
+
+    Every replay gives the fresh-memo run's transcript exactly, the reversed
+    statistic's rounds and log SLRs included: their numerator terms are
+    read from the memo's outcome entries, kept per angle, and aLVT's
+    designs from its shared POVMs."""
     policy = PolicyConfig(kind=kind, n_ic=2, n_joint=2, lambda_grid_size=9, theta_grid_size=36)
     truth = state_from_angle(CFG, 60.0)
     folds = [0]
@@ -545,14 +620,20 @@ def test_a_warm_trial_memo_replays_a_run_without_folding(kind, eps1, monkeypatch
         folds[0] = 0
         out = run_sequential_test(policy, truth, CFG, NULL_POINT, ALT_UPPER, 1e-3, 24,
                                   np.random.default_rng(seed), eps1=eps1, memo=memo)
-        return run_transcript(out), folds[0]
+        reversed_states = lineage(out.reversed_state) if eps1 is not None else []
+        reversed_run = transcript(
+            None, None, [s.record for s in reversed_states], [s.log_slr for s in reversed_states],
+            None,
+        )
+        return (run_transcript(out), reversed_run), folds[0]
 
     monkeypatch.setattr(engine, "observe_round", observe_round)
     fresh = {seed: run(seed, {}) for seed in range(6)}
     memo = {}
     for replay in range(4):
         for seed, (want, rounds) in fresh.items():
-            assert len(want[2]) == rounds > policy.n_ic
+            assert len(want[0][2]) == rounds > policy.n_ic
+            assert len(want[1][2]) == (rounds if eps1 is not None else 0)
             got, folded = run(seed, memo)
             assert got == want, (replay, seed)
             if replay >= 2:

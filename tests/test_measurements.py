@@ -3,6 +3,7 @@
 import math
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -278,6 +279,69 @@ def test_weight_grid_kernel_matches_full_contraction(states, copies, grid_size):
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
+def exact_power(rho, copies):
+    """rho^(x)copies as an mpmath matrix, from the float entries of a real state."""
+    assert not np.any(rho.imag)
+    one = mpmath.matrix(rho.real.tolist())
+    out = one
+    for _ in range(copies - 1):
+        n = out.rows
+        out = mpmath.matrix([[out[i // 2, j // 2] * one[i % 2, j % 2] for j in range(2 * n)]
+                             for i in range(2 * n)])
+    return out
+
+
+def test_weight_grid_tables_of_a_near_equal_pair_meet_the_eigen_gap_bound():
+    """Both float weight tables of a near-equal pair against a 40-digit reference.
+
+    The pair is the family state at radii (0.5, 0.5) and angle 0,
+    diag(0.75, 0.25), against the family state whose off-diagonal entry is
+    5.33e-7, at 4 copies on the one-weight grid w = 0.5. The property test
+    above once drew it, seeded differently, and found the spin-block and the
+    dense table 2.06e-12 apart, past its 1e-12 bound; no float kernel is
+    known to meet 1e-12 here. At w = 0.5 the Helstrom operator is
+    A = (pow0 - pow1) / 2, a 1e-7-sized difference of powers that carry
+    rounding of order 1e-17.
+
+    The reference reads pow0 and pow1 as exact numbers and forms,
+    decomposes and contracts A at 40 digits. A float kernel forms A with a
+    rounding error E: both round the same entrywise difference, which the
+    block kernel then conjugates by an isometry, keeping its Frobenius norm
+    and adding rounding of order 1e-16 |A|, far below E. By the Davis-Kahan
+    sin-theta theorem, the projector onto A's eigenvalues above
+    PROJECTOR_TOL moves by at most ||E||_2 / gap, where gap separates those
+    eigenvalues from the rest, and so does a probability Tr(pow_s P), pow_s
+    being a density matrix. The bound checked is ||E||_F / gap, with E
+    measured against the 40-digit operator: about 5e-10 here, against
+    errors near 5e-12. The 1e-12 bound stays on the property test.
+    """
+    cfg = FamilyConfig(0.5, 0.5)
+    angle = math.degrees(math.asin(2.0 * 5.33e-7 / cfg.r_x))
+    rho0, rho1 = state_from_angle(cfg, 0.0), state_from_angle(cfg, angle)
+    assert np.array_equal(rho0, np.diag([0.75, 0.25])) and rho1[0, 1] == 5.33e-7
+    pow0, pow1 = powers(rho0, rho1, 4)
+    with mpmath.workdps(40):
+        exact0, exact1 = exact_power(rho0, 4), exact_power(rho1, 4)
+        op = (exact0 - exact1) / 2
+        vals, vecs = mpmath.eigsy(op)
+        vals = [vals[i] for i in range(op.rows)]
+        kept = [i for i, v in enumerate(vals) if v > measurements.PROJECTOR_TOL]
+        gap = min(vals[i] for i in kept) - max(v for i, v in enumerate(vals) if i not in kept)
+        rounded = 0.5 * pow0.real - 0.5 * pow1.real
+        error = mpmath.sqrt(sum((mpmath.mpf(rounded[i, j]) - op[i, j]) ** 2
+                                for i in range(op.rows) for j in range(op.cols)))
+        bound = float(error / gap)
+        reference = np.array([
+            float(sum((vecs[:, i].T * exact * vecs[:, i])[0] for i in kept))
+            for exact in (exact0, exact1)
+        ])
+    assert 0.0 < bound < 1e-9
+    for kernel in (_binary_probs_on_weight_grid, reference_binary_probs):
+        weights, table = kernel(pow0, pow1, 1)
+        assert weights.tolist() == [0.5]
+        assert np.max(np.abs(table[0] - reference)) <= bound, kernel.__name__
+
+
 @pytest.mark.parametrize("copies", range(1, 7))
 def test_spin_isometries_split_the_tensor_power(copies):
     """Each V_j is an isometry onto an invariant subspace of rho^(x)n, the V_j are
@@ -428,7 +492,8 @@ def test_joint_design_raises_each_state_once(tensor_power_calls, monkeypatch, ki
     engine._joint_design(policy, FamilyConfig(), 22.3, 100.5, rng, memo)
     engine._joint_design(policy, FamilyConfig(), 22.3, 100.0, rng, memo)
     assert tensor_power_calls == [3] * 5
-    assert {key[1] for key in memo if isinstance(key, tuple)} == {45.0, 100.0, 100.5}
+    states = {key[1] for key in memo if isinstance(key, tuple) and key[0] in ("power", "table")}
+    assert states == {45.0, 100.0, 100.5}
 
 
 def test_lht_run_raises_each_state_once(tensor_power_calls):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qhtest.errors import (
     DimensionMismatch,
@@ -230,6 +232,84 @@ def test_sample_outcome_consumes_one_uniform():
     sample_outcome(dist, a)
     b.random()
     assert a.random() == b.random()
+
+
+class FixedUniform:
+    """A generator stand-in whose random() returns u and counts the draws."""
+
+    def __init__(self, u):
+        self.u, self.draws = u, 0
+
+    def random(self):
+        self.draws += 1
+        return self.u
+
+
+def searchsorted_draw(dist, u):
+    """The draw np.searchsorted made before bisection: side right, clamped to the last label."""
+    idx = int(np.searchsorted(np.cumsum(dist.probs), u, side="right"))
+    return dist.labels[min(idx, len(dist.labels) - 1)]
+
+
+@st.composite
+def laws_and_uniforms(draw):
+    """A law with zero-probability outcomes among others (repeated cumulative
+    values), its running sum ending where rounding left it or one rounding
+    step below or above 1, and a uniform that is often a cumulative value,
+    just below one, or the largest float below 1."""
+    weights = draw(st.lists(
+        st.sampled_from([0.0, 0.0, 1.0, 2.0, 1e-9]) | st.floats(0.0, 1.0),
+        min_size=2, max_size=16,
+    ))
+    assume(sum(weights) > 0.0)
+    probs = [w / sum(weights) for w in weights]
+    end = draw(st.sampled_from([None, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)]))
+    if end is not None:
+        probs[-1] = end - float(np.cumsum(probs)[-2])
+        assume(0.0 <= probs[-1] <= 1.0 and np.cumsum(probs)[-1] == end)
+    dist = OutcomeDistribution(labels=tuple(f"x{i}" for i in range(len(probs))),
+                               probs=np.array(probs))
+    cum = np.cumsum(dist.probs).tolist()
+    u = draw(
+        st.floats(0.0, 1.0, exclude_max=True)
+        | st.sampled_from([c for c in cum if c < 1.0] or [0.0])
+        | st.sampled_from([float(np.nextafter(c, 0.0)) for c in cum])
+        | st.just(float(np.nextafter(1.0, 0.0)))
+    )
+    return dist, u
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=laws_and_uniforms(), seed=st.integers(0, 2**32 - 1))
+def test_sample_outcome_bisects_as_searchsorted_did(case, seed):
+    """Bisection on the cumulative floats returns np.searchsorted's label, and
+    each call draws exactly one uniform."""
+    dist, u = case
+    rng = FixedUniform(u)
+    assert sample_outcome(dist, rng) == searchsorted_draw(dist, u)
+    assert rng.draws == 1
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert sample_outcome(dist, a) == searchsorted_draw(dist, b.random())
+    assert a.random() == b.random()
+
+
+def test_a_povm_stores_its_elements_once():
+    """A 16-outcome, 4-copy POVM holds one 64 KiB stack and its elements are
+    read-only views of it; the caller's arrays stay writable, and writing to
+    one later leaves the POVM as it was."""
+    rng = np.random.default_rng(11)
+    q, _ = np.linalg.qr(rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
+    given_elements = [np.outer(q[:, x], q[:, x].conj()) for x in range(16)]
+    povm = Povm(labels=tuple(range(16)), elements=tuple(given_elements))
+    arrays = (povm._stack, *povm.elements)
+    assert sum(a.nbytes for a in arrays if a.flags.owndata) == 16 * 16 * 16 * 16
+    assert all(e.base is povm._stack for e in povm.elements)
+    assert not any(a.flags.writeable for a in arrays)
+    kept = np.array(povm._stack)
+    assert all(e.flags.writeable for e in given_elements)
+    given_elements[3][0, 0] += 1.0
+    assert np.array_equal(povm._stack, kept)
+    assert np.array_equal(povm.element(3), kept[3])
 
 
 def test_hermitian_eig_descending_and_consistent():
