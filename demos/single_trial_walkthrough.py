@@ -41,11 +41,11 @@ def main() -> None:
     print(f"null {null_set}, alternative {alt_set}, truth at 90 degrees")
     print(f"reject once the log ratio reaches log(1/{EPS0}) = {boundary:.4f}\n")
     used = 0
-    for i, (rec, log_slr) in enumerate(zip(out.rounds, out.log_slrs), start=1):
-        used += rec.copies
+    for i, state in enumerate(out.rounds, start=1):
+        used += state.copies
         print(
-            f"round {i:2d}  {rec.descriptor:<44s} copies {used:3d}"
-            f"  outcome {rec.outcome!s:>4s}  log ratio {log_slr:+8.4f}"
+            f"round {i:2d}  {state.plan.descriptor:<44s} copies {used:3d}"
+            f"  outcome {state.outcome!s:>4s}  log ratio {state.log_slr:+8.4f}"
         )
     print(
         f"\n{out.decision} after {out.rounds_used} rounds and "

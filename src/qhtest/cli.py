@@ -125,7 +125,7 @@ def _verify_recompute(rng: np.random.Generator) -> bool:
     worst = 0.0
     for k in range(10):
         omega = float(rng.uniform(50.0, 179.0))
-        records, logs = oracle.sample_transcript(
+        rounds = oracle.sample_transcript(
             policy,
             state_from_angle(cfg, omega),
             cfg,
@@ -134,7 +134,8 @@ def _verify_recompute(rng: np.random.Generator) -> bool:
             n_rounds=5,
             rng=np.random.default_rng([13, k]),
         )
-        redone = oracle.recompute_slr(records, cfg, null_set, alt_set)
+        redone = oracle.recompute_slr(rounds, cfg, null_set, alt_set)
+        logs = np.array([s.log_slr for s in rounds])
         worst = max(worst, float(np.max(np.abs(redone - logs))))
     return _check("incremental log ratio matches full recomputation", worst <= 1e-9, f"worst {worst:.2e}")
 
@@ -207,10 +208,10 @@ def _cmd_single(args) -> int:
             f"{out.copies_used} copies, final log ratio {out.final_log_slr:.6g}"
         )
         if args.trace:
-            for i, (rec, log_slr) in enumerate(zip(out.rounds, out.log_slrs), start=1):
+            for i, state in enumerate(out.rounds, start=1):
                 print(
-                    f"  round {i:3d}  {rec.descriptor:<44s} copies {rec.copies}  "
-                    f"outcome {rec.outcome}  log ratio {log_slr:.6g}"
+                    f"  round {i:3d}  {state.plan.descriptor:<44s} copies {state.copies}  "
+                    f"outcome {state.outcome}  log ratio {state.log_slr:.6g}"
                 )
     else:
         verdict = "reject" if out.rejected else "accept"

@@ -12,7 +12,7 @@ predictable_estimate and PSEUDO_WEIGHT). The regularizer matters because every s
 family is pure: the raw prefix MLE can sit on an angle that assigns
 probability zero to a perfectly possible next outcome, and one such round
 would freeze a minus-infinity term into the numerator forever. Each
-round's numerator term is frozen when the round is recorded and never
+round's numerator term is frozen when the round is folded and never
 revisited; only the denominator maximization reruns as new rounds arrive.
 The test rejects as soon as log SLR >= log(1/eps0).
 
@@ -22,9 +22,10 @@ grid's maximum, so the grid statistic bounds log SLR from above: the run
 loop decides from that bound and refines only a state whose bound reaches
 its threshold (SlrState.crossing_log_slr), which decides exactly as the
 refined statistic would. Each state links to the state before its last
-round and holds that round's record, so a run stores each round once; it
-reports its last forward state and reads the records and statistics back
-along the chain when asked (TestOutcome.rounds and log_slrs).
+round and holds that round (its plan, outcome and numerator term), so a
+run's rounds are its states and each round is stored once; a run reports
+its last forward state and reads its rounds and statistics back along the
+chain when asked (TestOutcome.rounds and log_slrs).
 
 A round is two steps, shared with the oracle's transcript generators.
 next_measurement plans it (a RoundPlan). observe_round reduces the observed
@@ -169,34 +170,18 @@ class PolicyConfig:
 
 
 @dataclass(frozen=True)
-class RoundRecord:
-    """One observed round, with its numerator term frozen at record time.
-
-    coeffs is the outcome's Fourier coefficient row (family.outcome_coeffs),
-    the one likelihood of this round that both the numerator and the grids
-    read; copies is read off the row's length.
-    """
-
-    povm: Povm
-    descriptor: str
-    outcome: object
-    coeffs: np.ndarray
-    log_numerator_term: float
-
-    @property
-    def copies(self) -> int:
-        return row_copies(self.coeffs)
-
-
-@dataclass(frozen=True)
 class SlrState:
-    """One statistic: the two accumulated grids, the frozen numerator and a link to its history.
+    """One statistic after a round: the two accumulated grids, the frozen
+    numerator, the round it folded and a link to the state before it.
 
-    A run's first state has no previous and no record; slr_update links
-    each new state to the one it folded (previous), with record the folded
-    round's RoundRecord and n_rounds the round count. rounds reads the
-    records back along the chain, so no round is stored twice and states
-    branched from one state (the oracle's enumeration) share its history.
+    A run's first state has no previous and no round; slr_update links each
+    new state to the one it folded (previous) and holds the folded round:
+    its plan (shared by every run and both statistics that fold it), its
+    outcome and its numerator term, frozen at the predictable angle. The
+    round's coefficient row is the one its grids folded (row), and n_rounds
+    counts the rounds. A run's rounds are its states, read back along the
+    chain (family.lineage), so no round is stored twice and states branched
+    from one state (the oracle's enumeration) share its history.
 
     The denominator is a function of the null grid alone: null_mle is
     mle(null_grid), refined when first read and kept, as
@@ -211,13 +196,19 @@ class SlrState:
     alt_grid: ParamGrid
     frozen_log_numerator: float = 0.0
     previous: SlrState | None = field(default=None, repr=False, compare=False)
-    record: RoundRecord | None = None
+    plan: RoundPlan | None = None
+    outcome: object = None
+    log_numerator_term: float = 0.0
     n_rounds: int = 0
 
     @property
-    def rounds(self) -> tuple:
-        """Each round's RoundRecord, oldest first, read back along previous."""
-        return tuple(state.record for state in lineage(self))
+    def row(self) -> np.ndarray:
+        """The folded round's coefficient row (family.outcome_coeffs), which both grids hold."""
+        return self.null_grid.row
+
+    @property
+    def copies(self) -> int:
+        return row_copies(self.row)
 
     @cached_property
     def null_mle(self) -> MleResult:
@@ -248,28 +239,34 @@ def new_slr_state(
     return SlrState(null_grid=build_grid(null_set, resolution), alt_grid=build_grid(alt_set, resolution))
 
 
-def slr_update(state: SlrState, rec: RoundRecord, grids: tuple[ParamGrid, ParamGrid]) -> SlrState:
+def slr_update(
+    state: SlrState,
+    plan: RoundPlan,
+    outcome,
+    log_numerator_term: float,
+    grids: tuple[ParamGrid, ParamGrid],
+) -> SlrState:
     """Fold one round into the state; the new state's log_slr is the updated statistic.
 
-    The record's numerator term must have been computed from the
-    alternative MLE fitted on prior rounds only; this function just
-    accumulates it. grids is the state's (null, alternative) grid pair
-    with the record's coefficient row already folded in (observe_round
-    folds it once per run). Nothing is refined here: the new state's
-    denominator, the refined null-grid maximum over all rounds including
-    this one, is its null_mle, computed by whoever reads it first.
+    The numerator term must have been computed from the alternative MLE
+    fitted on prior rounds only; this function just accumulates it. grids
+    is the state's (null, alternative) grid pair with the outcome's
+    coefficient row already folded in (observe_round folds it once per
+    run). Nothing is refined here: the new state's denominator, the refined
+    null-grid maximum over all rounds including this one, is its null_mle,
+    computed by whoever reads it first.
     """
-    if rec.log_numerator_term > 1e-12:
-        raise InvariantViolation(
-            f"log numerator term {rec.log_numerator_term:.3e} is positive"
-        )
+    if log_numerator_term > 1e-12:
+        raise InvariantViolation(f"log numerator term {log_numerator_term:.3e} is positive")
     null, alt = grids
     return SlrState(
         null_grid=null,
         alt_grid=alt,
-        frozen_log_numerator=state.frozen_log_numerator + rec.log_numerator_term,
+        frozen_log_numerator=state.frozen_log_numerator + log_numerator_term,
         previous=state,
-        record=rec,
+        plan=plan,
+        outcome=outcome,
+        log_numerator_term=log_numerator_term,
         n_rounds=state.n_rounds + 1,
     )
 
@@ -383,9 +380,9 @@ def predictable_estimate(
 #   ("variational povm", theta)  the aLVT design at rotation angle theta, its
 #                             one variational POVM and descriptor
 #                             (_variational_design): every aLVT design that picks
-#                             theta returns it, so the entries keyed on its id
+#                             theta returns it, so the entries keyed on it
 #                             below are shared too
-#   ("outcome", id(M), x, id(A0), id(A1))  outcome x of a recurring POVM M:
+#   ("outcome", M, x, id(A0), id(A1))  outcome x of a recurring POVM M:
 #                             its row, its log vectors on lattices A0, A1 and its
 #                             numerator term at each predictable angle read so
 #                             far (_reduced, _numerator_term)
@@ -431,9 +428,9 @@ def _grid_angles(memo: dict, policy: PolicyConfig, state: SlrState) -> frozenset
     return memoized(memo, "grid angles", build)
 
 
-def _at_grid_angle(memo: dict, kind: str, omega: float, build):
-    """memo[(kind, omega)], built once, when omega is a grid angle; else build() and drop it."""
-    if omega not in memo.get("grid angles", ()):
+def _at_grid_angle(memo: dict, angles: frozenset, kind: str, omega: float, build):
+    """memo[(kind, omega)], built once, when omega is in angles; else build() and drop it."""
+    if omega not in angles:
         return build()
     return memoized(memo, (kind, omega), build)
 
@@ -444,7 +441,7 @@ def _reduced(memo: dict, cfg: FamilyConfig, plan: RoundPlan, outcome, state: Slr
     null, alt = state.null_grid, state.alt_grid
     if not plan.recurs:
         return _outcome_entry(cfg, plan.povm, outcome, null, alt)
-    key = ("outcome", id(plan.povm), outcome, id(null.angles), id(alt.angles))
+    key = ("outcome", plan.povm, outcome, id(null.angles), id(alt.angles))
     return memoized(memo, key, _outcome_entry, cfg, plan.povm, outcome, null, alt)
 
 
@@ -453,11 +450,11 @@ def _outcome_entry(
 ) -> tuple:
     """The outcome's row, its log vectors on the null and alternative grids
     and its numerator terms by angle (_numerator_term fills that dict), then
-    the objects whose ids key it in the memo, so none is reused while the
-    memo keeps it."""
+    the lattices whose ids key it in the memo, so neither id is reused while
+    the memo keeps it."""
     row = outcome_row(cfg, povm, outcome)
     return (row, grid_log_probs(null, row), grid_log_probs(alt, row), {},
-            povm, null.angles, alt.angles)
+            null.angles, alt.angles)
 
 
 def _numerator_term(entry: tuple, angle: float) -> float:
@@ -479,6 +476,7 @@ def _joint_design(
     w1: float,
     rng: np.random.Generator,
     memo: dict,
+    angles: frozenset,
 ) -> tuple[Povm, str]:
     """POVM for a joint round given the current estimates.
 
@@ -488,7 +486,7 @@ def _joint_design(
     any lookup, and is never memoized. A design reads each state's
     n_joint-copy power (Helstrom) or rotated-basis table (variational),
     built after the lookup, so a hit builds none; the trial memo keeps
-    those of the angles _grid_angles names. For aLVT the cache keeps the
+    those at angles, the set _grid_angles returns. For aLVT the cache keeps the
     rotation angle, not a POVM, and the design at that angle is the trial
     memo's, so within a trial every design at one angle returns one Povm,
     whether an earlier trial cached the angle or not.
@@ -499,13 +497,13 @@ def _joint_design(
                 build = lambda: rotated_basis_tables(
                     cfg, (w,), policy.n_joint, policy.theta_grid_size
                 )[1][:, :, 0]
-                return _at_grid_angle(memo, "table", w, build)
+                return _at_grid_angle(memo, angles, "table", w, build)
 
             return optimize_theta(table(w0), table(w1))
 
         def power(w):
             build = lambda: tensor_power(state_from_angle(cfg, w), policy.n_joint)
-            return _at_grid_angle(memo, "power", w, build)
+            return _at_grid_angle(memo, angles, "power", w, build)
 
         pow0, pow1 = power(w0), power(w1)
         if lam is None:
@@ -564,8 +562,8 @@ def next_measurement(
     if policy.is_estimation_round(state.n_rounds):
         return RoundPlan(est, f"{policy.estimation_povm}(n=1)", w1, True)
     w0 = state.null_mle.omega if state.n_rounds else _default_angle(state.null_grid)
-    _grid_angles(memo, policy, state)
-    povm, desc = _joint_design(policy, cfg, w0, w1, rng, memo)
+    angles = _grid_angles(memo, policy, state)
+    povm, desc = _joint_design(policy, cfg, w0, w1, rng, memo, angles)
     return RoundPlan(povm, desc, w1, not policy.random_design)
 
 
@@ -589,15 +587,10 @@ def observe_round(
     entry = _reduced(memo, cfg, plan, outcome, s0)
     row, null_log, alt_log = entry[:3]
     grids = (accumulate(s0.null_grid, row, null_log), accumulate(s0.alt_grid, row, alt_log))
-
-    def fold(state: SlrState, angle: float, pair: tuple) -> SlrState:
-        rec = RoundRecord(plan.povm, plan.descriptor, outcome, row, _numerator_term(entry, angle))
-        return slr_update(state, rec, pair)
-
-    s0 = fold(s0, plan.alt_angle, grids)
+    s0 = slr_update(s0, plan, outcome, _numerator_term(entry, plan.alt_angle), grids)
     if s1 is not None:
-        est = estimation_povm(policy.estimation_povm)
-        s1 = fold(s1, predictable_estimate(s1.alt_grid, cfg, est), grids[::-1])
+        angle = predictable_estimate(s1.alt_grid, cfg, estimation_povm(policy.estimation_povm))
+        s1 = slr_update(s1, plan, outcome, _numerator_term(entry, angle), grids[::-1])
     return s0, s1
 
 
@@ -650,13 +643,13 @@ class TestOutcome:
     for a one-sided run). Runs of one trial that drew the same outcomes
     may share these states through the prefix tree; states are immutable,
     and a statistic refined through one run is the float any run reads.
-    states reads the forward state after each round back along
-    final_state's chain. The statistics are read off them when
-    asked for: final_log_slr refines at most the last state and log_slrs
-    each state not yet refined, once. rounds is the forward state's
-    records and log_slrs[i] its log SLR after round i + 1 (log form: the
-    raw ratio overflows well before interesting budgets);
-    final_log_slr_rev is None for a one-sided run.
+    rounds is the forward state after each round, oldest first, read back
+    along final_state's chain: rounds[i] holds round i + 1 and its log SLR.
+    The statistics are read off the states when asked for: final_log_slr
+    refines at most the last state and log_slrs each state not yet refined,
+    once. log_slrs[i] is rounds[i].log_slr (log form: the raw ratio
+    overflows well before interesting budgets); final_log_slr_rev is None
+    for a one-sided run.
     """
 
     decision: str
@@ -665,12 +658,8 @@ class TestOutcome:
     reversed_state: SlrState | None = None
 
     @property
-    def states(self) -> tuple:
-        return tuple(lineage(self.final_state))
-
-    @property
     def rounds(self) -> tuple:
-        return self.final_state.rounds
+        return tuple(lineage(self.final_state))
 
     @property
     def rounds_used(self) -> int:
@@ -678,7 +667,7 @@ class TestOutcome:
 
     @property
     def log_slrs(self) -> tuple:
-        return tuple(s.log_slr for s in self.states)
+        return tuple(s.log_slr for s in self.rounds)
 
     @property
     def final_log_slr(self) -> float:
@@ -712,7 +701,7 @@ class TestOutcome:
 #   - nothing below a plan that does not recur (aLHT's joint rounds);
 #   - nothing more once PREFIX_TREE_FLOATS (2 MiB of floats) is spent. A
 #     kept node costs its two grids' running sums plus _NODE_FLOATS for
-#     the objects around them (states, grids, records, plan, dict: about
+#     the objects around them (states, grids, plan, dict: about
 #     1.6 kB), a trail one float per outcome plus _TRAIL_FLOATS. Measured
 #     with tracemalloc, what a full tree holds comes within a quarter of
 #     its count, so the count bounds the tree's memory.

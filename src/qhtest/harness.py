@@ -36,7 +36,7 @@ from .family import (
     state_from_angle,
 )
 from .measurements import check_design_settings
-from .quantum import MAX_TENSOR_DIM
+from .quantum import MAX_ARRAY_BYTES, MAX_TENSOR_DIM
 
 
 @dataclass(frozen=True)
@@ -150,12 +150,33 @@ class ExperimentConfig:
             low = [b for b in self.budgets if b < floor]
             if low:
                 raise ConfigError(f"budgets {low} below minimum {floor} for method {m}")
+            size = self._largest_array_bytes(m)
+            if size > MAX_ARRAY_BYTES:
+                raise ConfigError(
+                    f"method {m} at n_joint {self.n_joint} builds a {size}-byte array, "
+                    f"over MAX_ARRAY_BYTES = {MAX_ARRAY_BYTES}"
+                )
         if self.point_null_angle() is None:
             for m in self.methods:
                 if METHODS[m].design == "helstrom":
                     raise ConfigError(
                         f"method {m} needs a single-point null set, got {self.null_set}"
                     )
+
+    def _largest_array_bytes(self, method: str) -> int:
+        """Bytes of the largest dense array a run of method builds beyond its n_joint-copy powers.
+
+        A sequential run caches family._node_powers' 2n + 1 complex n-copy
+        powers; a variational design holds variational_povm's 2^n complex
+        elements and rotation_grid's float stack of theta_grid_size unitaries.
+        """
+        dim = 2**self.n_joint
+        sizes = [0]
+        if METHODS[method].design == "sequential":
+            sizes.append(16 * (2 * self.n_joint + 1) * dim**2)
+        if METHODS[method].design == "variational" or method == "aLVT":
+            sizes += [16 * dim**3, 8 * self.theta_grid_size * dim**2]
+        return max(sizes)
 
     def _shared_state(self) -> tuple[float, float] | None:
         """First (null, alternative) grid-angle pair whose Bloch vectors coincide.

@@ -111,7 +111,7 @@ class TruthLaws:
 
     memo holds the truth's n-copy powers under ("power", n), copy count 1
     seeded with the truth itself, and its law under each recurring POVM
-    under ("dist", id(povm)), with the POVM held so the id stays unique.
+    under ("dist", povm), keyed on the POVM itself (Povm hashes by identity).
     Whatever else depends on the truth (a fixed-copy trial's decided block
     tests and its variational laws by rotation angle) is kept in memo too,
     so it is dropped with the truth.
@@ -129,13 +129,12 @@ class TruthLaws:
     def dist(self, povm: Povm, recurs: bool) -> OutcomeDistribution:
         """The truth's law under povm, on the copies povm's dimension holds; kept when recurs."""
         if recurs:
-            return memoized(self.memo, ("dist", id(povm)), self._entry, povm)[1]
-        return self._entry(povm)[1]
+            return memoized(self.memo, ("dist", povm), self._law, povm)
+        return self._law(povm)
 
-    def _entry(self, povm: Povm) -> tuple:
-        """povm and the truth's law under it; dist keeps the pair so povm's id stays unique."""
+    def _law(self, povm: Povm) -> OutcomeDistribution:
         copies = round(math.log(povm.dim, self.truth.shape[0]))
-        return povm, born_distribution(self.power(copies), povm)
+        return born_distribution(self.power(copies), povm)
 
 
 def truth_laws(truth: np.ndarray, memo: dict) -> TruthLaws:

@@ -31,6 +31,7 @@ from .family import (
     HypothesisSet,
     accumulate,
     build_grid,
+    lineage,
     mle,
     outcome_coeffs,
     parse_hypothesis_set,
@@ -50,11 +51,15 @@ class _HalfDraw:
 
 @dataclass(frozen=True)
 class Branch:
-    """One full transcript of the enumeration tree."""
+    """One full transcript of the enumeration tree: its states, one per round
+    (engine.SlrState), and its probability."""
 
-    records: tuple
+    rounds: tuple
     probability: float
-    log_slr: float
+
+    @property
+    def log_slr(self) -> float:
+        return self.rounds[-1].log_slr
 
 
 def enumerate_transcripts(
@@ -84,7 +89,7 @@ def enumerate_transcripts(
 
     def walk(state: SlrState, prob: float, depth: int):
         if depth == horizon:
-            out.append(Branch(records=state.rounds, probability=prob, log_slr=state.log_slr))
+            out.append(Branch(tuple(lineage(state)), prob))
             return
         plan = next_measurement(policy, state, cfg, rng, memo)
         dist = laws.dist(plan.povm, plan.recurs)
@@ -130,12 +135,12 @@ def eprocess_expectation(
             except OverflowError:
                 return math.inf
         else:
-            total += math.exp(sum(r.log_numerator_term for r in br.records))
+            total += math.exp(sum(s.log_numerator_term for s in br.rounds))
     return total
 
 
 def recompute_slr(
-    records: tuple,
+    rounds: tuple,
     cfg: FamilyConfig,
     null_set: HypothesisSet,
     alt_set: HypothesisSet,
@@ -143,21 +148,21 @@ def recompute_slr(
     initial_alt_angle: float | None = None,
     estimation_povm: str = "computational",
 ) -> np.ndarray:
-    """From-scratch log SLR at every prefix of a stored transcript.
+    """From-scratch log SLR at every prefix of a run's rounds (its states).
 
-    Each round's coefficient row is rebuilt from its POVM and outcome
-    rather than read from the record. Every numerator estimate is refitted
-    on its own prefix from an empty grid, and every denominator
-    maximization reruns on its full prefix; no fit is reused across
-    prefixes. The engine's incremental values must
+    Each round's coefficient row is rebuilt from its plan's POVM and its
+    outcome rather than read from the state's grids. Every numerator
+    estimate is refitted on its own prefix from an empty grid, and every
+    denominator maximization reruns on its full prefix; no fit is reused
+    across prefixes. The engine's incremental values must
     match this within 1e-9. estimation_povm names the single-copy
     measurement whose outcomes regularize the numerator estimates and must
     match the policy that produced the transcript.
     """
     est_povm = select_estimation_povm(estimation_povm)
-    rows = [outcome_coeffs(cfg, r.povm.element(r.outcome)) for r in records]
-    logs = np.empty(len(records))
-    for t in range(1, len(records) + 1):
+    rows = [outcome_coeffs(cfg, s.plan.povm.element(s.outcome)) for s in rounds]
+    logs = np.empty(len(rounds))
+    for t in range(1, len(rounds) + 1):
         frozen = 0.0
         for i in range(t):
             galt = build_grid(alt_set, resolution)
@@ -218,22 +223,19 @@ def sample_transcript(
     n_rounds: int,
     rng: np.random.Generator,
     resolution: float = DEFAULT_RESOLUTION,
-) -> tuple[tuple, np.ndarray]:
-    """Sample a fixed-length transcript; return records and engine log SLRs.
+) -> tuple:
+    """Sample a fixed-length transcript; return its states, one per round.
 
     Rounds take the engine's step, so they equal run_sequential_test's for
     the same seed, but this never stops early, which makes it the right
-    generator for engine-versus-recomputation comparisons.
+    generator for engine-versus-recomputation comparisons: each state's
+    log_slr is the engine's incremental statistic after its round.
     """
     state = new_slr_state(null_set, alt_set, resolution)
     memo: dict = {}
     laws = truth_laws(truth, memo)
-    logs = np.empty(n_rounds)
-    for t in range(n_rounds):
+    for _ in range(n_rounds):
         plan = next_measurement(policy, state, cfg, rng, memo)
         outcome = sample_outcome(laws.dist(plan.povm, plan.recurs), rng)
-        state, _ = observe_round(
-            policy, cfg, plan, outcome, state, None, memo
-        )
-        logs[t] = state.log_slr
-    return state.rounds, logs
+        state, _ = observe_round(policy, cfg, plan, outcome, state, None, memo)
+    return tuple(lineage(state))

@@ -42,6 +42,8 @@ PSD_TOL = 1e-10
 SUM_TOL = 1e-10
 PROB_CLAMP = 1e-12
 MAX_TENSOR_DIM = 2**12
+# Bytes of the largest dense array a sweep config may ask for (harness.ExperimentConfig).
+MAX_ARRAY_BYTES = 2**30
 
 
 _MISSING = object()
@@ -120,13 +122,14 @@ def tensor_power(rho: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
     """A POVM: outcome labels plus matching Hermitian PSD elements.
 
     The elements are stored once, as one read-only (outcomes, dim, dim)
     stack built from copies of the caller's arrays; elements holds
     read-only views of its slices, so the caller's arrays stay as they were.
+    A Povm equals and hashes as itself only, so a memo may key on it.
     """
 
     labels: tuple

@@ -275,7 +275,7 @@ def test_criterion_7_incremental_matches_recompute(capsys):
     worst = 0.0
     for k in range(100):
         truth = state_from_angle(CFG, float(angles[k]))
-        records, logs = sample_transcript(
+        rounds = sample_transcript(
             policies[KINDS[k % 3]],
             truth,
             CFG,
@@ -284,7 +284,8 @@ def test_criterion_7_incremental_matches_recompute(capsys):
             n_rounds=5,
             rng=np.random.default_rng([606, k]),
         )
-        again = recompute_slr(records, CFG, NULL_POINT, ALT_UPPER)
+        again = recompute_slr(rounds, CFG, NULL_POINT, ALT_UPPER)
+        logs = np.array([s.log_slr for s in rounds])
         worst = max(worst, float(np.max(np.abs(again - logs))))
     ok = worst <= 1e-9
     detail = f"worst prefix gap {worst:.2e} over 100 transcripts"

@@ -16,7 +16,7 @@ from qhtest.engine import (
     NUMERATOR_FLOOR,
     REJECT,
     PolicyConfig,
-    RoundRecord,
+    RoundPlan,
     conservative_start,
     new_slr_state,
     numerator_log_term,
@@ -64,31 +64,20 @@ def test_single_round_log_ratio_arithmetic():
     omega0 = math.degrees(math.acos(-0.4))  # p("0") = (1 + cos) / 2 = 0.3
     null_set = HypothesisSet(pieces=(Piece(omega0, omega0),))
     state = new_slr_state(null_set, ALT_UPPER)
-    rec = RoundRecord(
-        povm=computational_basis_povm(1),
-        descriptor="computational(n=1)",
-        outcome="0",
-        coeffs=row("0"),
-        log_numerator_term=math.log(0.9),
-    )
-    grids = (accumulate(state.null_grid, rec.coeffs), accumulate(state.alt_grid, rec.coeffs))
-    state = slr_update(state, rec, grids)
+    plan = RoundPlan(computational_basis_povm(1), "computational(n=1)", 90.0, True)
+    coeffs = row("0")
+    grids = (accumulate(state.null_grid, coeffs), accumulate(state.alt_grid, coeffs))
+    state = slr_update(state, plan, "0", math.log(0.9), grids)
     assert abs(state.log_slr - math.log(3.0)) < 1e-12
     assert state.frozen_log_numerator == math.log(0.9)
-    assert len(state.rounds) == 1
+    assert len(lineage(state)) == 1
 
 
 def test_slr_update_rejects_positive_numerator_term():
     state = new_slr_state(NULL_POINT, ALT_UPPER)
-    rec = RoundRecord(
-        povm=computational_basis_povm(1),
-        descriptor="computational(n=1)",
-        outcome="0",
-        coeffs=row("0"),
-        log_numerator_term=0.1,
-    )
+    plan = RoundPlan(computational_basis_povm(1), "computational(n=1)", 90.0, True)
     with pytest.raises(InvariantViolation):
-        slr_update(state, rec, (state.null_grid, state.alt_grid))
+        slr_update(state, plan, "0", 0.1, (state.null_grid, state.alt_grid))
 
 
 def test_numerator_term_clamps_at_floor():
@@ -220,9 +209,9 @@ def test_block_structure_and_budget_exhaustion():
     assert [row.copies for row in out.rounds] == [1, 1, 3] * 3
     for row in out.rounds:
         if row.copies == 1:
-            assert row.descriptor == "computational(n=1)"
+            assert row.plan.descriptor == "computational(n=1)"
         else:
-            assert row.descriptor.startswith("helstrom(")
+            assert row.plan.descriptor.startswith("helstrom(")
 
 
 @settings(max_examples=60, deadline=None)
@@ -258,8 +247,8 @@ def test_budget_accounting(kind, n_ic, n_joint, budget, seed, two_sided):
     assert out.copies_used == sum(r.copies for r in out.rounds)
     for t, r in enumerate(out.rounds):
         assert r.copies == block_copies(t)
-        assert 2**r.copies == r.povm.dim
-        assert len(r.coeffs) == 2 * r.copies + 1
+        assert 2**r.copies == r.plan.povm.dim
+        assert len(r.row) == 2 * r.copies + 1
     if out.decision == BUDGET_EXHAUSTED:
         assert out.copies_used + block_copies(out.rounds_used) > budget
 
@@ -344,7 +333,9 @@ def test_runs_are_deterministic_in_the_seed():
     assert runs[0].copies_used == runs[1].copies_used
     assert runs[0].final_log_slr == runs[1].final_log_slr
     assert [r.outcome for r in runs[0].rounds] == [r.outcome for r in runs[1].rounds]
-    assert [r.descriptor for r in runs[0].rounds] == [r.descriptor for r in runs[1].rounds]
+    assert [r.plan.descriptor for r in runs[0].rounds] == [
+        r.plan.descriptor for r in runs[1].rounds
+    ]
 
 
 def test_alht_redraws_weight_every_block():
@@ -359,7 +350,7 @@ def test_alht_redraws_weight_every_block():
         budget=12,
         rng=np.random.default_rng(3),
     )
-    lams = [row.descriptor.split("lam=")[1].rstrip(")") for row in out.rounds]
+    lams = [row.plan.descriptor.split("lam=")[1].rstrip(")") for row in out.rounds]
     assert len(lams) == 6
     assert len(set(lams)) > 1
 
@@ -450,6 +441,31 @@ def test_each_round_is_folded_once_per_run(monkeypatch, eps1):
     assert len(calls) == 2 * out.rounds_used
 
 
+@pytest.mark.parametrize("kind", ["aLHT+", "aLVT"])
+def test_a_round_is_stored_once(kind):
+    """A two-sided run's forward and reversed states after a round hold one
+    plan object, one outcome and one row, and differ only in their numerator
+    terms, with a fresh memo and with a warm one. Each state carries its
+    run's log SLR after its round."""
+    policy = PolicyConfig(kind=kind, n_ic=2, n_joint=2, lambda_grid_size=9, theta_grid_size=36)
+    memo = {}
+    for _ in range(3):  # the first run meets a fresh memo, the later ones a warm one
+        out = run_sequential_test(
+            policy, state_from_angle(CFG, 60.0), CFG, parse_hypothesis_set("[0,45]"), ALT_UPPER,
+            1e-3, 24, np.random.default_rng(4), eps1=0.05, memo=memo,
+        )
+        forward, reverse = out.rounds, lineage(out.reversed_state)
+        assert len(forward) == len(reverse) == out.rounds_used > policy.n_ic
+        for s0, s1 in zip(forward, reverse):
+            assert s1.plan is s0.plan
+            assert s1.outcome is s0.outcome
+            assert s1.row is s0.row
+            assert s1.null_grid is s0.alt_grid and s1.alt_grid is s0.null_grid
+            assert s1.n_rounds == s0.n_rounds
+        assert [s.log_slr for s in out.rounds] == list(out.log_slrs)
+    assert memo["prefix tree"].floats > 0
+
+
 def test_observe_round_refuses_a_reversed_state_with_other_grids():
     policy = PolicyConfig(kind="aLHT+", n_ic=2, n_joint=2, lambda_grid_size=9)
     s0 = new_slr_state(NULL_POINT, ALT_UPPER)
@@ -463,7 +479,7 @@ def test_observe_round_refuses_a_reversed_state_with_other_grids():
             engine.observe_round(policy, CFG, plan, "0", s0, s1, memo)
     swapped = engine.SlrState(null_grid=s0.alt_grid, alt_grid=s0.null_grid)
     _, s1 = engine.observe_round(policy, CFG, plan, "0", s0, swapped, memo)
-    assert len(s1.rounds) == 1
+    assert len(lineage(s1)) == 1
 
 
 @pytest.mark.parametrize("kind", ["aLHT", "aLHT+", "aLVT"])
@@ -548,10 +564,10 @@ def test_alvt_designs_at_one_rotation_angle_share_one_povm(monkeypatch):
     policy = PolicyConfig(kind="aLVT", n_ic=2, n_joint=2, theta_grid_size=36)
     memo = {}
     state = new_slr_state(NULL_POINT, ALT_UPPER)
-    engine._grid_angles(memo, policy, state)
+    angles = engine._grid_angles(memo, policy, state)
     designs = {}
     for w1 in state.alt_grid.angles[::20].tolist():
-        povm, desc = engine._joint_design(policy, CFG, 45.0, w1, None, memo)
+        povm, desc = engine._joint_design(policy, CFG, 45.0, w1, None, memo, angles)
         designs.setdefault(desc, []).append((w1, povm))
     assert len(povm_builds) == len(designs) < sum(map(len, designs.values()))
     desc, pairs = next((desc, pairs) for desc, pairs in designs.items() if len(pairs) > 1)
@@ -579,9 +595,10 @@ def test_alvt_designs_share_the_trial_memos_povm_across_trials(monkeypatch):
     trials = []
     for step in (40, 20):
         memo = {}
-        engine._grid_angles(memo, policy, state)
+        grid_angles = engine._grid_angles(memo, policy, state)
         designs = [
-            engine._joint_design(policy, CFG, 45.0, w1, None, memo) for w1 in angles[::step]
+            engine._joint_design(policy, CFG, 45.0, w1, None, memo, grid_angles)
+            for w1 in angles[::step]
         ]
         trials.append((memo, designs))
     (_, first_designs), (memo, designs) = trials
@@ -622,8 +639,7 @@ def test_a_warm_trial_memo_replays_a_run_without_folding(kind, eps1, monkeypatch
                                   np.random.default_rng(seed), eps1=eps1, memo=memo)
         reversed_states = lineage(out.reversed_state) if eps1 is not None else []
         reversed_run = transcript(
-            None, None, [s.record for s in reversed_states], [s.log_slr for s in reversed_states],
-            None,
+            None, None, reversed_states, [s.log_slr for s in reversed_states], None
         )
         return (run_transcript(out), reversed_run), folds[0]
 
@@ -675,10 +691,10 @@ def test_sic_estimation_rounds():
         budget=10,
         rng=np.random.default_rng(5),
     )
-    assert out.rounds[0].descriptor == "sic(n=1)"
+    assert out.rounds[0].plan.descriptor == "sic(n=1)"
     assert out.rounds[0].outcome in (0, 1, 2, 3)
     joint = [r for r in out.rounds if r.copies == 2]
-    assert all(r.descriptor.startswith("variational(theta=") for r in joint)
+    assert all(r.plan.descriptor.startswith("variational(theta=") for r in joint)
 
 
 @pytest.mark.parametrize("kind", ["aLHT", "aLHT+", "aLVT"])
@@ -756,8 +772,8 @@ def test_joint_rounds_reuse_the_refined_null_mle(monkeypatch, two_sided):
 
     The run loop refines exactly the null grids of the forward states a
     joint design reads and of the states whose grid bound reached their
-    threshold. The oracle's generator reads every forward statistic, so it
-    refines every forward state. Only engine functions are patched; the
+    threshold. Reading every statistic of the oracle's transcript refines
+    every forward state. Only engine functions are patched; the
     oracle's generator takes the engine's round step, so they see its
     rounds as well.
     """
@@ -770,17 +786,17 @@ def test_joint_rounds_reuse_the_refined_null_mle(monkeypatch, two_sided):
         refined.append(grid)
         return real_mle(grid)
 
-    def slr_update(state, rec, grids):
-        states.append(real_update(state, rec, grids))
+    def slr_update(*args):
+        states.append(real_update(*args))
         return states[-1]
 
     def forward(state):
         # the forward statistic is the one whose null grid is [0,45]
         return state.null_grid.angles[-1] == 45.0
 
-    def joint_design(policy, cfg, w0, w1, rng, memo):
+    def joint_design(policy, cfg, w0, w1, rng, memo, angles):
         designs.append(([s for s in states if forward(s)][-1], w0))
-        return real_design(policy, cfg, w0, w1, rng, memo)
+        return real_design(policy, cfg, w0, w1, rng, memo, angles)
 
     monkeypatch.setattr(engine, "slr_update", slr_update)
     monkeypatch.setattr(engine, "_joint_design", joint_design)
@@ -802,7 +818,9 @@ def test_joint_rounds_reuse_the_refined_null_mle(monkeypatch, two_sided):
         assert len(crossed) == 1 and crossed[0] is out.reversed_state
         read = [s for s, _ in designs] + crossed
     else:
-        oracle.sample_transcript(policy, truth, CFG, null_set, ALT_UPPER, 9, rng)
+        rounds = oracle.sample_transcript(policy, truth, CFG, null_set, ALT_UPPER, 9, rng)
+        logs = [s.log_slr for s in rounds]
+        assert len(logs) == len(states)
         read = states
     assert len(states) >= 9 and len(designs) >= 3
     # each grid that was read is refined once, and no other grid is
@@ -812,7 +830,7 @@ def test_joint_rounds_reuse_the_refined_null_mle(monkeypatch, two_sided):
         assert state.null_mle.omega == again.omega
         assert state.null_mle.loglik == again.loglik
     for state, w0 in designs:
-        assert len(state.rounds) % 3 == 2
+        assert state.n_rounds % 3 == 2
         assert w0 == state.null_mle.omega
 
 
@@ -838,7 +856,7 @@ def test_an_outcome_refines_only_the_states_it_is_asked_for(monkeypatch, eps1):
     during_run = len(refined)
     assert during_run == out.rounds_used // 3  # one per joint round
     final = out.final_log_slr
-    assert refined[during_run:] == [id(out.states[-1].null_grid)]
+    assert refined[during_run:] == [id(out.rounds[-1].null_grid)]
     if eps1 is not None:
         final_rev = out.final_log_slr_rev
         assert refined[during_run + 1:] == [id(out.reversed_state.null_grid)]
@@ -847,7 +865,7 @@ def test_an_outcome_refines_only_the_states_it_is_asked_for(monkeypatch, eps1):
     forward_reads = len(refined)
     log_slrs = out.log_slrs
     assert sorted(refined[:during_run + 1] + refined[forward_reads:]) == sorted(
-        id(s.null_grid) for s in out.states
+        id(s.null_grid) for s in out.rounds
     )
     before = len(refined)
     assert out.log_slrs == log_slrs and log_slrs[-1] == final
@@ -955,7 +973,7 @@ def reference_run(policy, truth, null_set, alt_set, eps0, budget, seed, eps1=Non
     laws = engine.truth_laws(truth, memo)
     log_slrs, trace, copies_used, decision = [], [], 0, "continue"
     while decision == "continue":
-        copies = 1 if policy.is_estimation_round(len(s0.rounds)) else policy.n_joint
+        copies = 1 if policy.is_estimation_round(s0.n_rounds) else policy.n_joint
         if copies_used + copies > budget:
             decision = BUDGET_EXHAUSTED
             break
@@ -970,11 +988,11 @@ def reference_run(policy, truth, null_set, alt_set, eps0, budget, seed, eps1=Non
         else:
             decision = two_sided_decision(s0.log_slr, s1.log_slr, eps0, eps1)
     final_rev = s1.log_slr if s1 is not None else None
-    return (decision, copies_used, s0.rounds, log_slrs, final_rev), trace
+    return (decision, copies_used, lineage(s0), log_slrs, final_rev), trace
 
 
 def transcript(decision, copies_used, rounds, log_slrs, final_rev):
-    rows = [(r.descriptor, r.outcome, r.coeffs.tobytes(), repr(r.log_numerator_term))
+    rows = [(r.plan.descriptor, r.outcome, r.row.tobytes(), repr(r.log_numerator_term))
             for r in rounds]
     return decision, copies_used, rows, [repr(v) for v in log_slrs], repr(final_rev)
 
@@ -1030,8 +1048,8 @@ def test_a_bound_crossing_without_a_refined_crossing_continues(
     states, refined = [], []
     real_update, real_mle = engine.slr_update, engine.mle
 
-    def slr_update(state, rec, grids):
-        states.append(real_update(state, rec, grids))
+    def slr_update(*args):
+        states.append(real_update(*args))
         return states[-1]
 
     def counted(grid):
@@ -1097,8 +1115,8 @@ def test_record_round_reduces_each_outcome_once(monkeypatch, kind):
         return real_fit(*args)
 
     def distinct_outcomes(rounds):
-        # records hold their POVMs, so no two of them share an id
-        return len({(id(rec.povm), rec.outcome) for rec in rounds})
+        # a Povm hashes by identity
+        return len({(s.plan.povm, s.outcome) for s in rounds})
 
     for module in (engine, family):
         monkeypatch.setattr(module, "outcome_coeffs", counted)
@@ -1114,13 +1132,12 @@ def test_record_round_reduces_each_outcome_once(monkeypatch, kind):
         assert plan.alt_angle == w
         outcome = sample_outcome(laws.dist(plan.povm, plan.recurs), rng)
         state, _ = engine.observe_round(policy, CFG, plan, outcome, state, None, memo)
-        assert len(calls) == distinct_outcomes(state.rounds) <= t
+        assert len(calls) == distinct_outcomes(lineage(state)) <= t
         assert len(fits) == t
-        rec = state.rounds[-1]
-        assert rec.copies == copies
-        assert state.null_grid.rounds[-1] is rec.coeffs
-        assert state.alt_grid.rounds[-1] is rec.coeffs
-        assert rec.log_numerator_term == numerator_log_term(rec.coeffs, w)
+        assert state.copies == copies
+        assert state.null_grid.rounds[-1] is state.row
+        assert state.alt_grid.rounds[-1] is state.row
+        assert state.log_numerator_term == numerator_log_term(state.row, w)
     assert len(calls) < 9
 
     # Count only the engine's reductions: new grids also build their

@@ -88,6 +88,24 @@ class TestExperimentConfig:
             with pytest.raises(ConfigError):
                 small_config(**bad)
 
+    def test_rejects_dense_arrays_past_the_byte_budget(self):
+        """Each method's largest n_joint passes and the next fails. Only the
+        config is built: running the failing ones would take gigabytes."""
+        budgets = (24, 48)
+        largest = {"aLHT": 10, "aLHT+": 10, "aLVT": 8, "LHT": 12, "bLHT": 12, "LVT": 8, "bLVT": 8}
+        for method, n in largest.items():
+            small_config(methods=(method,), n_joint=n, budgets=budgets)
+            if n < 12:
+                with pytest.raises(ConfigError, match="MAX_ARRAY_BYTES"):
+                    small_config(methods=(method,), n_joint=n + 1, budgets=budgets)
+        # the rotation grid's stack grows with theta_grid_size: 2048 rotations fill 1 GiB
+        for method in ("aLVT", "LVT", "bLVT"):
+            small_config(methods=(method,), n_joint=8, theta_grid_size=2048, budgets=budgets)
+            with pytest.raises(ConfigError, match="MAX_ARRAY_BYTES"):
+                small_config(methods=(method,), n_joint=8, theta_grid_size=2049, budgets=budgets)
+        with pytest.raises(ConfigError, match="within 4096, got 13"):
+            small_config(methods=("LHT",), n_joint=13, budgets=budgets)
+
     def test_rejects_overlapping_sets(self):
         with pytest.raises(ConfigError):
             small_config(alt_set=parse_hypothesis_set("[45,180]"))
@@ -396,8 +414,8 @@ class TestSequentialMemo:
         assert (got.decision, got.copies_used) == (want.decision, want.copies_used)
         assert len(got.rounds) == len(want.rounds)
         for a, b in zip(got.rounds, want.rounds):
-            assert (a.descriptor, a.outcome) == (b.descriptor, b.outcome)
-            assert bits(a.coeffs) == bits(b.coeffs)
+            assert (a.plan.descriptor, a.outcome) == (b.plan.descriptor, b.outcome)
+            assert bits(a.row) == bits(b.row)
             assert bits(a.log_numerator_term) == bits(b.log_numerator_term)
         assert bits(got.log_slrs) == bits(want.log_slrs)
         if want.final_log_slr_rev is None:
@@ -489,7 +507,7 @@ class TestSequentialMemo:
         rng = lambda: np.random.default_rng(5)
         first = trial(24, rng())
         with pytest.raises(ValueError):
-            first.rounds[0].coeffs[0] += 0.5
+            first.rounds[0].row[0] += 0.5
         want = self.run(config, "aLHT+", 24, rng(), {})
         self.assert_same_outcome(first, want)
         self.assert_same_outcome(trial(24, rng()), want)
@@ -502,9 +520,9 @@ class TestSequentialMemo:
         null_angles = []
         real = engine._joint_design
 
-        def spy(policy, cfg, w0, w1, rng, memo):
+        def spy(policy, cfg, w0, w1, rng, memo, angles):
             null_angles.append(w0)
-            return real(policy, cfg, w0, w1, rng, memo)
+            return real(policy, cfg, w0, w1, rng, memo, angles)
 
         monkeypatch.setattr(engine, "_joint_design", spy)
         memo = {}

@@ -482,15 +482,19 @@ def test_joint_design_raises_each_state_once(tensor_power_calls, monkeypatch, ki
     rng = np.random.default_rng(0)
     memo = {}
     null, alt = parse_hypothesis_set("[0,45]"), parse_hypothesis_set("(45,180]")
-    engine._grid_angles(memo, policy, new_slr_state(null, alt))
-    first = engine._joint_design(policy, FamilyConfig(), 45.0, 100.0, rng, memo)
+    angles = engine._grid_angles(memo, policy, new_slr_state(null, alt))
+
+    def design(w0, w1):
+        return engine._joint_design(policy, FamilyConfig(), w0, w1, rng, memo, angles)
+
+    first = design(45.0, 100.0)
     assert tensor_power_calls == [3, 3]
-    assert engine._joint_design(policy, FamilyConfig(), 45.0, 100.0, rng, memo) is first
+    assert design(45.0, 100.0) is first
     assert tensor_power_calls == [3, 3]
-    engine._joint_design(policy, FamilyConfig(), 45.0, 100.5, rng, memo)
+    design(45.0, 100.5)
     assert tensor_power_calls == [3, 3, 3]
-    engine._joint_design(policy, FamilyConfig(), 22.3, 100.5, rng, memo)
-    engine._joint_design(policy, FamilyConfig(), 22.3, 100.0, rng, memo)
+    design(22.3, 100.5)
+    design(22.3, 100.0)
     assert tensor_power_calls == [3] * 5
     states = {key[1] for key in memo if isinstance(key, tuple) and key[0] in ("power", "table")}
     assert states == {45.0, 100.0, 100.5}
@@ -527,5 +531,5 @@ def test_per_state_rotation_tables_split_the_stacked_table(copies, radii, w0, w1
     want = optimize_theta(stacked[:, :, 0], stacked[:, :, 1])
     policy = PolicyConfig(kind="aLVT", n_joint=copies, theta_grid_size=grid_size)
     with mock.patch.dict(engine._design_cache, clear=True):
-        _, descriptor = engine._joint_design(policy, cfg, w0, w1, None, {})
+        _, descriptor = engine._joint_design(policy, cfg, w0, w1, None, {}, frozenset())
     assert descriptor == f"variational(theta={want:.8f})"

@@ -38,7 +38,7 @@ def test_enumeration_counts_and_probability_mass():
         mass = sum(br.probability for br in branches)
         assert abs(mass - 1.0) < 1e-12
         assert all(br.probability > 0.0 for br in branches)
-        assert all(len(br.records) == horizon for br in branches)
+        assert all(len(br.rounds) == horizon for br in branches)
 
 
 def test_enumeration_horizon_guard():
@@ -104,7 +104,7 @@ def test_branch_log_slr_matches_from_scratch_recompute():
     truth = state_from_angle(cfg, 100.0)
     branches = enumerate_transcripts(policy, truth, cfg, null_set, alt_set, 3)
     for br in branches:
-        logs = recompute_slr(br.records, cfg, null_set, alt_set)
+        logs = recompute_slr(br.rounds, cfg, null_set, alt_set)
         assert abs(logs[-1] - br.log_slr) < 1e-9
 
 
@@ -114,7 +114,7 @@ def test_alht_enumeration_pins_the_weight():
     null_set, alt_set = small_sets()
     truth = state_from_angle(cfg, 45.0)
     branches = enumerate_transcripts(policy, truth, cfg, null_set, alt_set, 2)
-    joint_descs = {br.records[1].descriptor for br in branches}
+    joint_descs = {br.rounds[1].plan.descriptor for br in branches}
     assert all("lam=0.500000" in d for d in joint_descs)
 
 
@@ -127,11 +127,10 @@ def test_sampled_transcripts_match_recompute():
     worst = 0.0
     for seed in range(5):
         rng = np.random.default_rng([9000, seed])
-        records, engine_logs = sample_transcript(
-            policy, truth, cfg, null_set, alt_set, 6, rng
-        )
+        rounds = sample_transcript(policy, truth, cfg, null_set, alt_set, 6, rng)
+        engine_logs = np.array([s.log_slr for s in rounds])
         again = recompute_slr(
-            records, cfg, null_set, alt_set, initial_alt_angle=45.5
+            rounds, cfg, null_set, alt_set, initial_alt_angle=45.5
         )
         worst = max(worst, float(np.max(np.abs(again - engine_logs))))
     assert worst <= 1e-9
@@ -151,16 +150,16 @@ def test_sampled_transcript_follows_the_engine_run(kind):
     out = run_sequential_test(
         policy, truth, cfg, null_set, alt_set, 1e-3, 40, np.random.default_rng(404)
     )
-    records, logs = sample_transcript(
+    rounds = sample_transcript(
         policy, truth, cfg, null_set, alt_set, 12, np.random.default_rng(404)
     )
-    shared = min(out.rounds_used, len(records))
+    shared = min(out.rounds_used, len(rounds))
     assert shared >= 9
-    for mine, theirs in zip(out.rounds[:shared], records[:shared]):
-        assert mine.descriptor == theirs.descriptor
+    for mine, theirs in zip(out.rounds[:shared], rounds[:shared]):
+        assert mine.plan.descriptor == theirs.plan.descriptor
         assert mine.outcome == theirs.outcome
         assert mine.log_numerator_term == theirs.log_numerator_term
-    assert list(out.log_slrs[:shared]) == list(logs[:shared])
+    assert list(out.log_slrs[:shared]) == [s.log_slr for s in rounds[:shared]]
 
 
 # (null set, alternative set) pairs: point, interval and two-point nulls
@@ -188,11 +187,12 @@ def test_recorded_rounds_match_recompute_for_every_policy(
     cfg = FamilyConfig()
     null_set, alt_set = (parse_hypothesis_set(s) for s in sets)
     policy = PolicyConfig(kind=kind, n_ic=n_ic, n_joint=n_joint, estimation_povm=est)
-    records, engine_logs = sample_transcript(
+    rounds = sample_transcript(
         policy, state_from_angle(cfg, truth_angle), cfg, null_set, alt_set, n_rounds,
         np.random.default_rng(seed),
     )
-    again = recompute_slr(records, cfg, null_set, alt_set, estimation_povm=est)
+    engine_logs = np.array([s.log_slr for s in rounds])
+    again = recompute_slr(rounds, cfg, null_set, alt_set, estimation_povm=est)
     assert float(np.max(np.abs(again - engine_logs))) <= 1e-9
 
 

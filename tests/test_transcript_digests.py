@@ -32,7 +32,7 @@ DIGESTS = {
 def _feed(digest, method: str, budget: int, out) -> None:
     """Add one run's transcript to the digest, one field per line."""
     lines = [method, str(budget), out.decision, str(out.copies_used)]
-    lines += [f"{r.descriptor} {r.outcome!r}" for r in out.rounds]
+    lines += [f"{r.plan.descriptor} {r.outcome!r}" for r in out.rounds]
     lines += [repr(v) for v in out.log_slrs]
     lines.append(repr(out.final_log_slr_rev))
     digest.update(("\n".join(lines) + "\n\n").encode())
