@@ -42,10 +42,11 @@ below says what it holds and keeps out. aLVT designs that pick one
 rotation angle share one POVM there, and with it the truth's law and each
 outcome's row and numerator terms. Its prefix tree goes further: a
 round's plan and folded states depend only on the transcript before it,
-so runs that open with the same outcomes walk one tree of kept prefixes
-and plan and fold only where it ends ("the prefix tree" below). Neither
-ever changes a run's result. A round the tree serves costs a law lookup,
-one uniform bisected into the law's cumulative floats and a child lookup.
+so runs that open with the same outcomes walk one tree of the prefixes
+earlier runs folded, and plan and fold only where it ends ("the prefix
+tree" below). Neither ever changes a run's result. A round the tree
+serves costs a law lookup, one uniform bisected into the law's
+cumulative floats and a child lookup.
 
 Numerator probabilities are additionally clamped at NUMERATOR_FLOOR, so a
 predicted-impossible outcome that still happens costs log(NUMERATOR_FLOOR)
@@ -137,8 +138,8 @@ class PolicyConfig:
     Each block is n_ic single-copy estimation rounds followed by one joint
     round on n_joint fresh copies. aLHT draws the Helstrom weight uniformly
     per block, aLHT+ grid-optimizes it, aLVT grid-optimizes the variational
-    angle. initial_alt_angle overrides the pre-data alternative estimate
-    (it is snapped to the grid).
+    angle. initial_alt_angle, finite when given, overrides the pre-data
+    alternative estimate (it is snapped to the grid).
     """
 
     kind: str
@@ -157,6 +158,8 @@ class PolicyConfig:
             raise ConfigError(f"n_ic must be >= 0, got {self.n_ic}")
         if self.n_joint < 1:
             raise ConfigError(f"n_joint must be >= 1, got {self.n_joint}")
+        if self.initial_alt_angle is not None and not math.isfinite(self.initial_alt_angle):
+            raise ConfigError(f"initial_alt_angle must be finite, got {self.initial_alt_angle}")
 
     def is_estimation_round(self, t: int) -> bool:
         """Whether round t (0-based) is a single-copy estimation round, not a joint one."""
@@ -400,7 +403,7 @@ def predictable_estimate(
 # does not recur (an aLHT design, a state at a refined off-grid null MLE)
 # is built and dropped, and so is an alternative angle's state on a
 # one-angle null grid (_grid_angles). Apart from the prefix tree, which
-# grows with the prefixes runs share up to PREFIX_TREE_FLOATS, the memo
+# grows with the prefixes runs fold up to PREFIX_TREE_FLOATS, the memo
 # grows with the grid and the design cache, not with the rounds: at most
 # one power (aLHT, aLHT+) or one (theta_grid_size, 2^n_joint) table (aLVT)
 # per angle it keys on, one POVM per angle of the rotation grid, and per
@@ -695,23 +698,20 @@ class TestOutcome:
 # plan is seen to recur, and its children keyed by outcome. A run still
 # draws every outcome, and plans or folds only where the tree has no plan
 # or no child. What the tree keeps:
-#   - a prefix once a second run reaches it. The first run to leave the
-#     tree leaves only a trail, the outcomes it drew below that point, so
-#     that the run which follows it keeps each prefix it shares with it;
+#   - a prefix the first time a run folds it below a kept node, when the
+#     plan there recurs;
 #   - nothing below a plan that does not recur (aLHT's joint rounds);
 #   - nothing more once PREFIX_TREE_FLOATS (2 MiB of floats) is spent. A
 #     kept node costs its two grids' running sums plus _NODE_FLOATS for
 #     the objects around them (states, grids, plan, dict: about
-#     1.6 kB), a trail one float per outcome plus _TRAIL_FLOATS. Measured
-#     with tracemalloc, what a full tree holds comes within a quarter of
-#     its count, so the count bounds the tree's memory.
+#     1.6 kB). Measured with tracemalloc, what a full tree holds comes
+#     within a quarter of its count, so the count bounds the tree's memory.
 # A node holds the objects a fresh walk builds, so runs read the same
 # floats and draws with or without the tree; runs that end on one kept
 # node share its states, which are immutable.
 
 PREFIX_TREE_FLOATS = 1 << 18
 _NODE_FLOATS = 200
-_TRAIL_FLOATS = 8
 
 
 class _Prefix:
@@ -739,12 +739,6 @@ class PrefixTree:
         self.roots: dict = {}
         self.floats = 0
 
-    def _grow(self, floats: int) -> bool:
-        if self.floats + floats > PREFIX_TREE_FLOATS:
-            return False
-        self.floats += floats
-        return True
-
     def root(self, key, build) -> _Prefix:
         node = self.roots.get(key)
         if node is None:
@@ -752,36 +746,26 @@ class PrefixTree:
             node.children = {}
         return node
 
-    def step(self, node: _Prefix, plan: RoundPlan, outcome, trail: list | None, fold):
-        """The prefix after `outcome` of `plan` at node, and the trail the run extends.
+    def step(self, node: _Prefix, plan: RoundPlan, outcome, fold) -> _Prefix:
+        """The prefix after `outcome` of `plan` at node.
 
-        fold(node, plan, outcome) builds a child the tree does not hold. A
-        kept child is returned as kept; a trail found under the outcome
-        means an earlier run drew it here, so the child is kept, holding
-        the rest of that trail. trail is the list a run below the tree
-        appends its outcomes to, or None when it records none.
+        A kept child is returned as kept. fold(node, plan, outcome) builds
+        any other; below a kept node and a recurring plan the tree keeps it
+        at once, while its grids and _NODE_FLOATS fit in PREFIX_TREE_FLOATS.
         """
         kids = node.children
         if kids is None or not plan.recurs:
+            return fold(node, plan, outcome)
+        child = kids.get(outcome)
+        if child is None:
             child = fold(node, plan, outcome)
-            if trail is not None and plan.recurs and self._grow(1):
-                trail.append(outcome)
-                return child, trail
-            return child, None
-        below = kids.get(outcome)
-        if type(below) is _Prefix:
-            return below, None
-        child = fold(node, plan, outcome)
-        if below is None:
-            if not self._grow(_TRAIL_FLOATS):
-                return child, None
-            trail = kids[outcome] = []
-            return child, trail
-        grids = child.s0.null_grid.angles.size + child.s0.alt_grid.angles.size
-        if self._grow(grids + _NODE_FLOATS):
-            child.children = {below[0]: below[1:]} if below else {}
-            kids[outcome] = child
-        return child, None
+            floats = self.floats + _NODE_FLOATS
+            floats += child.s0.null_grid.angles.size + child.s0.alt_grid.angles.size
+            if floats <= PREFIX_TREE_FLOATS:
+                self.floats = floats
+                child.children = {}
+                kids[outcome] = child
+        return child
 
 
 def run_sequential_test(
@@ -815,8 +799,8 @@ def run_sequential_test(
     outcome from the truth's law as ever, reads the plan and the child
     prefix a run before it kept, and calls next_measurement or
     observe_round only where the tree holds none. A run without a memo
-    walks a throwaway tree that keeps nothing. The returned states may be
-    shared with other runs of the trial (see TestOutcome).
+    keeps its own path in its own tree until it ends. The returned states
+    may be shared with other runs of the trial (see TestOutcome).
     """
     if not 0.0 < eps0 < 1.0:
         raise ConfigError(f"eps0 must lie in (0,1), got {eps0}")
@@ -849,7 +833,6 @@ def run_sequential_test(
 
     tree = memoized(memo, "prefix tree", PrefixTree)
     node = tree.root((null_set, alt_set, resolution, eps0, eps1), first_prefix)
-    trail = None
     copies_used = 0
     while node.decision == "continue":
         copies = 1 if policy.is_estimation_round(node.s0.n_rounds) else policy.n_joint
@@ -861,6 +844,6 @@ def run_sequential_test(
             if plan.recurs and node.children is not None:
                 node.plan = plan
         outcome = sample_outcome(laws.dist(plan.povm, plan.recurs), rng)
-        node, trail = tree.step(node, plan, outcome, trail, fold)
+        node = tree.step(node, plan, outcome, fold)
         copies_used += copies
     return TestOutcome(node.decision, copies_used, node.s0, node.s1)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
 
@@ -357,6 +358,31 @@ def estimation_log_rows(grid: ParamGrid, cfg: FamilyConfig, povm: Povm) -> np.nd
     return np.stack([grid_log_probs(grid, outcome_coeffs(cfg, e)) for e in povm.elements])
 
 
+def _lattice(piece: Piece, resolution: float) -> tuple[float, int, bool]:
+    """An interval piece's grid at resolution: its first lattice point, how
+    many lattice points it covers at that spacing, and whether its closed
+    end is appended after them (build_grid lists them, grid_size counts them)."""
+    lo = piece.start if piece.closed_start else piece.start + resolution
+    hi = piece.end if piece.closed_end else piece.end - resolution
+    steps = (hi - lo) / resolution + _ANGLE_EPS
+    if lo > hi + _ANGLE_EPS or steps < 0.0:
+        return lo, 0, False
+    count = math.floor(min(steps, sys.float_info.max)) + 1
+    return lo, count, piece.closed_end and hi - (lo + resolution * (count - 1)) > _ANGLE_EPS
+
+
+def grid_size(hset: HypothesisSet, resolution: float = DEFAULT_RESOLUTION) -> int:
+    """How many angles build_grid(hset, resolution) lists, counted without listing them."""
+    total = 0
+    for piece in hset.pieces:
+        if piece.is_point:
+            total += 1
+        else:
+            _, count, end = _lattice(piece, resolution)
+            total += count + end
+    return total
+
+
 @lru_cache(maxsize=16)
 def build_grid(hset: HypothesisSet, resolution: float = DEFAULT_RESOLUTION) -> ParamGrid:
     """Uniform grid over a hypothesis set.
@@ -377,15 +403,10 @@ def build_grid(hset: HypothesisSet, resolution: float = DEFAULT_RESOLUTION) -> P
             angles.append(piece.start)
             segs.append(idx)
             continue
-        lo = piece.start if piece.closed_start else piece.start + resolution
-        hi = piece.end if piece.closed_end else piece.end - resolution
-        if lo > hi + _ANGLE_EPS:
-            continue
-        count = int(math.floor((hi - lo) / resolution + _ANGLE_EPS))
-        pts = lo + resolution * np.arange(count + 1)
-        angles.extend(pts.tolist())
-        segs.extend([idx] * (count + 1))
-        if piece.closed_end and hi - pts[-1] > _ANGLE_EPS:
+        lo, count, end = _lattice(piece, resolution)
+        angles.extend((lo + resolution * np.arange(count)).tolist())
+        segs.extend([idx] * count)
+        if end:
             angles.append(piece.end)
             segs.append(idx)
     if not angles:

@@ -31,6 +31,7 @@ from .family import (
     FamilyConfig,
     HypothesisSet,
     build_grid,
+    grid_size,
     parse_hypothesis_set,
     sets_disjoint,
     state_from_angle,
@@ -132,12 +133,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"null set {self.null_set} overlaps alternative set {self.alt_set}"
             )
-        shared = self._shared_state()
-        if shared is not None:
-            raise ConfigError(
-                f"null angle {shared[0]:g} and alternative angle {shared[1]:g} "
-                f"give the same state for (r_z, r_x) = ({self.r_z}, {self.r_x})"
-            )
         for m in self.methods:
             # The copies of the method's first measured round: a smaller
             # budget would report a cell that measured nothing.
@@ -153,9 +148,16 @@ class ExperimentConfig:
             size = self._largest_array_bytes(m)
             if size > MAX_ARRAY_BYTES:
                 raise ConfigError(
-                    f"method {m} at n_joint {self.n_joint} builds a {size}-byte array, "
+                    f"method {m} at n_joint {self.n_joint} and grid_resolution "
+                    f"{self.grid_resolution} builds a {size}-byte array, "
                     f"over MAX_ARRAY_BYTES = {MAX_ARRAY_BYTES}"
                 )
+        shared = self._shared_state()
+        if shared is not None:
+            raise ConfigError(
+                f"null angle {shared[0]:g} and alternative angle {shared[1]:g} "
+                f"give the same state for (r_z, r_x) = ({self.r_z}, {self.r_x})"
+            )
         if self.point_null_angle() is None:
             for m in self.methods:
                 if METHODS[m].design == "helstrom":
@@ -164,18 +166,27 @@ class ExperimentConfig:
                     )
 
     def _largest_array_bytes(self, method: str) -> int:
-        """Bytes of the largest dense array a run of method builds beyond its n_joint-copy powers.
+        """Bytes of the largest dense array that this check or a run of method
+        builds beyond its n_joint-copy powers, counted before any grid is built.
 
-        A sequential run caches family._node_powers' 2n + 1 complex n-copy
-        powers; a variational design holds variational_povm's 2^n complex
-        elements and rotation_grid's float stack of theta_grid_size unitaries.
+        _shared_state compares _SAME_STATE_ROWS null angles at a time with
+        every alternative angle. A sequential run caches family._node_powers'
+        2n + 1 complex n-copy powers and each grid's Fourier basis, 2n + 1
+        floats per angle. A variational design holds variational_povm's 2^n
+        complex elements and rotation_grid's float stack of theta_grid_size
+        unitaries; a fixed-copy one also the null grid's rotated-basis table,
+        theta_grid_size * 2^n floats per angle, built from a stack of its
+        complex n-copy states.
         """
-        dim = 2**self.n_joint
-        sizes = [0]
+        dim, width = 2**self.n_joint, 2 * self.n_joint + 1
+        g0, g1 = (grid_size(s, self.grid_resolution) for s in (self.null_set, self.alt_set))
+        sizes = [8 * _SAME_STATE_ROWS * g1]
         if METHODS[method].design == "sequential":
-            sizes.append(16 * (2 * self.n_joint + 1) * dim**2)
+            sizes += [16 * width * dim**2, 8 * width * max(g0, g1)]
         if METHODS[method].design == "variational" or method == "aLVT":
             sizes += [16 * dim**3, 8 * self.theta_grid_size * dim**2]
+        if METHODS[method].design == "variational":
+            sizes += [8 * self.theta_grid_size * dim * g0, 16 * dim**2 * g0]
         return max(sizes)
 
     def _shared_state(self) -> tuple[float, float] | None:

@@ -163,6 +163,14 @@ def test_policy_config_validation():
         PolicyConfig(kind="aLHT", n_joint=0)
     with pytest.raises(ConfigError):
         PolicyConfig(kind="aLVT", theta_grid_size=0)
+    # NaN and the infinities would snap to the grid's first angle
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ConfigError, match="initial_alt_angle"):
+            PolicyConfig(kind="aLHT+", initial_alt_angle=bad)
+    policy = PolicyConfig(kind="aLHT+", initial_alt_angle=46.2)
+    est = predictable_estimate(build_grid(ALT_UPPER), CFG, computational_basis_povm(1),
+                               policy.initial_alt_angle)
+    assert est == 46.0
 
 
 def test_decision_boundaries_are_inclusive():
@@ -491,7 +499,9 @@ def test_a_memo_shared_across_hypothesis_pairs_changes_no_run(kind, monkeypatch)
     of two pairs. So a reduced outcome's log vectors must be keyed on both
     lattices, in order. Each seed is replayed three times, interleaved with
     two truths and two budgets, so later replays read prefixes the tree
-    kept under another truth or budget, one- and two-sided alike.
+    kept under another truth or budget, one- and two-sided alike. Each
+    replay swaps the two seeds' levels eps0, so the tree must keep a root
+    per level: a node's decision is read at its run's thresholds.
     """
     cfg = FamilyConfig(r_z=0.9, r_x=0.7)
     pairs = [
@@ -524,14 +534,15 @@ def test_a_memo_shared_across_hypothesis_pairs_changes_no_run(kind, monkeypatch)
             for replay in range(3):
                 folds.append(0)
                 for seed in (1, 2):
+                    eps0 = (1e-3, 0.5)[(seed + replay) % 2]
                     for angle, budget in ((100.0, 24), (45.0, 8), (45.0, 24), (100.0, 8)):
                         def run(memo):
                             return run_transcript(run_sequential_test(
-                                policy, truths[angle], cfg, null_set, alt_set, 1e-3, budget,
+                                policy, truths[angle], cfg, null_set, alt_set, eps0, budget,
                                 np.random.default_rng([seed, len(null)]), eps1=eps1, memo=memo,
                             ))
 
-                        case = (seed, angle, budget)
+                        case = (seed, eps0, angle, budget)
                         if case not in fresh:
                             folds.append(0)
                             fresh[case] = run({})
@@ -614,11 +625,12 @@ def test_alvt_designs_share_the_trial_memos_povm_across_trials(monkeypatch):
 @pytest.mark.parametrize("eps1", [None, 0.05])
 @pytest.mark.parametrize("kind", ["aLHT", "aLHT+", "aLVT"])
 def test_a_warm_trial_memo_replays_a_run_without_folding(kind, eps1, monkeypatch):
-    """From its third run on, a seed run through one memo reads every prefix
+    """From its second run on, a seed run through one memo reads every prefix
     from the prefix tree: it folds no round, except aLHT's rounds from its
     first joint round on, whose fresh weight keeps the tree from planning
-    them. Six seeds share the four two-round openings, so runs that part
-    only at a joint round meet in the tree.
+    them. The tree keeps each prefix the first time a run folds it, and six
+    seeds share the four two-round openings, so runs that part only at a
+    joint round meet in the tree.
 
     Every replay gives the fresh-memo run's transcript exactly, the reversed
     statistic's rounds and log SLRs included: their numerator terms are
@@ -652,7 +664,7 @@ def test_a_warm_trial_memo_replays_a_run_without_folding(kind, eps1, monkeypatch
             assert len(want[1][2]) == (rounds if eps1 is not None else 0)
             got, folded = run(seed, memo)
             assert got == want, (replay, seed)
-            if replay >= 2:
+            if replay >= 1:
                 assert folded == (rounds - policy.n_ic if policy.random_design else 0)
 
 
@@ -675,7 +687,41 @@ def test_the_prefix_tree_stops_growing_at_its_budget(kind, monkeypatch):
             assert run_transcript(got) == run_transcript(want)
             grown.append(memo["prefix tree"].floats)
     assert max(grown) <= budget
-    assert grown[-1] == grown[len(grown) // 2] > budget - 2 * (1 + 270 + engine._NODE_FLOATS)
+    assert grown[-1] == grown[len(grown) // 2] > budget - (1 + 270 + engine._NODE_FLOATS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(("aLHT", "aLHT+", "aLVT")),
+    null=st.sampled_from(("{45}", "[0,45]")),
+    runs=st.lists(
+        st.tuples(
+            st.integers(0, 3),
+            st.floats(0.0, 180.0),
+            st.integers(1, 24),
+            st.sampled_from((1e-3, 0.05, 0.5)),
+            st.sampled_from((None, 0.05)),
+        ),
+        min_size=2,
+        max_size=6,
+    ),
+)
+def test_runs_interleaved_through_one_memo_equal_fresh_memo_runs(kind, null, runs):
+    """Any interleaving of seeds, truths, budgets and levels through one
+    trial memo gives each run the transcript of a run with a fresh memo.
+    Few seeds, so runs share openings and read prefixes the tree kept for
+    another truth, budget or level."""
+    policy = PolicyConfig(kind=kind, n_ic=2, n_joint=2, lambda_grid_size=9, theta_grid_size=36)
+    null_set, memo = parse_hypothesis_set(null), {}
+    for seed, angle, budget, eps0, eps1 in runs:
+        got, want = (
+            run_transcript(run_sequential_test(
+                policy, state_from_angle(CFG, angle), CFG, null_set, ALT_UPPER, eps0, budget,
+                np.random.default_rng(seed), eps1=eps1, memo=m,
+            ))
+            for m in (memo, {})
+        )
+        assert got == want, (seed, angle, budget, eps0, eps1)
 
 
 def test_sic_estimation_rounds():

@@ -20,6 +20,7 @@ from qhtest.family import (
     Piece,
     accumulate,
     build_grid,
+    grid_size,
     log_outcome_prob,
     loglik_at,
     mle,
@@ -195,6 +196,20 @@ def test_build_grid_empty_interval_raises():
     narrow = parse_hypothesis_set("(45,45.4)")
     with pytest.raises(EmptyGrid):
         build_grid(narrow, resolution=0.5)
+    assert grid_size(narrow, resolution=0.5) == 0
+    # the open start steps past the closed end by less than _ANGLE_EPS
+    past = parse_hypothesis_set("(0,0.0499999999]")
+    with pytest.raises(EmptyGrid):
+        build_grid(past, resolution=0.05)
+    assert grid_size(past, resolution=0.05) == 0
+
+
+@pytest.mark.parametrize("resolution", [0.5, 0.3, 0.7, 0.01, 0.123, 7.0])
+def test_grid_size_counts_the_angles_build_grid_lists(resolution):
+    for text in ("{45}", "(45,180]", "[0,45]", "[0,1.3]", "{45,135}",
+                 "[0,30] [120,150]", "(30,120) (150,180]", "(45,135) (135,180)"):
+        hset = parse_hypothesis_set(text)
+        assert grid_size(hset, resolution) == build_grid(hset, resolution).angles.size, text
 
 
 # --- trigonometric interpolation ------------------------------------------

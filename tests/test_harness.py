@@ -106,6 +106,36 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="within 4096, got 13"):
             small_config(methods=("LHT",), n_joint=13, budgets=budgets)
 
+    def test_rejects_grids_past_the_byte_budget_before_building_them(self, monkeypatch):
+        """Arrays that scale with a grid count against MAX_ARRAY_BYTES, and
+        each grid's size is counted from its set before any grid is built.
+        Only configs are built, with build_grid refusing to run: the configs
+        that fail would take gigabytes, and at resolution 1e-9 build_grid
+        would list 1.35e11 angles."""
+        class Built(Exception):
+            pass
+
+        def refuse(*args):
+            raise Built
+
+        monkeypatch.setattr(family, "build_grid", refuse)
+        monkeypatch.setattr(harness, "build_grid", refuse)
+        interval = dict(null_set=parse_hypothesis_set("[0,45]"), budgets=(24, 48))
+        # a fixed-copy variational trial's null-grid table takes 46,080 bytes
+        # per null angle at n_joint 4: 23,301 angles fit in 1 GiB, 23,302 do not
+        fits, over = 45 / 23300, 45 / 23301
+        assert [family.grid_size(interval["null_set"], r) for r in (fits, over)] == [23301, 23302]
+        for method in ("LVT", "bLVT"):
+            with pytest.raises(Built):  # past the byte budget, on to the shared-state check
+                small_config(methods=(method,), grid_resolution=fits, **interval)
+            with pytest.raises(ConfigError, match="MAX_ARRAY_BYTES"):
+                small_config(methods=(method,), grid_resolution=over, **interval)
+        for method, spec in METHODS.items():
+            sets = {} if spec.design == "helstrom" else interval
+            for resolution in (1e-9, 1e-320):  # at 1e-320 the angle count passes any float
+                with pytest.raises(ConfigError, match="MAX_ARRAY_BYTES"):
+                    small_config(methods=(method,), grid_resolution=resolution, **sets)
+
     def test_rejects_overlapping_sets(self):
         with pytest.raises(ConfigError):
             small_config(alt_set=parse_hypothesis_set("[45,180]"))
