@@ -25,14 +25,16 @@ ties accept; with b = 1 the size rule and the vote are the single block's.
 Both runners share one run body, _run_blocks: fit w1, look up the block
 test calibrated at w1 and vote. A calibrated block test depends on the
 run's data only through the fitted grid angle w1, so every runner takes a
-memo dict that keeps the test's parts at four levels, each built once:
+memo dict and keeps the test's parts in its sub-memo keyed on the design,
+the family, the null, the alternative set and every FixedTestConfig field
+but total_budget and blocks, at four levels, each built once:
 
-* per trial, under string keys: the alternative grid's angles and log
-  rows ("estimation"), and the null state's power ("null power",
+* per configuration, under string keys: the alternative grid's angles
+  and log rows ("estimation"), and the null state's power ("null power",
   Helstrom) or the null grid's rotated-basis table ("null table",
   variational);
 * per truth, in TruthLaws.memo: measurements.truth_laws keeps the
-  truth's TruthLaws under memo["truth"], the one owner of what depends on
+  truth's TruthLaws under "truth", the one owner of what depends on
   the truth for the engine's runs and these alike, and rebuilds it when a
   run brings another truth. It holds the truth's estimation law and its
   joint-copy power;
@@ -55,12 +57,11 @@ built for its own weight and fitted angle and is not kept either.
 So a trial holds at most one weight table (grid_size weights and two
 columns, plus one power matrix) or one (theta_grid_size, 2^n) rotated
 table per alternative grid angle it fitted, and per truth one law of 2^n
-floats per rotation angle its variational tests picked. A memo serves
-one trial as built by harness.make_trial: one family, hypothesis pair
-and set of design settings, with the budget and even the truth varying;
-a fresh {} recalibrates. A hit draws the same blocks from the same
-distribution, so the random stream and every decision are those of a
-run that recalibrated.
+floats per rotation angle its variational tests picked. A trial built by
+harness.make_trial has one configuration, with the budget and even the
+truth varying; a fresh {} recalibrates. A hit draws the same blocks from
+the same distribution, so the random stream and every decision are those
+of a run that recalibrated.
 """
 
 from __future__ import annotations
@@ -213,6 +214,9 @@ def _run_blocks(block_test, fcfg, truth, cfg, null, alt_set, rng, memo) -> Fixed
     accepts without drawing. Every run spends its whole budget, in m + b
     rounds.
     """
+    key = (block_test, cfg, null, alt_set, fcfg.joint_copies, fcfg.eps0, fcfg.resolution,
+           fcfg.estimation_povm, fcfg.lambda_grid_size, fcfg.theta_grid_size)
+    memo = memoized(memo, key, dict)
     w1 = _fit_alternative(fcfg, truth, cfg, alt_set, rng, memo)
     laws = memo["truth"]  # _fit_alternative has just read it through truth_laws
     test = memoized(laws.memo, (w1, fcfg.blocks), block_test, fcfg, laws, cfg, null, w1, memo)

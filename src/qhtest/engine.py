@@ -374,9 +374,9 @@ def predictable_estimate(
 # --- the trial memo --------------------------------------------------------
 #
 # A memo dict serves one trial (harness.make_trial owns one per sequential
-# method): one family, policy, hypothesis pair and grid resolution, while
-# the budget, the run and even the truth vary. It keeps only what recurs
-# within a trial, each built once:
+# method). A run keeps its entries in the sub-memo memo[(cfg, policy,
+# null_set, alt_set, resolution, eps0, eps1)], keyed on all it reads but
+# the truth, the budget and the generator, and keeps only what recurs:
 #   "grid angles"             the angles the memo keys on (_grid_angles)
 #   ("power", w)              the n_joint-copy power of the state at such an angle w
 #   ("table", w)              its rotated-basis table (aLVT)
@@ -385,8 +385,8 @@ def predictable_estimate(
 #                             (_variational_design): every aLVT design that picks
 #                             theta returns it, so the entries keyed on it
 #                             below are shared too
-#   ("outcome", M, x, id(A0), id(A1))  outcome x of a recurring POVM M:
-#                             its row, its log vectors on lattices A0, A1 and its
+#   ("outcome", M, x)         outcome x of a recurring POVM M: its row, its log
+#                             vectors on the null and alternative grids and its
 #                             numerator term at each predictable angle read so
 #                             far (_reduced, _numerator_term)
 #   "truth"                   the TruthLaws of the last truth seen
@@ -403,7 +403,7 @@ def predictable_estimate(
 # does not recur (an aLHT design, a state at a refined off-grid null MLE)
 # is built and dropped, and so is an alternative angle's state on a
 # one-angle null grid (_grid_angles). Apart from the prefix tree, which
-# grows with the prefixes runs fold up to PREFIX_TREE_FLOATS, the memo
+# grows with the prefixes runs fold up to PREFIX_TREE_FLOATS, a sub-memo
 # grows with the grid and the design cache, not with the rounds: at most
 # one power (aLHT, aLHT+) or one (theta_grid_size, 2^n_joint) table (aLVT)
 # per angle it keys on, one POVM per angle of the rotation grid, and per
@@ -444,20 +444,17 @@ def _reduced(memo: dict, cfg: FamilyConfig, plan: RoundPlan, outcome, state: Slr
     null, alt = state.null_grid, state.alt_grid
     if not plan.recurs:
         return _outcome_entry(cfg, plan.povm, outcome, null, alt)
-    key = ("outcome", plan.povm, outcome, id(null.angles), id(alt.angles))
-    return memoized(memo, key, _outcome_entry, cfg, plan.povm, outcome, null, alt)
+    return memoized(memo, ("outcome", plan.povm, outcome), _outcome_entry,
+                    cfg, plan.povm, outcome, null, alt)
 
 
 def _outcome_entry(
     cfg: FamilyConfig, povm: Povm, outcome, null: ParamGrid, alt: ParamGrid
 ) -> tuple:
     """The outcome's row, its log vectors on the null and alternative grids
-    and its numerator terms by angle (_numerator_term fills that dict), then
-    the lattices whose ids key it in the memo, so neither id is reused while
-    the memo keeps it."""
+    and its numerator terms by angle (_numerator_term fills that dict)."""
     row = outcome_row(cfg, povm, outcome)
-    return (row, grid_log_probs(null, row), grid_log_probs(alt, row), {},
-            null.angles, alt.angles)
+    return row, grid_log_probs(null, row), grid_log_probs(alt, row), {}
 
 
 def _numerator_term(entry: tuple, angle: float) -> float:
@@ -691,9 +688,9 @@ class TestOutcome:
 # before it: universal inference lets a design read past data only, and the
 # only other input, aLHT's drawn weight, makes a plan that never recurs.
 # Neither the truth nor the budget enters, so a trial's runs that draw the
-# same opening outcomes plan and fold the same rounds. The trial memo keeps
-# one PrefixTree ("prefix tree"), with one root per (null set, alternative
-# set, resolution, eps0, eps1). A node is one transcript prefix: the forward
+# same opening outcomes plan and fold the same rounds. Each sub-memo of the
+# trial memo keeps one PrefixTree ("prefix tree"), whose root is built on
+# first use. A node is one transcript prefix: the forward
 # and reversed states after it, the decision read there, its plan once the
 # plan is seen to recur, and its children keyed by outcome. A run still
 # draws every outcome, and plans or folds only where the tree has no plan
@@ -701,10 +698,10 @@ class TestOutcome:
 #   - a prefix the first time a run folds it below a kept node, when the
 #     plan there recurs;
 #   - nothing below a plan that does not recur (aLHT's joint rounds);
-#   - nothing more once PREFIX_TREE_FLOATS (2 MiB of floats) is spent. A
-#     kept node costs its two grids' running sums plus _NODE_FLOATS for
-#     the objects around them (states, grids, plan, dict: about
-#     1.6 kB). Measured with tracemalloc, what a full tree holds comes
+#   - nothing more once PREFIX_TREE_FLOATS (2 MiB of floats per sub-memo)
+#     is spent. A kept node costs its two grids' running sums plus
+#     _NODE_FLOATS for the objects around them (states, grids, plan, dict:
+#     about 1.6 kB). Measured with tracemalloc, what a full tree holds comes
 #     within a quarter of its count, so the count bounds the tree's memory.
 # A node holds the objects a fresh walk builds, so runs read the same
 # floats and draws with or without the tree; runs that end on one kept
@@ -727,24 +724,17 @@ class _Prefix:
 
 
 class PrefixTree:
-    """The prefixes a trial's runs share (see the prefix tree above).
+    """The prefixes a trial's runs share below root (see the prefix tree above).
 
     floats counts what the tree has grown by, in grid floats; it stops
     growing at PREFIX_TREE_FLOATS.
     """
 
-    __slots__ = ("roots", "floats")
+    __slots__ = ("root", "floats")
 
-    def __init__(self):
-        self.roots: dict = {}
-        self.floats = 0
-
-    def root(self, key, build) -> _Prefix:
-        node = self.roots.get(key)
-        if node is None:
-            node = self.roots[key] = build()
-            node.children = {}
-        return node
+    def __init__(self, root: _Prefix):
+        root.children = {}
+        self.root, self.floats = root, 0
 
     def step(self, node: _Prefix, plan: RoundPlan, outcome, fold) -> _Prefix:
         """The prefix after `outcome` of `plan` at node.
@@ -790,9 +780,9 @@ def run_sequential_test(
     refined for a joint round's design and where a bound reaches its
     threshold, and the rest only when the outcome's statistics are read.
     Decisions, draws and every reported float are those of a loop that
-    refines every state each round. truth is
-    a 2x2 density matrix, raised to n_joint copies once per truth. memo is
-    the trial's memo (see the trial memo above); without one the run
+    refines every state each round. truth is a 2x2 density matrix, raised
+    to n_joint copies once per truth. memo is the trial's memo, read at the
+    run's configuration (see the trial memo above); without one the run
     keeps its own, and the result is the same.
 
     The one run loop walks the memo's prefix tree: each round it draws its
@@ -808,20 +798,19 @@ def run_sequential_test(
         raise ConfigError(f"eps1 must lie in (0,1), got {eps1}")
     if budget < 1:
         raise ConfigError(f"budget must be >= 1, got {budget}")
-    if truth.shape != (2, 2):
-        raise ConfigError(f"truth must be a single-qubit state, got shape {truth.shape}")
     if not sets_disjoint(null_set, alt_set):
         raise ConfigError(f"hypothesis sets overlap: {null_set} vs {alt_set}")
 
-    memo = {} if memo is None else memo
+    key = (cfg, policy, null_set, alt_set, resolution, eps0, eps1)
+    memo = {} if memo is None else memoized(memo, key, dict)
     laws = truth_laws(truth, memo)
     threshold0 = _threshold(eps0)
     threshold1 = _threshold(eps1) if eps1 is not None else None
 
-    def first_prefix() -> _Prefix:
+    def new_tree() -> PrefixTree:
         s0 = new_slr_state(null_set, alt_set, resolution)
         s1 = SlrState(null_grid=s0.alt_grid, alt_grid=s0.null_grid) if eps1 is not None else None
-        return _Prefix(s0, s1, "continue")
+        return PrefixTree(_Prefix(s0, s1, "continue"))
 
     def fold(node: _Prefix, plan: RoundPlan, outcome) -> _Prefix:
         s0, s1 = observe_round(policy, cfg, plan, outcome, node.s0, node.s1, memo)
@@ -831,8 +820,8 @@ def run_sequential_test(
         log1 = s1.crossing_log_slr(threshold1)
         return _Prefix(s0, s1, _ternary(log0, log1, threshold0, threshold1))
 
-    tree = memoized(memo, "prefix tree", PrefixTree)
-    node = tree.root((null_set, alt_set, resolution, eps0, eps1), first_prefix)
+    tree = memoized(memo, "prefix tree", new_tree)
+    node = tree.root
     copies_used = 0
     while node.decision == "continue":
         copies = 1 if policy.is_estimation_round(node.s0.n_rounds) else policy.n_joint

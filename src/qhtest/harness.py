@@ -176,7 +176,10 @@ class ExperimentConfig:
         complex elements and rotation_grid's float stack of theta_grid_size
         unitaries; a fixed-copy one also the null grid's rotated-basis table,
         theta_grid_size * 2^n floats per angle, built from a stack of its
-        complex n-copy states.
+        complex n-copy states. A Helstrom weight table (aLHT+, LHT, bLHT;
+        measurements._binary_probs_on_weight_grid) holds, per spin block,
+        both powers applied to each weight's kept eigenvectors: a complex
+        (2, lambda_grid_size, n + 1, n + 1) array for the largest block.
         """
         dim, width = 2**self.n_joint, 2 * self.n_joint + 1
         g0, g1 = (grid_size(s, self.grid_resolution) for s in (self.null_set, self.alt_set))
@@ -187,6 +190,8 @@ class ExperimentConfig:
             sizes += [16 * dim**3, 8 * self.theta_grid_size * dim**2]
         if METHODS[method].design == "variational":
             sizes += [8 * self.theta_grid_size * dim * g0, 16 * dim**2 * g0]
+        if METHODS[method].design == "helstrom" or method == "aLHT+":
+            sizes.append(32 * self.lambda_grid_size * (self.n_joint + 1) ** 2)
         return max(sizes)
 
     def _shared_state(self) -> tuple[float, float] | None:
@@ -285,9 +290,10 @@ def make_trial(config: ExperimentConfig, method: str):
 
     Every trial owns one memo dict, passed to every run it makes. The
     memo lives as long as the trial, one method's sweep, and no two trials
-    share one. What depends on the truth, for every method, is the memo's
-    measurements.TruthLaws (memo["truth"], rebuilt when another truth arrives);
-    the rest is set out by the engine's trial memo for a sequential method
+    share one. Its runs read one sub-memo, keyed on their configuration,
+    whose measurements.TruthLaws holds what depends on the truth for every
+    method (rebuilt when another truth arrives); the rest of the sub-memo
+    is set out by the engine's trial memo for a sequential method
     and by the baselines module for a fixed-copy one. Like every cache it
     is filled by quantum.memoized, which stores values read-only.
     """

@@ -140,7 +140,8 @@ class TruthLaws:
 def truth_laws(truth: np.ndarray, memo: dict) -> TruthLaws:
     """The truth's TruthLaws, kept under memo["truth"].
 
-    The memo keeps those of the last truth it saw, on a read-only copy, and
+    The truth must be a single-qubit state (ConfigError otherwise). The
+    memo keeps the laws of the last truth it saw, on a read-only copy, and
     rebuilds them when a run brings another truth, even one the caller
     wrote into the array it passed before. Every run of every method asks,
     so the truths are compared as complex bytes, a ninth of the cost of
@@ -150,6 +151,8 @@ def truth_laws(truth: np.ndarray, memo: dict) -> TruthLaws:
     laws = memo.get("truth")
     given = np.asarray(truth, dtype=complex)
     if laws is None or given.shape != laws.truth.shape or given.tobytes() != laws.truth.tobytes():
+        if given.shape != (2, 2):
+            raise ConfigError(f"truth must be a single-qubit state, got shape {given.shape}")
         laws = memo["truth"] = TruthLaws(validate_density(truth))
     return laws
 

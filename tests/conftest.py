@@ -14,10 +14,27 @@ database, and prints the blob that reproduces a failure. Select it with
 
 (the hypothesis marker picks the @given tests); the scheduled CI job runs
 that several times over, so seeding does not end the search for examples.
+
+The run_memo fixture reads a run's entries out of a trial memo.
 """
 
+import pytest
 from hypothesis import settings
 
 settings.register_profile("seeded", derandomize=True, database=None)
 settings.register_profile("search", derandomize=False, database=None, print_blob=True)
 settings.load_profile("seeded")
+
+
+@pytest.fixture
+def run_memo():
+    """run_memo(memo): the sub-memo a trial memo keeps for its one run configuration.
+
+    A run opens a trial memo with one lookup keyed on its configuration and
+    keeps every entry in the sub-memo it finds there.
+    """
+    def sub_memo(memo: dict) -> dict:
+        (sub,) = memo.values()
+        return sub
+
+    return sub_memo

@@ -185,6 +185,24 @@ def test_a_nan_truth_is_refused_before_any_draw(runner, null, monkeypatch):
                    np.random.default_rng(0), trial_memo)
 
 
+@pytest.mark.parametrize(
+    "runner, blocks, null",
+    [(run_lht, 1, 45.0), (run_blht, 2, 45.0), (run_lvt, 1, NULL_POINT), (run_blvt, 2, NULL_POINT)],
+    ids=["LHT", "bLHT", "LVT", "bLVT"],
+)
+def test_a_truth_that_is_not_one_qubit_is_refused_before_any_draw(runner, blocks, null):
+    """A truth of another shape raises ConfigError, with a fresh memo or one
+    that holds a valid truth's laws; the run gets no generator to draw from."""
+    fcfg = FixedTestConfig(12, blocks=blocks, joint_copies=2, lambda_grid_size=9,
+                           theta_grid_size=36)
+    memo = {}
+    runner(fcfg, state_from_angle(CFG, 90.0), CFG, null, ALT_UPPER, np.random.default_rng(0), memo)
+    for dim in (1, 3, 4):
+        for trial_memo in (memo, {}):
+            with pytest.raises(ConfigError, match="single-qubit"):
+                runner(fcfg, np.eye(dim) / dim, CFG, null, ALT_UPPER, None, trial_memo)
+
+
 def test_infeasible_calibration_raises_and_run_falls_back():
     rho0 = state_from_angle(CFG, 45.0)
     rho1 = state_from_angle(CFG, 60.0)
@@ -234,6 +252,72 @@ def test_a_memo_shared_across_truths_changes_no_run(runner, blocks, angles):
         got = runner(fcfg, truth, CFG, null, ALT_UPPER, np.random.default_rng(k), memo)
         want = runner(fcfg, truth, CFG, null, ALT_UPPER, np.random.default_rng(k), {})
         assert (got.decision, got.calibrated) == (want.decision, want.calibrated), k
+
+
+# Each entry changes one FixedTestConfig setting from _BASE, by enough to
+# change what a run builds from it.
+_BASE = {"total_budget": 24, "joint_copies": 2, "lambda_grid_size": 9, "theta_grid_size": 36}
+_SETTINGS = (
+    {},
+    {"eps0": 0.2},
+    {"eps0": 0.005},
+    {"joint_copies": 3},
+    {"resolution": 45.0},
+    {"estimation_povm": "sic"},
+    {"lambda_grid_size": 2},
+    {"theta_grid_size": 3},
+)
+
+
+def test_runs_of_every_setting_through_one_memo_equal_fresh_memo_runs():
+    """LHT, bLHT, LVT and bLVT runs through one memo, interleaving the
+    design, the family, the hypotheses and every FixedTestConfig setting but
+    the budget, each decide as on a fresh memo. Few estimation copies fit
+    few angles, so runs of different settings fit one angle and meet the
+    entries kept there."""
+    pairs = (
+        (CFG, 45.0, ALT_UPPER),
+        (FamilyConfig(r_z=0.9, r_x=0.7), 45.0, ALT_UPPER),
+        (CFG, 30.0, ALT_UPPER),
+        (CFG, 45.0, parse_hypothesis_set("[90,180]")),
+    )
+    memo = {}
+    for seed in range(6):
+        for cfg, null_angle, alt_set in pairs:
+            truth = state_from_angle(cfg, 60.0)
+            null_set = parse_hypothesis_set(f"{{{null_angle:g}}}")
+            runners = ((run_lht, 1, null_angle), (run_blht, 3, null_angle),
+                       (run_lvt, 1, null_set), (run_blvt, 3, null_set))
+            for changes in _SETTINGS:
+                for runner, blocks, null in runners:
+                    fcfg = FixedTestConfig(**{**_BASE, "blocks": blocks, **changes})
+                    got, want = (
+                        runner(fcfg, truth, cfg, null, alt_set, np.random.default_rng(seed), m)
+                        for m in (memo, {})
+                    )
+                    assert got == want, (seed, cfg, null, alt_set, changes, runner, blocks)
+
+
+@pytest.mark.parametrize("runner, null", [(run_lht, 45.0), (run_lvt, NULL_POINT)],
+                         ids=["LHT", "LVT"])
+def test_a_memo_that_served_another_level_keeps_the_size(runner, null):
+    """At the null truth, runs at eps0 0.01 through a memo that first served
+    400 runs at eps0 0.2 reject exactly the runs that a memo fresh for eps0
+    0.01 rejects, within the level's Monte Carlo band."""
+    cfg = FamilyConfig(r_z=0.9, r_x=0.7)
+    truth = state_from_angle(cfg, 45.0)
+
+    def decisions(eps0, memo):
+        fcfg = FixedTestConfig(40, eps0=eps0)
+        runs = (runner(fcfg, truth, cfg, null, ALT_UPPER, np.random.default_rng([11, seed]), memo)
+                for seed in range(400))
+        return [out.decision for out in runs]
+
+    shared = {}
+    decisions(0.2, shared)
+    got = decisions(0.01, shared)
+    assert got == decisions(0.01, {})
+    assert np.mean(got) <= 0.01 + 3.0 * np.sqrt(0.01 * 0.99 / 400)
 
 
 def test_lht_type_one_error_within_monte_carlo_band():

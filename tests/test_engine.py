@@ -450,7 +450,7 @@ def test_each_round_is_folded_once_per_run(monkeypatch, eps1):
 
 
 @pytest.mark.parametrize("kind", ["aLHT+", "aLVT"])
-def test_a_round_is_stored_once(kind):
+def test_a_round_is_stored_once(kind, run_memo):
     """A two-sided run's forward and reversed states after a round hold one
     plan object, one outcome and one row, and differ only in their numerator
     terms, with a fresh memo and with a warm one. Each state carries its
@@ -471,7 +471,7 @@ def test_a_round_is_stored_once(kind):
             assert s1.null_grid is s0.alt_grid and s1.alt_grid is s0.null_grid
             assert s1.n_rounds == s0.n_rounds
         assert [s.log_slr for s in out.rounds] == list(out.log_slrs)
-    assert memo["prefix tree"].floats > 0
+    assert run_memo(memo)["prefix tree"].floats > 0
 
 
 def test_observe_round_refuses_a_reversed_state_with_other_grids():
@@ -496,12 +496,14 @@ def test_a_memo_shared_across_hypothesis_pairs_changes_no_run(kind, monkeypatch)
 
     The pairs share lattices in both roles: (45,180] is the alternative of
     two pairs and the null of the reversed point pair, and {45} is the null
-    of two pairs. So a reduced outcome's log vectors must be keyed on both
+    of two pairs, and a reduced outcome's log vectors are read on both
     lattices, in order. Each seed is replayed three times, interleaved with
     two truths and two budgets, so later replays read prefixes the tree
     kept under another truth or budget, one- and two-sided alike. Each
-    replay swaps the two seeds' levels eps0, so the tree must keep a root
-    per level: a node's decision is read at its run's thresholds.
+    replay swaps the two seeds' levels eps0, and a node's decision is read
+    at its run's thresholds. The run's key into the memo holds the pair,
+    the levels and the grids, so each configuration reads its own
+    sub-memo: its own outcome entries and its own prefix tree.
     """
     cfg = FamilyConfig(r_z=0.9, r_x=0.7)
     pairs = [
@@ -549,7 +551,10 @@ def test_a_memo_shared_across_hypothesis_pairs_changes_no_run(kind, monkeypatch)
                             folds.pop()
                         assert run(shared) == fresh[case], (null, alt, eps1, replay, case)
             assert folds[-1] < folds[-3], (null, alt, eps1, folds[-3:])
-    assert any(key[0] == "outcome" for key in shared if isinstance(key, tuple))
+    assert all(
+        any(key[0] == "outcome" for key in sub if isinstance(key, tuple))
+        for sub in shared.values()
+    )
 
 
 def counted_calls(monkeypatch, module, name) -> list:
@@ -669,7 +674,7 @@ def test_a_warm_trial_memo_replays_a_run_without_folding(kind, eps1, monkeypatch
 
 
 @pytest.mark.parametrize("kind", ["aLHT+", "aLVT"])
-def test_the_prefix_tree_stops_growing_at_its_budget(kind, monkeypatch):
+def test_the_prefix_tree_stops_growing_at_its_budget(kind, monkeypatch, run_memo):
     """A small float budget fills, the tree grows no further, and every run
     still equals a fresh-memo run."""
     budget = 3000
@@ -685,17 +690,20 @@ def test_the_prefix_tree_stops_growing_at_its_budget(kind, monkeypatch):
                 for m in (memo, {})
             )
             assert run_transcript(got) == run_transcript(want)
-            grown.append(memo["prefix tree"].floats)
+            grown.append(run_memo(memo)["prefix tree"].floats)
     assert max(grown) <= budget
     assert grown[-1] == grown[len(grown) // 2] > budget - (1 + 270 + engine._NODE_FLOATS)
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    kind=st.sampled_from(("aLHT", "aLHT+", "aLVT")),
     null=st.sampled_from(("{45}", "[0,45]")),
     runs=st.lists(
         st.tuples(
+            st.sampled_from(("aLHT", "aLHT+", "aLVT")),
+            st.sampled_from((1, 2)),
+            st.sampled_from(((1.0, 1.0), (0.9, 0.7))),
+            st.sampled_from((0.5, 1.0)),
             st.integers(0, 3),
             st.floats(0.0, 180.0),
             st.integers(1, 24),
@@ -706,22 +714,27 @@ def test_the_prefix_tree_stops_growing_at_its_budget(kind, monkeypatch):
         max_size=6,
     ),
 )
-def test_runs_interleaved_through_one_memo_equal_fresh_memo_runs(kind, null, runs):
-    """Any interleaving of seeds, truths, budgets and levels through one
-    trial memo gives each run the transcript of a run with a fresh memo.
-    Few seeds, so runs share openings and read prefixes the tree kept for
-    another truth, budget or level."""
-    policy = PolicyConfig(kind=kind, n_ic=2, n_joint=2, lambda_grid_size=9, theta_grid_size=36)
+def test_runs_interleaved_through_one_memo_equal_fresh_memo_runs(null, runs):
+    """Any interleaving of policies, copy counts, families, grid
+    resolutions, seeds, truths, budgets and levels through one trial memo
+    gives each run the transcript of a run with a fresh memo. Few seeds, so
+    runs share openings and read prefixes the tree kept for another truth,
+    budget or level, and runs of another configuration pass the entries
+    kept before them."""
     null_set, memo = parse_hypothesis_set(null), {}
-    for seed, angle, budget, eps0, eps1 in runs:
+    for kind, n_joint, radii, resolution, seed, angle, budget, eps0, eps1 in runs:
+        policy = PolicyConfig(
+            kind=kind, n_ic=2, n_joint=n_joint, lambda_grid_size=9, theta_grid_size=36
+        )
+        cfg = FamilyConfig(*radii)
         got, want = (
             run_transcript(run_sequential_test(
-                policy, state_from_angle(CFG, angle), CFG, null_set, ALT_UPPER, eps0, budget,
-                np.random.default_rng(seed), eps1=eps1, memo=m,
+                policy, state_from_angle(cfg, angle), cfg, null_set, ALT_UPPER, eps0, budget,
+                np.random.default_rng(seed), eps1=eps1, resolution=resolution, memo=m,
             ))
             for m in (memo, {})
         )
-        assert got == want, (seed, angle, budget, eps0, eps1)
+        assert got == want, (kind, n_joint, radii, resolution, seed, angle, budget, eps0, eps1)
 
 
 def test_sic_estimation_rounds():
@@ -756,6 +769,21 @@ def test_a_nan_truth_is_refused_before_any_draw(kind, monkeypatch):
             with pytest.raises(NotHermitian):
                 run_sequential_test(policy, truth, CFG, NULL_POINT, ALT_UPPER, 0.05, 8,
                                     np.random.default_rng(0), memo=trial_memo)
+
+
+@pytest.mark.parametrize("kind", ["aLHT", "aLHT+", "aLVT"])
+def test_a_truth_that_is_not_one_qubit_is_refused_before_any_draw(kind):
+    """A truth of another shape raises ConfigError, with a fresh memo or one
+    that holds a valid truth's laws; the run gets no generator to draw from."""
+    policy = PolicyConfig(kind=kind, n_ic=2, n_joint=2, lambda_grid_size=9, theta_grid_size=36)
+    memo = {}
+    run_sequential_test(policy, state_from_angle(CFG, 90.0), CFG, NULL_POINT, ALT_UPPER,
+                        0.05, 8, np.random.default_rng(0), memo=memo)
+    for dim in (1, 3, 4):
+        for trial_memo in (memo, {}, None):
+            with pytest.raises(ConfigError, match="single-qubit"):
+                run_sequential_test(policy, np.eye(dim) / dim, CFG, NULL_POINT, ALT_UPPER,
+                                    0.05, 8, None, memo=trial_memo)
 
 
 def test_run_sequential_test_validates_inputs():

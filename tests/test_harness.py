@@ -106,6 +106,19 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="within 4096, got 13"):
             small_config(methods=("LHT",), n_joint=13, budgets=budgets)
 
+    def test_rejects_helstrom_weight_tables_past_the_byte_budget(self):
+        """A Helstrom weight table holds a complex (2, lambda_grid_size,
+        n + 1, n + 1) array: at n_joint 4, 1,342,177 weights fit in 1 GiB
+        and 1,342,178 do not. aLHT draws its weights and builds no table.
+        Only the configs are built: the failing ones would take 80 GB."""
+        budgets = (24, 48)
+        for method in ("aLHT+", "LHT", "bLHT"):
+            small_config(methods=(method,), n_joint=4, lambda_grid_size=1_342_177, budgets=budgets)
+            with pytest.raises(ConfigError, match="MAX_ARRAY_BYTES"):
+                small_config(methods=(method,), n_joint=4, lambda_grid_size=1_342_178,
+                             budgets=budgets)
+        small_config(methods=("aLHT",), n_joint=4, lambda_grid_size=10**8, budgets=budgets)
+
     def test_rejects_grids_past_the_byte_budget_before_building_them(self, monkeypatch):
         """Arrays that scale with a grid count against MAX_ARRAY_BYTES, and
         each grid's size is counted from its set before any grid is built.
@@ -474,7 +487,7 @@ class TestSequentialMemo:
                         want = self.run(config, kind, budget, rng(), {}, eps1)
                         self.assert_same_outcome(got, want)
 
-    def test_a_memo_shared_across_truths_rebuilds_the_truth_laws(self):
+    def test_a_memo_shared_across_truths_rebuilds_the_truth_laws(self, run_memo):
         """As in criterion 3, one memo may serve runs of different truths.
 
         The caller here passes one array and rewrites it in place between
@@ -491,7 +504,7 @@ class TestSequentialMemo:
             got = self.run(config, "aLHT+", 24, rng(), memo, 0.05, passed)
             want = self.run(config, "aLHT+", 24, rng(), {}, 0.05, truth)
             self.assert_same_outcome(got, want)
-            assert np.array_equal(memo["truth"].truth, truth)
+            assert np.array_equal(run_memo(memo)["truth"].truth, truth)
 
     def test_each_trial_owns_its_memo(self, monkeypatch):
         memos = []
@@ -543,7 +556,7 @@ class TestSequentialMemo:
         self.assert_same_outcome(trial(24, rng()), want)
 
     @pytest.mark.parametrize("kind", ["aLHT", "aLHT+", "aLVT"])
-    def test_the_memo_keys_only_grid_angles(self, kind, monkeypatch):
+    def test_the_memo_keys_only_grid_angles(self, kind, monkeypatch, run_memo):
         """Refined null MLEs fall between grid angles; their states are built and dropped."""
         config = self.config(kind, self.SETS["interval"], "computational", (1.0, 1.0))
         grid = set(build_grid(config.null_set).angles) | set(build_grid(config.alt_set).angles)
@@ -559,13 +572,13 @@ class TestSequentialMemo:
         for run in range(4):
             self.run(config, kind, 24, np.random.default_rng([3, run]), memo, 0.05)
         assert any(w0 not in grid for w0 in null_angles)
-        angle_keys = [key[1] for key in memo if key[0] in ("power", "table")]
+        angle_keys = [key[1] for key in run_memo(memo) if key[0] in ("power", "table")]
         assert angle_keys
         assert set(angle_keys) <= grid
 
     @pytest.mark.parametrize("sets", ["point", "interval"])
     @pytest.mark.parametrize("kind", ["aLHT", "aLHT+", "aLVT"])
-    def test_alternative_angles_are_kept_only_where_reread(self, kind, sets, monkeypatch):
+    def test_alternative_angles_are_kept_only_where_reread(self, kind, sets, monkeypatch, run_memo):
         """On a point null a cached design is found before its alternative
         angle's state would be read again, so aLHT+ and aLVT build and drop
         that state; aLHT, whose designs are drawn, and interval nulls keep it."""
@@ -577,7 +590,7 @@ class TestSequentialMemo:
             rng = lambda: np.random.default_rng([5, run])
             got = self.run(config, kind, 24, rng(), memo, 0.05)
             self.assert_same_outcome(got, self.run(config, kind, 24, rng(), {}, 0.05))
-        angle_keys = {key[1] for key in memo if key[0] in ("power", "table")}
+        angle_keys = {key[1] for key in run_memo(memo) if key[0] in ("power", "table")}
         assert angle_keys & null_angles
         if sets == "point" and kind != "aLHT":
             assert angle_keys <= null_angles
