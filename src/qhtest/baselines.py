@@ -25,9 +25,11 @@ ties accept; with b = 1 the size rule and the vote are the single block's.
 Both runners share one run body, _run_blocks: fit w1, look up the block
 test calibrated at w1 and vote. A calibrated block test depends on the
 run's data only through the fitted grid angle w1, so every runner takes a
-memo dict and keeps the test's parts in its sub-memo keyed on the design,
-the family, the null, the alternative set and every FixedTestConfig field
-but total_budget and blocks, at four levels, each built once:
+memo dict and keeps the test's parts in its sub-memo keyed on the family,
+the null (its type names the design: a float angle for the Helstrom
+runner, a HypothesisSet for the variational one), the alternative set and
+every FixedTestConfig field but total_budget and blocks, at four levels,
+each built once:
 
 * per configuration, under string keys: the alternative grid's angles
   and log rows ("estimation"), and the null state's power ("null power",
@@ -61,7 +63,9 @@ floats per rotation angle its variational tests picked. A trial built by
 harness.make_trial has one configuration, with the budget and even the
 truth varying; a fresh {} recalibrates. A hit draws the same blocks from
 the same distribution, so the random stream and every decision are those
-of a run that recalibrated.
+of a run that recalibrated. A memo shared across configurations keeps one
+sub-memo per configuration for as long as the memo lives, so a caller that
+sweeps settings passes one memo per configuration, as make_trial does.
 """
 
 from __future__ import annotations
@@ -212,9 +216,13 @@ def _run_blocks(block_test, fcfg, truth, cfg, null, alt_set, rng, memo) -> Fixed
     the fitted angle w1. block_test(fcfg, laws, cfg, null, w1, memo) builds
     that test, or None when no setting meets the size; the run then
     accepts without drawing. Every run spends its whole budget, in m + b
-    rounds.
+    rounds. memo keeps one sub-memo per configuration it has seen, for as
+    long as it lives: pass one memo per configuration, as
+    harness.make_trial does, when sweeping settings.
     """
-    key = (block_test, cfg, null, alt_set, fcfg.joint_copies, fcfg.eps0, fcfg.resolution,
+    # The null's type names the design: LHT and bLHT pass a float angle,
+    # LVT and bLVT a HypothesisSet, so block_test is not in the key.
+    key = (cfg, null, alt_set, fcfg.joint_copies, fcfg.eps0, fcfg.resolution,
            fcfg.estimation_povm, fcfg.lambda_grid_size, fcfg.theta_grid_size)
     memo = memoized(memo, key, dict)
     w1 = _fit_alternative(fcfg, truth, cfg, alt_set, rng, memo)

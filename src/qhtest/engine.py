@@ -783,7 +783,11 @@ def run_sequential_test(
     refines every state each round. truth is a 2x2 density matrix, raised
     to n_joint copies once per truth. memo is the trial's memo, read at the
     run's configuration (see the trial memo above); without one the run
-    keeps its own, and the result is the same.
+    keeps its own, and the result is the same. A memo shared across
+    configurations keeps one sub-memo per configuration, each with a prefix
+    tree of up to PREFIX_TREE_FLOATS floats, for as long as the memo lives:
+    a caller that sweeps levels or settings passes one memo per
+    configuration, as harness.make_trial does.
 
     The one run loop walks the memo's prefix tree: each round it draws its
     outcome from the truth's law as ever, reads the plan and the child

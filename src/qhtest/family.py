@@ -20,7 +20,9 @@ dimension 2^n and then off the row's length 2n+1 (row_copies). On a
 grid (accumulate) it is a single matrix-vector product; at
 one angle (log_outcome_prob, and loglik_at for the golden-section
 refinement of the null MLE) it is the scalar sum c0 + sum_k (c_k cos kw +
-s_k sin kw). loglik_at costs one such term per distinct outcome row:
+s_k sin kw), folded left to right by one evaluator (_row_log) over the
+row packed as (c0, ((c1, s1), ...)). loglik_at costs one such term per
+distinct outcome row:
 rounds that saw the same outcome of the same measurement share a
 coefficient row, and only the per-round sum walks every round.
 """
@@ -258,22 +260,33 @@ def outcome_coeffs(cfg: FamilyConfig, element: np.ndarray) -> np.ndarray:
     return row
 
 
-def _row_log(coeffs: list, cos: list, sin: list) -> float:
-    """Floored log of one coefficient row, given cos(k w) and sin(k w) up to its copy count."""
-    copies = row_copies(coeffs)
-    val = coeffs[0]
-    for k in range(1, copies + 1):
-        val += coeffs[k] * cos[k] + coeffs[copies + k] * sin[k]
-    return math.log(max(val, P_FLOOR))
+def _packed_row(coeffs: np.ndarray) -> tuple:
+    """An outcome_coeffs row as floats (c0, ((c1, s1), ..., (cn, sn))), as _row_log reads it."""
+    row = coeffs.tolist()
+    copies = row_copies(row)
+    return row[0], tuple(zip(row[1 : copies + 1], row[copies + 1 :]))
+
+
+def _trig(w: float, copies: int) -> list:
+    """[(cos k w, sin k w) for k = 1..copies], w in radians."""
+    return [(math.cos(k * w), math.sin(k * w)) for k in range(1, copies + 1)]
+
+
+def _row_log(row: tuple, trig: list) -> float:
+    """Floored log of one _packed_row at the angle of trig, a _trig of at least its copies.
+
+    The sum is c0 + (c1 cos w + s1 sin w) + ... folded left to right, and
+    the floor is max(val, P_FLOOR) written out (NaN stays NaN).
+    """
+    val, pairs = row
+    for (a, b), (c, s) in zip(pairs, trig):
+        val += a * c + b * s
+    return math.log(P_FLOOR if P_FLOOR > val else val)
 
 
 def log_outcome_prob(coeffs: np.ndarray, omega: float) -> float:
     """Floored log Tr(rho(omega)^(x)n M), read from M's outcome_coeffs row."""
-    w = math.radians(omega)
-    top = row_copies(coeffs) + 1
-    cos = [math.cos(k * w) for k in range(top)]
-    sin = [math.sin(k * w) for k in range(top)]
-    return _row_log(coeffs.tolist(), cos, sin)
+    return _row_log(_packed_row(coeffs), _trig(math.radians(omega), row_copies(coeffs)))
 
 
 # --- parameter grids ------------------------------------------------------
@@ -328,7 +341,7 @@ class ParamGrid:
 
     @cached_property
     def round_rows(self) -> tuple[list, list, int]:
-        """Distinct coefficient rows (as lists), each round's row index, and the most copies.
+        """Distinct coefficient rows (each a _packed_row), each round's row index, and the most copies.
 
         Rows are keyed by their exact bytes, so equal rows give equal
         terms. The index is built from this grid's rounds when first read
@@ -340,9 +353,9 @@ class ParamGrid:
         for coeffs in self.rounds:
             i = keys.setdefault(coeffs.tobytes(), len(rows))
             if i == len(rows):
-                rows.append(coeffs.tolist())
+                rows.append(_packed_row(coeffs))
             order.append(i)
-        return rows, order, max(map(row_copies, rows), default=0)
+        return rows, order, max((len(pairs) for _, pairs in rows), default=0)
 
 
 def grid_log_probs(grid: ParamGrid, coeffs: np.ndarray) -> np.ndarray:
@@ -450,14 +463,13 @@ def loglik_at(grid: ParamGrid, omega: float) -> float:
     """Continuous log-likelihood of the accumulated rounds at one angle.
 
     Each distinct outcome row of grid.round_rows is evaluated once; the
-    per-round terms are then added in round order, so the sum is the same
-    float as a walk over every round.
+    per-round terms are then added in round order by a plain loop, so the
+    sum is the same float as a walk over every round (sum() compensates
+    float sums from Python 3.12 on).
     """
     rows, order, top = grid.round_rows
-    w = math.radians(omega)
-    cos = [math.cos(k * w) for k in range(top + 1)]
-    sin = [math.sin(k * w) for k in range(top + 1)]
-    terms = [_row_log(coeffs, cos, sin) for coeffs in rows]
+    trig = _trig(math.radians(omega), top)
+    terms = [_row_log(row, trig) for row in rows]
     total = 0.0
     for i in order:
         total += terms[i]

@@ -107,7 +107,10 @@ def validate_density(mat: np.ndarray) -> np.ndarray:
 def tensor_power(rho: np.ndarray, n: int) -> np.ndarray:
     """n-fold Kronecker power rho^(x)n, capped at MAX_TENSOR_DIM total dimension.
 
-    n = 1 returns rho itself; larger n a new read-only array.
+    n = 1 returns rho itself; larger n a new read-only array. Each step is
+    the broadcast product out[i, k, j, l] = out[i, j] * rho[k, l] reshaped
+    to (m d, m d), the product np.kron(out, rho) forms, with the same
+    floats and without its Python wrapper.
     """
     if n < 1:
         raise ValueError(f"tensor power needs n >= 1, got {n}")
@@ -116,7 +119,8 @@ def tensor_power(rho: np.ndarray, n: int) -> np.ndarray:
         raise DimensionOverflow(f"dim {d}^{n} = {d ** n} exceeds cap {MAX_TENSOR_DIM}")
     out = rho
     for _ in range(n - 1):
-        out = np.kron(out, rho)
+        m = out.shape[0]
+        out = (out[:, None, :, None] * rho[None, :, None, :]).reshape(m * d, m * d)
     if n > 1:
         out.setflags(write=False)
     return out

@@ -367,14 +367,27 @@ def test_loglik_at_is_bit_exact_against_the_per_round_sum(piece, rounds, probes)
         assert loglik_at(grid, omega) == per_round_loglik_at(grid, omega)
 
 
+def packed(coeffs):
+    """An outcome row as round_rows keeps it: (c0, ((c1, s1), ..., (cn, sn)))."""
+    row = coeffs.tolist()
+    n = len(row) // 2
+    return row[0], tuple(zip(row[1 : n + 1], row[n + 1 :]))
+
+
+def unpacked(row):
+    """The outcome_coeffs array a packed row was made from."""
+    c0, pairs = row
+    return np.array([c0, *(c for c, _ in pairs), *(s for _, s in pairs)])
+
+
 def assert_searches_own_rounds(grid, probes=(30.0, 91.3)):
     """loglik_at equals the per-round sum bit for bit, and round_rows
     indexes exactly the grid's own rounds."""
     for omega in probes:
         assert loglik_at(grid, omega) == per_round_loglik_at(grid, omega)
     rows, order, top = grid.round_rows
-    assert [rows[i] for i in order] == [c.tolist() for c in grid.rounds]
-    assert len({np.array(r).tobytes() for r in rows}) == len(rows)
+    assert [rows[i] for i in order] == [packed(c) for c in grid.rounds]
+    assert len({unpacked(r).tobytes() for r in rows}) == len(rows)
     assert top == max(((len(c) - 1) // 2 for c in grid.rounds), default=0)
 
 

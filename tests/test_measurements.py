@@ -392,6 +392,35 @@ def test_rotation_kernel_matches_complex_contraction(states, copies, grid_size):
     assert_same_bits(_rotated_basis_probs(u, mats), reference_rotated_basis_probs(u, mats))
 
 
+@pytest.mark.parametrize("grid_size, copies", [(1, 1), (7, 3), (360, 4)])
+def test_rotation_grid_keeps_one_lane_major_unitary_stack(grid_size, copies):
+    """u is U(theta) at each grid angle bit for bit and read-only, and _u_cache
+    keeps it as its one unitary array: a view of a C-contiguous (2^n, T 2^n)
+    lanes array of u's own size, not a second layout beside it."""
+    thetas, u = rotation_grid(grid_size, copies)
+    assert_same_bits(u, _variational_unitaries(thetas, copies))
+    with pytest.raises(ValueError):
+        u[0, 0, 0] = 1.0
+    stored = measurements._u_cache[(grid_size, copies)]
+    assert len(stored) == 2 and stored[0] is thetas and stored[1] is u
+    dim = 2**copies
+    assert u.base.shape == (dim, grid_size * dim) and u.base.flags.c_contiguous
+    assert u.base.nbytes == u.nbytes
+
+
+@settings(max_examples=40, deadline=None)
+@given(states=design_states, copies=st.integers(1, 5), grid_size=st.integers(1, 120))
+def test_rotation_kernel_matches_the_row_major_contraction(states, copies, grid_size):
+    """The lane-major kernel gives the (t, x)-outer real contraction's bits,
+    on rotation_grid's view of u and on a C-contiguous copy of it alike."""
+    _, u = rotation_grid(grid_size, copies)
+    mats = np.stack([tensor_power(rho, copies) for rho in states])
+    own = np.ascontiguousarray(u)
+    want = np.einsum("txa,jab,txb->txj", own, mats.real, own).clip(min=0.0)
+    assert_same_bits(_rotated_basis_probs(u, mats), want)
+    assert_same_bits(_rotated_basis_probs(own, mats), want)
+
+
 class TestExpectedLogIncrement:
     def test_zero_when_states_coincide(self):
         povm = helstrom_povm(*powers(KET0, PLUS, 1), 0.5)

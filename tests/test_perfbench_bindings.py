@@ -76,3 +76,21 @@ def test_an_accumulated_grid_counts_its_folds():
     for folds, row in enumerate(rows + rows[:2], start=1):
         grid = family.accumulate(grid, row)
         assert len(grid.rounds) == folds
+
+
+def test_a_refining_mle_calls_loglik_at_once_per_probe(monkeypatch):
+    """perfbench/tracer.py times the refined MLE by rebinding family.loglik_at,
+    so mle must reach it through the module global, once per golden-section
+    probe (2 + 48), and not evaluate the probes inline."""
+    cfg = family.FamilyConfig()
+    grid = family.build_grid(family.parse_hypothesis_set("[0,90]"))
+    povm = engine.estimation_povm("computational")
+    for label in ("0", "0", "0", "1"):
+        grid = family.accumulate(grid, family.outcome_coeffs(cfg, povm.element(label)))
+    probes = []
+    loglik_at = family.loglik_at
+    monkeypatch.setattr(
+        family, "loglik_at", lambda g, omega: probes.append(omega) or loglik_at(g, omega)
+    )
+    family.mle(grid)
+    assert len(probes) == 50

@@ -106,6 +106,31 @@ def test_tensor_power_matches_kron():
     assert np.allclose(r3, expect)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    radius=st.floats(0.0, 1.0),
+    polar=st.floats(0.0, np.pi),
+    azimuth=st.floats(0.0, 2.0 * np.pi),
+    copies=st.integers(1, 6),
+    real=st.booleans(),
+)
+def test_tensor_power_is_the_kron_chain_bit_for_bit(radius, polar, azimuth, copies, real):
+    """The broadcast product gives np.kron's floats, sign bits included,
+    on complex states and on their real parts."""
+    b = radius * np.array(
+        [np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)]
+    )
+    rho = (np.eye(2) + b[0] * PAULI_X + b[1] * PAULI_Y + b[2] * PAULI_Z) / 2.0
+    if real:
+        rho = rho.real.copy()
+    want = rho
+    for _ in range(copies - 1):
+        want = np.kron(want, rho)
+    got = tensor_power(rho, copies)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_tensor_power_returns_one_copy_as_is_and_more_read_only():
     rho = np.eye(2, dtype=complex) / 2.0
     assert tensor_power(rho, 1) is rho
